@@ -1,8 +1,7 @@
 """Command-line entry point wiring the library into reproducible experiments.
 
 Subcommands: features, ranks, synth, rerank, eval, sweep, graph-dump.
-All outputs are written atomically; inputs are never mutated. Parallelism
-is capped by the RERANK_THREADS environment variable (0 = auto).
+All outputs are written atomically; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import sys
 from pathlib import Path
 
 from . import corpus_io, evaluation, features, graph, ranking
-from .fusion import fuse
 
 DEFAULTS = dict(k=10, alpha0=0.8, depth=2, method="directed", score="max")
 
@@ -39,9 +37,7 @@ def _params(args):
 
 
 def _load_tables(paths):
-    tables = [corpus_io.load_rank_table(p) for p in paths]
-    labels = [Path(p).stem for p in paths]
-    return tables, labels
+    return [corpus_io.load_rank_table(p) for p in paths]
 
 
 def cmd_features(args):
@@ -89,25 +85,25 @@ def _queries(args, tables):
 
 
 def cmd_rerank(args):
-    tables, labels = _load_tables(args.tables)
+    tables = _load_tables(args.tables)
     params = _params(args)
     header = (
         f"method={args.method} k={args.k} alpha0={args.alpha0:g} "
         f"depth={args.depth} score={args.score}"
     )
     ranked = [
-        ranking.rerank(tables, q, params, method=args.method, score=args.score, labels=labels)
+        ranking.rerank(tables, q, params, method=args.method, score=args.score)
         for q in _queries(args, tables)
     ]
     corpus_io.atomic_write_text(args.out, ranking.ranked_lists_to_text(ranked, header))
 
 
 def cmd_eval(args):
-    tables, labels = _load_tables(args.tables)
+    tables = _load_tables(args.tables)
     gt = corpus_io.load_ground_truth(args.gt, n=tables[0].n)
     baseline, reranked = evaluation.evaluate(
         tables, gt, _params(args), method=args.method, metric=args.metric,
-        labels=labels, score=args.score,
+        score=args.score,
     )
     corpus_io.atomic_write_text(args.out, evaluation.reports_to_tsv([baseline, reranked]))
     if args.per_query:
@@ -115,7 +111,7 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
-    tables, labels = _load_tables(args.tables)
+    tables = _load_tables(args.tables)
     gt = corpus_io.load_ground_truth(args.gt, n=tables[0].n)
     k_values = [int(tok) for tok in args.k.split(",") if tok]
     if not k_values:
@@ -125,23 +121,15 @@ def cmd_sweep(args):
     )
     reports = evaluation.sweep_k(
         tables, gt, params, k_values, method=args.method, metric=args.metric,
-        labels=labels, score=args.score,
+        score=args.score,
     )
     corpus_io.atomic_write_text(args.out, evaluation.reports_to_tsv(reports))
 
 
 def cmd_graph_dump(args):
-    tables, labels = _load_tables(args.tables)
-    params = _params(args)
-    if args.method == "directed":
-        graphs = [graph.build_directed_graph(t, args.query, params) for t in tables]
-    else:
-        graphs = [graph.build_undirected_graph(t, args.query, params) for t in tables]
-    from dataclasses import replace
-
-    graphs = [replace(g, sources=(lab,)) for g, lab in zip(graphs, labels)]
-    g = graphs[0] if len(graphs) == 1 else fuse(graphs)
-    corpus_io.atomic_write_text(args.out, graph.graph_to_text(g))
+    g = ranking.build_graph(_load_tables(args.tables), args.query, _params(args), args.method)
+    sources = [Path(p).stem for p in args.tables]
+    corpus_io.atomic_write_text(args.out, graph.graph_to_text(g, sources))
 
 
 def build_parser():

@@ -39,12 +39,19 @@ class FormatError(ValueError):
 
 
 def atomic_write_text(path, text):
-    """Write `text` to `path` atomically (write to a sibling temp file, rename)."""
+    """Write `text` to `path` atomically (write to a sibling temp file, rename).
+
+    On failure the temp file is removed and the error re-raised.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -257,6 +264,8 @@ def load_feature_matrix(path):
             rows[i] = [float(v) for v in vals]
         except ValueError:
             raise FormatError(f"row {i}: non-numeric value") from None
+        if not np.isfinite(rows[i]).all():
+            raise FormatError(f"row {i}: non-finite value")
     return FeatureMatrix(rows)
 
 

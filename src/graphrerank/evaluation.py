@@ -8,8 +8,6 @@ protocol).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .ranking import RankedList, rerank
@@ -61,36 +59,7 @@ def ns_score(ranked, query, relevant):
     return 1.0 + len(set(ranked.order[:3]) & groupmates)
 
 
-def _thread_count():
-    raw = os.environ.get("RERANK_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = min(os.cpu_count() or 1, 8)
-    return cap
-
-
-def _map_queries(fn, queries):
-    workers = min(_thread_count(), len(queries)) if queries else 1
-    if workers <= 1:
-        return [fn(q) for q in queries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, queries))
-
-
-def evaluate(
-    tables,
-    ground_truth,
-    params,
-    method="directed",
-    metric="ns",
-    labels=None,
-    scales=None,
-    score="max",
-    target_len=None,
-):
+def evaluate(tables, ground_truth, params, method="directed", metric="ns", score="max"):
     """Score every ground-truth query; returns (baseline, reranked) reports.
 
     The baseline report scores tables[0]'s raw orderings without reranking.
@@ -106,18 +75,12 @@ def evaluate(
             return ns_score(ranked, q, rel)
         return average_precision(ranked, rel)
 
-    def base_one(q):
-        return value(RankedList(q, tuple(tables[0].lists[q]), "initial"), q)
-
-    def rerank_one(q):
-        ranked = rerank(
-            tables, q, params, method=method, target_len=target_len,
-            score=score, labels=labels, scales=scales,
-        )
-        return value(ranked, q)
-
-    base_vals = _map_queries(base_one, queries)
-    rr_vals = _map_queries(rerank_one, queries)
+    base_vals = [
+        value(RankedList(q, tuple(tables[0].lists[q]), "initial"), q) for q in queries
+    ]
+    rr_vals = [
+        value(rerank(tables, q, params, method=method, score=score), q) for q in queries
+    ]
     fused = "-fused" if len(tables) > 1 else ""
     common = dict(metric=metric, k=params.k, alpha0=params.alpha0, depth=params.depth)
     baseline = MetricReport(method="baseline", per_query=dict(zip(queries, base_vals)), **common)

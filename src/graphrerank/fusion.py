@@ -38,5 +38,4 @@ def fuse(graphs, scales=None):
         for key, w in g.edges.items():
             edges[key] = edges.get(key, 0.0) + s * w
     edges = {key: w for key, w in edges.items() if w > 0}
-    sources = tuple(label for g in graphs for label in g.sources)
-    return ImageGraph(query, nodes, edges, directed, sources=sources)
+    return ImageGraph(query, nodes, edges, directed)

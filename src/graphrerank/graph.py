@@ -71,7 +71,6 @@ class ImageGraph:
     nodes: frozenset
     edges: dict
     directed: bool
-    sources: tuple = ()
 
     def __post_init__(self):
         if self.query not in self.nodes:
@@ -236,11 +235,15 @@ def build_undirected_graph(table, query, params):
     return ImageGraph(query, frozenset(depths), edges, directed=False)
 
 
-def graph_to_text(graph):
-    """Edge-list export: header line, then `<src> <dst> <weight>` lines."""
+def graph_to_text(graph, sources=()):
+    """Edge-list export: header line, then `<src> <dst> <weight>` lines.
+
+    `sources` names the feature spaces the graph was built from, in fusion
+    order; the header lists them when given.
+    """
     header = f"query {graph.query} directed {int(graph.directed)}"
-    if graph.sources:
-        header += " sources " + ",".join(graph.sources)
+    if sources:
+        header += " sources " + ",".join(sources)
     lines = [header]
     for (src, dst) in sorted(graph.edges):
         lines.append(f"{src} {dst} {graph.edges[(src, dst)]:.12g}")

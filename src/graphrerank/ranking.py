@@ -7,16 +7,21 @@ incoming edges from S by default; a SUM variant is available for ablation.
 Ties break by the candidate's position in the query's initial list, then by
 ascending id. If the graph is exhausted early, the list is completed from
 the initial ranking.
+
+`build_graph` is the one build -> fuse path: it checks the rank tables,
+builds one graph per table and fuses them when there are several. `rerank`
+(and through it `evaluation.evaluate`) and the CLI `rerank` and `graph-dump`
+commands all go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .fusion import fuse
 from .graph import build_directed_graph, build_undirected_graph
 
-__all__ = ["RankedList", "greedy_rank", "rerank"]
+__all__ = ["RankedList", "build_graph", "greedy_rank", "rerank"]
 
 
 @dataclass(frozen=True)
@@ -87,20 +92,8 @@ def greedy_rank(graph, initial, target_len=None, score="max", provenance="rerank
     return RankedList(q, tuple(order), provenance)
 
 
-def rerank(
-    tables,
-    query,
-    params,
-    method="directed",
-    target_len=None,
-    score="max",
-    labels=None,
-    scales=None,
-):
-    """Build one graph per rank table, fuse when several, then greedy-rank.
-
-    The completed tail and tie-breaking both come from tables[0]'s list.
-    """
+def build_graph(tables, query, params, method="directed"):
+    """One graph per rank table, fused by per-edge weight sum when several."""
     tables = list(tables)
     if not tables:
         raise ValueError("need at least one rank table")
@@ -113,18 +106,19 @@ def rerank(
         build = build_undirected_graph
     else:
         raise ValueError(f"unknown method {method!r}")
-    if labels is None:
-        labels = [f"feature{i}" for i in range(len(tables))]
+    graphs = [build(t, query, params) for t in tables]
+    return graphs[0] if len(graphs) == 1 else fuse(graphs)
 
-    graphs = [
-        replace(build(t, query, params), sources=(label,))
-        for t, label in zip(tables, labels)
-    ]
-    graph = graphs[0] if len(graphs) == 1 else fuse(graphs, scales)
-    provenance = "rerank-fused" if len(graphs) > 1 else "rerank-single"
-    return greedy_rank(
-        graph, tables[0].lists[query], target_len, score, provenance=provenance
-    )
+
+def rerank(tables, query, params, method="directed", score="max"):
+    """Greedy-rank `build_graph`'s graph for one query.
+
+    The completed tail and tie-breaking both come from tables[0]'s list.
+    """
+    tables = list(tables)
+    graph = build_graph(tables, query, params, method)
+    provenance = "rerank-fused" if len(tables) > 1 else "rerank-single"
+    return greedy_rank(graph, tables[0].lists[query], score=score, provenance=provenance)
 
 
 def ranked_lists_to_text(lists, header=None):

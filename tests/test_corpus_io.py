@@ -8,6 +8,7 @@ from graphrerank.corpus_io import (
     GroundTruth,
     RankTable,
     SynthSpec,
+    atomic_write_text,
     load_feature_matrix,
     load_ground_truth,
     load_name_map,
@@ -197,6 +198,35 @@ class TestFeatureMatrixFormat:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             FeatureMatrix(np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_in_file_is_format_error(self, tmp_path, token):
+        path = tmp_path / "f.txt"
+        path.write_text(f"2 2\n1 2\n3 {token}\n")
+        with pytest.raises(FormatError, match="row 1: non-finite"):
+            load_feature_matrix(path)
+
+
+class TestAtomicWriteText:
+    def test_replaces_content(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        atomic_write_text(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            atomic_write_text(target, "text\n")
+        assert list(tmp_path.glob("*.tmp.*")) == []
+        assert target.is_dir()
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(tmp_path / "out.txt", "\ud800")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSynthGenerate:

@@ -66,11 +66,6 @@ class TestFuseBasics:
         with pytest.raises(ValueError):
             fuse([])
 
-    def test_sources_concatenate(self):
-        a = ImageGraph(0, frozenset({0}), {}, True, sources=("hsv",))
-        b = ImageGraph(0, frozenset({0}), {}, True, sources=("bow",))
-        assert fuse([a, b]).sources == ("hsv", "bow")
-
     def test_scalar_multipliers(self):
         g = ImageGraph(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
         fused = fuse([g, g], scales=[1.0, 2.0])

@@ -408,3 +408,7 @@ class TestGraphInvariants:
         src, dst, w = lines[1].split()
         assert (int(src), int(dst)) in g.edges
         assert float(w) > 0
+
+    def test_export_header_lists_sources(self):
+        g = ImageGraph(0, frozenset({0}), {}, True)
+        assert graph_to_text(g, ("hsv", "bow")) == "query 0 directed 1 sources hsv,bow\n"

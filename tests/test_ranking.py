@@ -5,8 +5,14 @@ from hypothesis import given, settings, strategies as st
 from graphrerank.corpus_io import SynthSpec, synth_generate
 from graphrerank.evaluation import ns_score
 from graphrerank.features import build_rank_table
-from graphrerank.graph import GraphParams, ImageGraph, build_directed_graph
-from graphrerank.ranking import RankedList, greedy_rank, rerank
+from graphrerank.fusion import fuse
+from graphrerank.graph import (
+    GraphParams,
+    ImageGraph,
+    build_directed_graph,
+    build_undirected_graph,
+)
+from graphrerank.ranking import RankedList, build_graph, greedy_rank, rerank
 
 from conftest import random_rank_table
 
@@ -186,6 +192,39 @@ class TestGreedyRank:
         a = greedy_rank(graph, initial, len(initial))
         b = greedy_rank(graph, initial, len(initial))
         assert a == b
+
+
+BY_METHOD = {"directed": build_directed_graph, "undirected": build_undirected_graph}
+
+
+class TestBuildGraph:
+    @pytest.mark.parametrize("method", sorted(BY_METHOD))
+    @pytest.mark.parametrize("n_tables", [1, 2])
+    def test_equals_hand_written_build_and_fuse(self, method, n_tables):
+        tables = [random_rank_table(np.random.default_rng(s), 14) for s in range(n_tables)]
+        params = GraphParams(k=4)
+        for q in (0, 5, 13):
+            graphs = [BY_METHOD[method](t, q, params) for t in tables]
+            want = graphs[0] if n_tables == 1 else fuse(graphs)
+            assert build_graph(tables, q, params, method) == want
+
+    @pytest.mark.parametrize("method", sorted(BY_METHOD))
+    @pytest.mark.parametrize("n_tables", [1, 2])
+    def test_rerank_is_greedy_rank_of_build_graph(self, method, n_tables):
+        tables = [random_rank_table(np.random.default_rng(9 + s), 14) for s in range(n_tables)]
+        params = GraphParams(k=4)
+        for q in range(14):
+            want = greedy_rank(build_graph(tables, q, params, method), tables[0].lists[q])
+            assert rerank(tables, q, params, method).order == want.order
+
+    def test_unknown_method_rejected(self):
+        table = random_rank_table(np.random.default_rng(3), 6)
+        with pytest.raises(ValueError, match="unknown method"):
+            build_graph([table], 0, GraphParams(k=2), "mutual")
+
+    def test_no_tables_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            build_graph([], 0, GraphParams(k=2))
 
 
 class TestRerank:
