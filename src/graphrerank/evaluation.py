@@ -75,9 +75,7 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns", score
             return ns_score(ranked, q, rel)
         return average_precision(ranked, rel)
 
-    base_vals = [
-        value(RankedList(q, tuple(tables[0].lists[q]), "initial"), q) for q in queries
-    ]
+    base_vals = [value(RankedList(q, tables[0].lists[q], "initial"), q) for q in queries]
     rr_vals = [
         value(rerank(tables, q, params, method=method, score=score), q) for q in queries
     ]

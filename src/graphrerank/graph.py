@@ -16,12 +16,29 @@ Neighborhood sets used by the Jaccard weight include the owner image itself
 (the image is rank 1 of its own retrieval), i.e. {i} plus the top k-1
 entries of its stored list. List positions used by `rank_of` and the
 reciprocal test are 1-based over the stored owner-excluded lists.
+
+A graph is stored as arrays over a local node index (`ImageGraph.ids`,
+`src`, `dst`, `weight`). The builders walk the bounded BFS in Python and
+weight every edge in one vectorised step. Their weights equal the scalar
+`rank_weight`/`jaccard_weight` bit for bit, because each one is computed
+with the same floating-point operations in the same order:
+
+- the decay comes from a table of Python `alpha0 ** depth` values (numpy's
+  array power rounds some of them differently in the last bit);
+- the directed weight is `decay / float(Rank(i, i') + Rank(i', i))`;
+- the undirected weight is `(decay * inter) / union`, with integer
+  intersection and union sizes.
+
+`k` must not exceed n - 1: the builders raise `ValueError` rather than use
+a smaller k than the one asked for.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,29 +76,106 @@ class GraphParams:
             raise ValueError("max_nodes must be >= 1 when given")
 
 
-@dataclass(frozen=True)
-class ImageGraph:
-    """Weighted per-query graph; edge keys are (src, dst) pairs.
+class _EdgeMap(Mapping):
+    """(src id, dst id) -> weight view of a graph's edge arrays.
 
-    Undirected graphs store each edge once under the (min, max) orientation.
-    Zero-weight edges are never stored.
+    Its length is the edge count; the dict behind lookups and iteration is
+    built on first use.
     """
 
-    query: int
-    nodes: frozenset
-    edges: dict
-    directed: bool
+    def __init__(self, graph):
+        self._graph = graph
 
-    def __post_init__(self):
-        if self.query not in self.nodes:
-            raise ValueError("graph must contain its query node")
-        for (src, dst), w in self.edges.items():
-            if src not in self.nodes or dst not in self.nodes:
+    def __len__(self):
+        return len(self._graph.weight)
+
+    @cached_property
+    def _dict(self):
+        g = self._graph
+        keys = zip(g.ids[g.src].tolist(), g.ids[g.dst].tolist())
+        return dict(zip(keys, g.weight.tolist()))
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __repr__(self):
+        return repr(self._dict)
+
+
+class ImageGraph:
+    """Weighted per-query graph over a local node index.
+
+    Local node a is image `ids[a]`; edge e runs from local node `src[e]` to
+    `dst[e]` with weight `weight[e]`. `nodes` (a frozenset of image ids) and
+    `edges` (a mapping from (src id, dst id) to weight) are views of those
+    arrays. Undirected graphs store each edge once under the (min, max) id
+    orientation. Zero-weight edges are never stored.
+
+    `ImageGraph(query, nodes, edges, directed)` builds a graph from a node
+    set and an edge mapping; the builders use `from_arrays`. Either way the
+    graph is validated once, when it is made.
+    """
+
+    def __init__(self, query, nodes, edges, directed):
+        ids = np.array(sorted(nodes), dtype=np.int64)
+        keys = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        weight = np.array(list(edges.values()), dtype=np.float64)
+        local = np.searchsorted(ids, keys).clip(max=max(len(ids) - 1, 0))
+        if len(ids) and len(keys):
+            outside = (ids[local] != keys).any(axis=1)
+            if outside.any():
+                src, dst = keys[outside.argmax()].tolist()
                 raise ValueError(f"edge ({src}, {dst}) endpoint outside node set")
-            if w <= 0:
-                raise ValueError(f"edge ({src}, {dst}) has non-positive weight {w}")
-            if not self.directed and src > dst:
-                raise ValueError("undirected edges must use (min, max) orientation")
+        self._set(query, ids, local[:, 0], local[:, 1], weight, directed)
+
+    @classmethod
+    def from_arrays(cls, query, ids, src, dst, weight, directed):
+        """Graph over image ids `ids` with edges src[e] -> dst[e] in local indices."""
+        graph = cls.__new__(cls)
+        graph._set(query, ids, src, dst, weight, directed)
+        return graph
+
+    def _set(self, query, ids, src, dst, weight, directed):
+        if not (ids == query).any():
+            raise ValueError("graph must contain its query node")
+        bad = weight <= 0
+        if bad.any():
+            e = bad.argmax()
+            raise ValueError(
+                f"edge ({ids[src[e]]}, {ids[dst[e]]}) has non-positive weight {weight[e]}"
+            )
+        if not directed and (ids[src] > ids[dst]).any():
+            raise ValueError("undirected edges must use (min, max) orientation")
+        self.query = int(query)
+        self.ids = ids
+        self.src = src
+        self.dst = dst
+        self.weight = weight
+        self.directed = bool(directed)
+
+    @cached_property
+    def nodes(self):
+        return frozenset(self.ids.tolist())
+
+    @cached_property
+    def edges(self):
+        return _EdgeMap(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, ImageGraph):
+            return NotImplemented
+        return (self.query, self.directed, self.nodes, self.edges) == (
+            other.query, other.directed, other.nodes, other.edges
+        )
+
+    def __repr__(self):
+        return (
+            f"ImageGraph(query={self.query}, nodes={len(self.ids)}, "
+            f"edges={len(self.weight)}, directed={self.directed})"
+        )
 
 
 def neighbors(table, i, k):
@@ -159,6 +253,14 @@ def decay(alpha0, depth_i, depth_i2):
     return alpha0 ** max(depth_i, depth_i2)
 
 
+def _checked_k(table, query, params):
+    if not 0 <= query < table.n:
+        raise ValueError(f"query {query} out of range")
+    if params.k > table.n - 1:
+        raise ValueError(f"k={params.k} exceeds corpus bound {table.n - 1}")
+    return params.k
+
+
 def _bounded_bfs(neighbor_fn, query, depth, max_nodes):
     """Discovery BFS: depths of nodes within `depth` hops, capped in BFS order."""
     depths = {query: 0}
@@ -168,7 +270,6 @@ def _bounded_bfs(neighbor_fn, query, depth, max_nodes):
         if depths[i] >= depth:
             continue
         for j in neighbor_fn(i):
-            j = int(j)
             if j in depths:
                 continue
             if max_nodes is not None and len(depths) >= max_nodes:
@@ -178,61 +279,71 @@ def _bounded_bfs(neighbor_fn, query, depth, max_nodes):
     return depths
 
 
+def _local_top_k(table, depths, k):
+    """Local index of a BFS result and every node's top-k list in it.
+
+    Returns (ids, depth, top, local): `ids`/`depth` in discovery order,
+    `top` the (V, k) global top-k ids and `local` the same as local indices,
+    -1 where the neighbor is not a graph node.
+    """
+    ids = np.fromiter(depths, dtype=np.int64, count=len(depths))
+    depth = np.fromiter(depths.values(), dtype=np.int64, count=len(depths))
+    top = table.lists[ids, :k]
+    index = np.full(table.n, -1, dtype=np.int64)
+    index[ids] = np.arange(len(ids))
+    return ids, depth, top, index[top]
+
+
+def _decays(params, depth, src, dst):
+    """alpha0 ** max(depth of each endpoint), from Python `**` values."""
+    table = np.array([params.alpha0 ** d for d in range(params.depth + 1)])
+    return table[np.maximum(depth[src], depth[dst])]
+
+
 def build_directed_graph(table, query, params):
     """Directed graph over the query's BFS neighborhood in the top-k digraph."""
-    if not 0 <= query < table.n:
-        raise ValueError(f"query {query} out of range")
-    k = min(params.k, table.n - 1)
+    k = _checked_k(table, query, params)
     lists = table.lists
-    pos = table.positions
-
-    depths = _bounded_bfs(lambda i: lists[i, :k], query, params.depth, params.max_nodes)
-    edges = {}
-    for i, di in depths.items():
-        for j in lists[i, :k]:
-            j = int(j)
-            dj = depths.get(j)
-            if dj is None:
-                continue
-            w = decay(params.alpha0, di, dj) / float(pos[i, j] + pos[j, i])
-            if w > 0:
-                edges[(i, j)] = w
-    return ImageGraph(query, frozenset(depths), edges, directed=True)
+    depths = _bounded_bfs(
+        lambda i: lists[i, :k].tolist(), query, params.depth, params.max_nodes
+    )
+    ids, depth, _, local = _local_top_k(table, depths, k)
+    src, col = np.nonzero(local >= 0)  # BFS order, then list order
+    dst = local[src, col]
+    # Rank(i, i') of i' in i's top-k is its column + 1
+    ranks = col + 1 + table.positions[ids[dst], ids[src]]
+    weight = _decays(params, depth, src, dst) / ranks.astype(np.float64)
+    keep = weight > 0
+    return ImageGraph.from_arrays(query, ids, src[keep], dst[keep], weight[keep], True)
 
 
 def build_undirected_graph(table, query, params):
     """Reciprocal-neighbor baseline graph with Jaccard consistency weights."""
-    if not 0 <= query < table.n:
-        raise ValueError(f"query {query} out of range")
-    k = min(params.k, table.n - 1)
+    k = _checked_k(table, query, params)
     lists = table.lists
     pos = table.positions
 
     def recip_nbrs(i):
-        return [int(j) for j in lists[i, :k] if pos[j, i] <= k]
+        row = lists[i, :k]
+        return row[pos[row, i] <= k].tolist()
 
     depths = _bounded_bfs(recip_nbrs, query, params.depth, params.max_nodes)
-    sub = sorted(depths)
-    n = table.n
-    # inclusive top-k membership rows for fast pairwise intersection counts
-    member = np.zeros((len(sub), n), dtype=np.int32)
-    for a, i in enumerate(sub):
-        member[a, lists[i, : k - 1]] = 1
-        member[a, i] = 1
-    inter = member @ member.T
-    sizes = member.sum(axis=1)
-
-    edges = {}
-    for a, i in enumerate(sub):
-        for b in range(a + 1, len(sub)):
-            j = sub[b]
-            if pos[i, j] > k or pos[j, i] > k:
-                continue
-            union = sizes[a] + sizes[b] - inter[a, b]
-            w = decay(params.alpha0, depths[i], depths[j]) * inter[a, b] / union
-            if w > 0:
-                edges[(min(i, j), max(i, j))] = float(w)
-    return ImageGraph(query, frozenset(depths), edges, directed=False)
+    ids, depth, top, local = _local_top_k(table, depths, k)
+    owner = ids[:, None]
+    # each mutual top-k pair once, from its smaller id
+    src, col = np.nonzero((local >= 0) & (top > owner) & (pos[top, owner] <= k))
+    dst = local[src, col]
+    # inclusive neighborhoods, as columns of a membership matrix over the
+    # distinct ids they hold; each holds k distinct ids, so union = 2k - inter
+    hoods = np.concatenate([owner, top[:, : k - 1]], axis=1)
+    _, hood = np.unique(hoods, return_inverse=True)
+    hood = hood.reshape(hoods.shape)
+    member = np.zeros((len(ids), hood.max() + 1), dtype=bool)
+    member[np.arange(len(ids))[:, None], hood] = True
+    inter = member[src[:, None], hood[dst]].sum(axis=1)
+    weight = (_decays(params, depth, src, dst) * inter) / (2 * k - inter)
+    keep = weight > 0
+    return ImageGraph.from_arrays(query, ids, src[keep], dst[keep], weight[keep], False)
 
 
 def graph_to_text(graph, sources=()):

@@ -8,6 +8,13 @@ Ties break by the candidate's position in the query's initial list, then by
 ascending id. If the graph is exhausted early, the list is completed from
 the initial ranking.
 
+`greedy_rank` lays the graph's nodes out in tie order (query first, then by
+initial-list position, nodes absent from the list after all present ones,
+then by id), so `np.argmax`, which returns the first of equal maxima, picks
+the documented tie-break. Scores are compared exactly: a running
+`np.maximum` for "max", and for "sum" a running `+=` that adds each edge
+weight in the order its source node was inserted.
+
 `build_graph` is the one build -> fuse path: it checks the rank tables,
 builds one graph per table and fuses them when there are several. `rerank`
 (and through it `evaluation.evaluate`) and the CLI `rerank` and `graph-dump`
@@ -17,6 +24,8 @@ commands all go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fusion import fuse
 from .graph import build_directed_graph, build_undirected_graph
@@ -33,17 +42,29 @@ class RankedList:
     provenance: str = "initial"
 
     def __post_init__(self):
-        order = tuple(int(x) for x in self.order)
-        if self.query in order:
+        order = self.order
+        if isinstance(order, np.ndarray) and order.ndim == 1 and order.dtype.kind in "iu":
+            has_query = bool((order == self.query).any())
+            ids = np.sort(order)
+            has_duplicates = bool((ids[1:] == ids[:-1]).any())
+            order = tuple(order.tolist())
+        else:
+            order = tuple(int(x) for x in order)
+            has_query = self.query in order
+            has_duplicates = len(set(order)) != len(order)
+        if has_query:
             raise ValueError("ranked list must not contain its own query")
-        if len(set(order)) != len(order):
+        if has_duplicates:
             raise ValueError("ranked list contains duplicates")
         object.__setattr__(self, "order", order)
 
 
 def greedy_rank(graph, initial, target_len=None, score="max", provenance="rerank-single"):
-    """Rank by greedy insertion over `graph`, completing from `initial`."""
-    initial = [int(x) for x in initial]
+    """Rank by greedy insertion over `graph`, completing from `initial`.
+
+    `initial` is the query's initial ranking: distinct non-negative ids.
+    """
+    initial = np.asarray(initial, dtype=np.int64)
     if target_len is None:
         target_len = len(initial)
     if not 0 <= target_len <= len(initial):
@@ -51,45 +72,59 @@ def greedy_rank(graph, initial, target_len=None, score="max", provenance="rerank
     if score not in ("max", "sum"):
         raise ValueError("score must be 'max' or 'sum'")
     q = graph.query
-    if q not in graph.nodes:
-        raise ValueError("query missing from graph")
+    ids = graph.ids
+    if ids.min() < 0 or initial.min(initial=0) < 0:
+        raise ValueError("image ids must be non-negative")
 
-    out = {}
-    for (src, dst), w in graph.edges.items():
-        out.setdefault(src, []).append((dst, w))
-        if not graph.directed:
-            out.setdefault(dst, []).append((src, w))
+    # tie order: query, then initial-list position (absent: len(initial)), then id
+    v = len(ids)
+    init_pos = np.full(max(int(ids.max()), int(initial.max(initial=-1))) + 1, len(initial))
+    init_pos[initial] = np.arange(len(initial))
+    tie_pos = init_pos[ids]
+    tie_pos[ids == q] = -1
+    layout = np.lexsort((ids, tie_pos))
+    ids = ids[layout]
+    at = np.empty(v, dtype=np.int64)
+    at[layout] = np.arange(v)
 
-    init_pos = {img: p for p, img in enumerate(initial)}
-    missing = len(initial)
-    chosen = {q}
-    order = []
-    scores = {}
+    # out-edges in CSR form over the tie-ordered nodes
+    src, dst, weight = at[graph.src], at[graph.dst], graph.weight
+    if not graph.directed:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        weight = np.concatenate([weight, weight])
+    by_src = np.argsort(src, kind="stable")
+    dst, weight = dst[by_src], weight[by_src]
+    start = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=v))]).tolist()
 
-    def relax(i):
-        for dst, w in out.get(i, ()):
-            if dst in chosen:
-                continue
-            if score == "max":
-                scores[dst] = max(scores.get(dst, 0.0), w)
-            else:
-                scores[dst] = scores.get(dst, 0.0) + w
-
-    relax(q)
-    while scores and len(order) < target_len:
-        best = min(scores, key=lambda c: (-scores[c], init_pos.get(c, missing), c))
-        del scores[best]
-        chosen.add(best)
-        order.append(best)
-        relax(best)
-
-    for img in initial:
-        if len(order) >= target_len:
+    # a candidate's score is > 0 and any other node's 0; capping inserted
+    # nodes at -inf (the rest at +inf) keeps them out of the argmax
+    scores = np.zeros(v)
+    cap = np.full(v, np.inf)
+    cap[0] = -np.inf
+    capped = np.empty(v)
+    picked = []
+    best = 0
+    while True:
+        nbrs = dst[start[best]:start[best + 1]]
+        w = weight[start[best]:start[best + 1]]
+        if score == "max":
+            scores[nbrs] = np.maximum(scores[nbrs], w)
+        else:
+            scores[nbrs] += w
+        if len(picked) >= target_len:
             break
-        if img not in chosen:
-            chosen.add(img)
-            order.append(img)
-    return RankedList(q, tuple(order), provenance)
+        best = int(np.minimum(scores, cap, out=capped).argmax())
+        if capped[best] <= 0:
+            break
+        cap[best] = -np.inf
+        picked.append(best)
+
+    ranked = ids[picked]
+    placed = np.zeros(len(init_pos), dtype=bool)
+    placed[ranked] = True
+    placed[q] = True
+    rest = initial[~placed[initial]][: target_len - len(ranked)]
+    return RankedList(q, np.concatenate([ranked, rest]), provenance)
 
 
 def build_graph(tables, query, params, method="directed"):

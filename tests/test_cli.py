@@ -204,6 +204,16 @@ class TestGraphDump:
 
 
 class TestErrorPaths:
+    def test_eval_k_beyond_corpus_is_one_error_line(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "o.tsv"
+        code = run(
+            "eval", "--tables", synth_dir / "space0_ranks.txt",
+            "--gt", synth_dir / "ground_truth.txt", "--out", out, "--k", 24,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: k=24 exceeds corpus bound 23\n"
+        assert not out.exists()
+
     def test_missing_table_file(self, tmp_path, capsys):
         code = run("rerank", "--tables", tmp_path / "none.txt", "--out", tmp_path / "o")
         assert code == 1

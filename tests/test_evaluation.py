@@ -137,6 +137,16 @@ def synth_tables(spec):
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("method", ["directed", "undirected"])
+    def test_k_beyond_corpus_rejected(self, method):
+        # the report carries params.k, so a k the corpus cannot supply is an
+        # error rather than a silently smaller k
+        spec = SynthSpec(n_groups=3, group_size=2, dims=4, n_spaces=2, seed=2)
+        tables, gt = synth_tables(spec)
+        assert evaluate(tables, gt, GraphParams(k=5), method=method)[1].k == 5
+        with pytest.raises(ValueError, match="k=6 exceeds corpus bound 5"):
+            evaluate(tables, gt, GraphParams(k=6), method=method)
+
     def test_rerank_at_least_baseline_on_clean_corpus(self):
         spec = SynthSpec(
             n_groups=10, group_size=4, dims=6, n_spaces=1,

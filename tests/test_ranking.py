@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from graphrerank.graph import (
 from graphrerank.ranking import RankedList, build_graph, greedy_rank, rerank
 
 from conftest import random_rank_table
+from test_graph import brute_force_directed, brute_force_undirected
 
 
 def reference_greedy(graph, initial, target_len, score="max"):
@@ -73,6 +76,26 @@ def random_distinct_graph(rng, max_nodes=12, directed=None):
     return graph, initial
 
 
+def random_tied_graph(rng, max_nodes=12):
+    """Random graph whose weights repeat, so the tie-break decides often.
+
+    Weights are drawn from {1, 2, 3}: integer-valued, so sums are exact in
+    any order. Some graph nodes are missing from the initial list, and it
+    holds ids beyond the graph.
+    """
+    n = int(rng.integers(2, max_nodes + 1))
+    directed = bool(rng.integers(2))
+    edges = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j and (directed or i < j) and rng.random() < 0.5:
+                edges[(i, j)] = float(rng.integers(1, 4))
+    graph = ImageGraph(0, frozenset(range(n)), edges, directed)
+    listed = [i for i in range(1, n) if rng.random() < 0.7] + list(range(n, n + 3))
+    initial = [int(x) for x in rng.permutation(listed)]
+    return graph, initial
+
+
 class TestRankedList:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -81,6 +104,17 @@ class TestRankedList:
     def test_rejects_own_query(self):
         with pytest.raises(ValueError):
             RankedList(0, (1, 0, 2))
+
+    def test_ndarray_order_equals_tuple_order(self):
+        from_array = RankedList(0, np.array([3, 1, 2], dtype=np.int64))
+        assert from_array == RankedList(0, (3, 1, 2))
+        assert all(type(i) is int for i in from_array.order)
+
+    def test_ndarray_rejects_duplicates_and_own_query(self):
+        with pytest.raises(ValueError, match="duplicates"):
+            RankedList(0, np.array([1, 2, 1]))
+        with pytest.raises(ValueError, match="own query"):
+            RankedList(0, np.array([1, 0, 2]))
 
 
 class TestGreedyRank:
@@ -110,6 +144,14 @@ class TestGreedyRank:
         g = ImageGraph(1, frozenset({1, 2}), {(1, 2): 0.5}, True)
         with pytest.raises(ValueError):
             greedy_rank(g, [2], 5)
+
+    def test_negative_ids_rejected(self):
+        g = ImageGraph(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
+        with pytest.raises(ValueError, match="non-negative"):
+            greedy_rank(g, [1, -2], 1)
+        g = ImageGraph(0, frozenset({0, -1}), {(0, -1): 0.5}, True)
+        with pytest.raises(ValueError, match="non-negative"):
+            greedy_rank(g, [2], 1)
 
     def test_completion_from_initial(self):
         g = ImageGraph(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
@@ -186,6 +228,15 @@ class TestGreedyRank:
         assert graph.query not in ranked.order
         assert len(set(ranked.order)) == len(ranked.order)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**9), score=st.sampled_from(["max", "sum"]))
+    def test_tied_weights_match_reference(self, seed, score):
+        rng = np.random.default_rng(seed)
+        graph, initial = random_tied_graph(rng)
+        target = int(rng.integers(0, len(initial) + 1))
+        got = greedy_rank(graph, initial, target, score=score)
+        assert list(got.order) == reference_greedy(graph, initial, target, score)
+
     def test_determinism(self):
         rng = np.random.default_rng(77)
         graph, initial = random_distinct_graph(rng)
@@ -249,6 +300,13 @@ class TestRerank:
         with pytest.raises(ValueError):
             rerank([t1, t2], 0, GraphParams(k=3))
 
+    @pytest.mark.parametrize("method", ["directed", "undirected"])
+    def test_k_beyond_corpus_rejected(self, method):
+        tables = [random_rank_table(np.random.default_rng(3), 6)]
+        assert len(rerank(tables, 0, GraphParams(k=5), method).order) == 5
+        with pytest.raises(ValueError, match="k=6 exceeds corpus bound 5"):
+            rerank(tables, 0, GraphParams(k=6), method)
+
     def test_full_agreement_two_spaces_groupmates_on_top(self):
         spec = SynthSpec(
             n_groups=8, group_size=4, dims=6, n_spaces=2,
@@ -284,3 +342,52 @@ class TestRerank:
             for q in range(coherent.n)
         ])
         assert fused_ns > texture_ns
+
+
+BRUTE_FORCE = {"directed": brute_force_directed, "undirected": brute_force_undirected}
+
+
+class TestRerankPinnedToReference:
+    """`rerank` equals, exactly, the scalar oracles composed by hand."""
+
+    @staticmethod
+    def reference_rerank(tables, query, params, method, score, summation_order):
+        nodes, edges = set(), {}
+        for t in tables:
+            t_nodes, t_edges = BRUTE_FORCE[method](t, query, params)
+            nodes |= t_nodes
+            for key, w in t_edges.items():
+                edges[key] = edges.get(key, 0.0) + w
+        # reference_greedy sums a candidate's weights in edge-mapping order,
+        # greedy_rank in the order their sources were inserted; float sums
+        # depend on that order, so lay the edges out by the insertion rank of
+        # their first-inserted endpoint in `summation_order`
+        rank = {node: r for r, node in enumerate([query, *summation_order])}
+        first = lambda key: min(rank.get(key[0], len(rank)), rank.get(key[1], len(rank)))
+        edges = {key: edges[key] for key in sorted(edges, key=first)}
+        graph = SimpleNamespace(
+            query=query, nodes=nodes, edges=edges, directed=method == "directed"
+        )
+        initial = [int(x) for x in tables[0].lists[query]]
+        return reference_greedy(graph, initial, len(initial), score)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        method=st.sampled_from(sorted(BRUTE_FORCE)),
+        score=st.sampled_from(["max", "sum"]),
+        n_tables=st.integers(1, 3),
+        capped=st.booleans(),
+    )
+    def test_order_equals_reference(self, seed, method, score, n_tables, capped):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 31))
+        tables = [random_rank_table(rng, n) for _ in range(n_tables)]
+        params = GraphParams(
+            k=int(rng.integers(1, n)),
+            depth=int(rng.integers(1, 4)),
+            max_nodes=int(rng.integers(1, n + 1)) if capped else None,
+        )
+        query = int(rng.integers(n))
+        got = list(rerank(tables, query, params, method, score).order)
+        assert got == self.reference_rerank(tables, query, params, method, score, got)
