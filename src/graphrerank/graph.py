@@ -36,7 +36,6 @@ a smaller k than the one asked for.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,42 +75,13 @@ class GraphParams:
             raise ValueError("max_nodes must be >= 1 when given")
 
 
-class _EdgeMap(Mapping):
-    """(src id, dst id) -> weight view of a graph's edge arrays.
-
-    Its length is the edge count; the dict behind lookups and iteration is
-    built on first use.
-    """
-
-    def __init__(self, graph):
-        self._graph = graph
-
-    def __len__(self):
-        return len(self._graph.weight)
-
-    @cached_property
-    def _dict(self):
-        g = self._graph
-        keys = zip(g.ids[g.src].tolist(), g.ids[g.dst].tolist())
-        return dict(zip(keys, g.weight.tolist()))
-
-    def __getitem__(self, key):
-        return self._dict[key]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __repr__(self):
-        return repr(self._dict)
-
-
 class ImageGraph:
     """Weighted per-query graph over a local node index.
 
     Local node a is image `ids[a]`; edge e runs from local node `src[e]` to
     `dst[e]` with weight `weight[e]`. `nodes` (a frozenset of image ids) and
-    `edges` (a mapping from (src id, dst id) to weight) are views of those
-    arrays. Undirected graphs store each edge once under the (min, max) id
+    `edges` (a dict from (src id, dst id) to weight) are built from those
+    arrays on first use. Undirected graphs store each edge once under the (min, max) id
     orientation. Zero-weight edges are never stored.
 
     `ImageGraph(query, nodes, edges, directed)` builds a graph from a node
@@ -162,7 +132,8 @@ class ImageGraph:
 
     @cached_property
     def edges(self):
-        return _EdgeMap(self)
+        keys = zip(self.ids[self.src].tolist(), self.ids[self.dst].tolist())
+        return dict(zip(keys, self.weight.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, ImageGraph):

@@ -42,21 +42,15 @@ class RankedList:
     provenance: str = "initial"
 
     def __post_init__(self):
-        order = self.order
-        if isinstance(order, np.ndarray) and order.ndim == 1 and order.dtype.kind in "iu":
-            has_query = bool((order == self.query).any())
-            ids = np.sort(order)
-            has_duplicates = bool((ids[1:] == ids[:-1]).any())
-            order = tuple(order.tolist())
-        else:
-            order = tuple(int(x) for x in order)
-            has_query = self.query in order
-            has_duplicates = len(set(order)) != len(order)
-        if has_query:
+        order = np.asarray(self.order, dtype=np.int64)
+        if order.ndim != 1:
+            raise ValueError("ranked list must be one-dimensional")
+        if (order == self.query).any():
             raise ValueError("ranked list must not contain its own query")
-        if has_duplicates:
+        ids = np.sort(order)
+        if (ids[1:] == ids[:-1]).any():
             raise ValueError("ranked list contains duplicates")
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", tuple(order.tolist()))
 
 
 def greedy_rank(graph, initial, target_len=None, score="max", provenance="rerank-single"):

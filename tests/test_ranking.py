@@ -28,11 +28,14 @@ def reference_greedy(graph, initial, target_len, score="max"):
         for cand in graph.nodes:
             if cand in chosen:
                 continue
+            # weights in the order their sources were chosen: float sums
+            # depend on the order, and this is the one greedy_rank documents
             ws = []
-            for (s, d), w in graph.edges.items():
-                if d == cand and s in chosen:
-                    ws.append(w)
-                if not graph.directed and s == cand and d in chosen:
+            for s in chosen:
+                w = graph.edges.get((s, cand))
+                if w is None and not graph.directed:
+                    w = graph.edges.get((cand, s))
+                if w is not None:
                     ws.append(w)
             if not ws:
                 continue
@@ -351,20 +354,13 @@ class TestRerankPinnedToReference:
     """`rerank` equals, exactly, the scalar oracles composed by hand."""
 
     @staticmethod
-    def reference_rerank(tables, query, params, method, score, summation_order):
+    def reference_rerank(tables, query, params, method, score):
         nodes, edges = set(), {}
         for t in tables:
             t_nodes, t_edges = BRUTE_FORCE[method](t, query, params)
             nodes |= t_nodes
             for key, w in t_edges.items():
                 edges[key] = edges.get(key, 0.0) + w
-        # reference_greedy sums a candidate's weights in edge-mapping order,
-        # greedy_rank in the order their sources were inserted; float sums
-        # depend on that order, so lay the edges out by the insertion rank of
-        # their first-inserted endpoint in `summation_order`
-        rank = {node: r for r, node in enumerate([query, *summation_order])}
-        first = lambda key: min(rank.get(key[0], len(rank)), rank.get(key[1], len(rank)))
-        edges = {key: edges[key] for key in sorted(edges, key=first)}
         graph = SimpleNamespace(
             query=query, nodes=nodes, edges=edges, directed=method == "directed"
         )
@@ -390,4 +386,4 @@ class TestRerankPinnedToReference:
         )
         query = int(rng.integers(n))
         got = list(rerank(tables, query, params, method, score).order)
-        assert got == self.reference_rerank(tables, query, params, method, score, got)
+        assert got == self.reference_rerank(tables, query, params, method, score)
