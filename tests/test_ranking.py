@@ -354,18 +354,16 @@ class TestRerankPinnedToReference:
     """`rerank` equals, exactly, the scalar oracles composed by hand."""
 
     @staticmethod
-    def reference_rerank(tables, query, params, method, score):
+    def reference_graph(tables, query, params, method):
         nodes, edges = set(), {}
         for t in tables:
             t_nodes, t_edges = BRUTE_FORCE[method](t, query, params)
             nodes |= t_nodes
             for key, w in t_edges.items():
                 edges[key] = edges.get(key, 0.0) + w
-        graph = SimpleNamespace(
+        return SimpleNamespace(
             query=query, nodes=nodes, edges=edges, directed=method == "directed"
         )
-        initial = [int(x) for x in tables[0].lists[query]]
-        return reference_greedy(graph, initial, len(initial), score)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -385,5 +383,9 @@ class TestRerankPinnedToReference:
             max_nodes=int(rng.integers(1, n + 1)) if capped else None,
         )
         query = int(rng.integers(n))
+        want = self.reference_graph(tables, query, params, method)
+        graph = build_graph(tables, query, params, method)
+        assert (graph.nodes, graph.edges) == (want.nodes, want.edges)
+        initial = [int(x) for x in tables[0].lists[query]]
         got = list(rerank(tables, query, params, method, score).order)
-        assert got == self.reference_rerank(tables, query, params, method, score)
+        assert got == reference_greedy(want, initial, len(initial), score)
