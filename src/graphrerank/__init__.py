@@ -31,12 +31,9 @@ from .fusion import fuse
 from .graph import (
     GraphParams,
     ImageGraph,
-    bfs_depths,
     build_directed_graph,
     build_undirected_graph,
-    decay,
     jaccard_weight,
-    neighbors,
     rank_of,
     rank_weight,
     reciprocal,

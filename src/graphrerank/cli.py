@@ -12,28 +12,24 @@ from pathlib import Path
 
 from . import corpus_io, evaluation, features, graph, ranking
 
-DEFAULTS = dict(k=10, alpha0=0.8, depth=2, method="directed", score="max")
-
 
 def _add_graph_args(p, k_list=False):
     if k_list:
         p.add_argument("--k", type=str, default="10", help="comma-separated k values")
     else:
-        p.add_argument("--k", type=int, default=DEFAULTS["k"], help="neighbor count")
-    p.add_argument("--alpha0", type=float, default=DEFAULTS["alpha0"], help="decay base")
-    p.add_argument("--depth", type=int, default=DEFAULTS["depth"], help="BFS expansion depth")
+        p.add_argument("--k", type=int, default=10, help="neighbor count")
+    p.add_argument("--alpha0", type=float, default=graph.GraphParams.alpha0, help="decay base")
+    p.add_argument("--depth", type=int, default=graph.GraphParams.depth,
+                   help="BFS expansion depth")
     p.add_argument("--max-nodes", type=int, default=None, help="node cap per graph")
-    p.add_argument(
-        "--method", choices=["directed", "undirected"], default=DEFAULTS["method"]
-    )
-    p.add_argument("--score", choices=["max", "sum"], default=DEFAULTS["score"],
+    p.add_argument("--method", choices=["directed", "undirected"], default="directed")
+    p.add_argument("--score", choices=["max", "sum"], default="max",
                    help="candidate score: best incoming edge or their sum")
 
 
-def _params(args):
-    return graph.GraphParams(
-        k=args.k, alpha0=args.alpha0, depth=args.depth, max_nodes=args.max_nodes
-    )
+def _params(args, k=None):
+    k = args.k if k is None else k  # sweep passes one k of its list
+    return graph.GraphParams(k, args.alpha0, args.depth, args.max_nodes)
 
 
 def _load_tables(paths):
@@ -116,11 +112,8 @@ def cmd_sweep(args):
     k_values = [int(tok) for tok in args.k.split(",") if tok]
     if not k_values:
         raise ValueError("--k must list at least one value")
-    params = graph.GraphParams(
-        k=k_values[0], alpha0=args.alpha0, depth=args.depth, max_nodes=args.max_nodes
-    )
     reports = evaluation.sweep_k(
-        tables, gt, params, k_values, method=args.method, metric=args.metric,
+        tables, gt, _params(args, k_values[0]), k_values, method=args.method, metric=args.metric,
         score=args.score,
     )
     corpus_io.atomic_write_text(args.out, evaluation.reports_to_tsv(reports))

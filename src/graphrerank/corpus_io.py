@@ -27,8 +27,6 @@ __all__ = [
     "save_ground_truth",
     "load_feature_matrix",
     "save_feature_matrix",
-    "load_name_map",
-    "save_name_map",
     "synth_generate",
     "atomic_write_text",
 ]
@@ -58,8 +56,8 @@ def atomic_write_text(path, text):
 class RankTable:
     """Full retrieval orderings for an n-image corpus.
 
-    `lists[i]` is a permutation of all ids except i itself, closest first.
-    Immutable after construction.
+    `lists[i]` is a permutation of all ids except i itself, closest first;
+    a rejection names the first list that is not, and why. Immutable.
     """
 
     lists: np.ndarray
@@ -75,12 +73,22 @@ class RankTable:
         if arr.shape[1] != max(n - 1, 0):
             raise ValueError(f"each rank list must have length {max(n - 1, 0)}")
         if n > 1:
-            owners = np.arange(n)[:, None]
-            j = np.arange(n - 1)[None, :]
-            # sorted row i must be [0..n-1] with i removed
-            expected = j + (j >= owners)
-            if not np.array_equal(np.sort(arr, axis=1), expected):
-                raise ValueError("each rank list must be a permutation of the other ids")
+            j = np.arange(n - 1)
+            # sorted row i minus [0..n-1] with i removed: all 0 iff a permutation
+            off = np.sort(arr, axis=1)
+            off -= j
+            off -= j >= np.arange(n)[:, None]
+            bad = off.any(axis=1)
+            if bad.any():
+                i = int(bad.argmax())
+                row = np.sort(arr[i])
+                if row[0] < 0 or row[-1] >= n:
+                    fault = f"id {row[0] if row[0] < 0 else row[-1]} out of range [0, {n})"
+                elif (row == i).any():
+                    fault = f"contains its owner {i}"
+                else:
+                    fault = f"duplicate id {row[1:][row[1:] == row[:-1]][0]}"
+                raise ValueError(f"rank list {i}: {fault}")
         arr.setflags(write=False)
         object.__setattr__(self, "lists", arr)
 
@@ -93,8 +101,7 @@ class RankTable:
         """(n, n) matrix of 1-based list positions; positions[i, i] = 0."""
         n = self.n
         pos = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            pos[i, self.lists[i]] = np.arange(1, n)
+        pos[np.arange(n)[:, None], self.lists] = np.arange(1, n)
         pos.setflags(write=False)
         return pos
 
@@ -121,7 +128,10 @@ def _parse_id_line(line, lineno):
 
 
 def load_rank_table(path):
-    """Parse and validate a rank-table file (one `owner: id id ...` line per image)."""
+    """Parse a rank-table file (one `owner: id id ...` line per image).
+
+    Owner order and length are checked here, the lists by `RankTable`.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     n = len(lines)
     rows = np.empty((n, max(n - 1, 0)), dtype=np.int64)
@@ -133,17 +143,14 @@ def load_rank_table(path):
             raise FormatError(
                 f"line {lineno + 1}: expected {n - 1} ids, got {len(ids)}"
             )
-        seen = set()
-        for i in ids:
-            if not 0 <= i < n:
-                raise FormatError(f"line {lineno + 1}: id {i} out of range [0, {n})")
-            if i == owner:
-                raise FormatError(f"line {lineno + 1}: list contains its owner {owner}")
-            if i in seen:
-                raise FormatError(f"line {lineno + 1}: duplicate id {i}")
-            seen.add(i)
-        rows[lineno] = ids
-    return RankTable(rows)
+        try:
+            rows[lineno] = ids
+        except OverflowError:
+            raise FormatError(f"line {lineno + 1}: id out of range [0, {n})") from None
+    try:
+        return RankTable(rows)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def save_rank_table(table, path):
@@ -198,24 +205,6 @@ def save_ground_truth(gt, path):
         f"{q}: " + " ".join(str(i) for i in sorted(gt.relevant[q])) for q in gt.queries
     ]
     atomic_write_text(path, "".join(line + "\n" for line in lines))
-
-
-def load_name_map(path):
-    """Sidecar id -> external-name map (one `id<TAB>name` line per image)."""
-    names = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
-        head, sep, name = line.partition("\t")
-        if not sep:
-            raise FormatError(f"line {lineno + 1}: missing tab separator")
-        try:
-            names[int(head)] = name
-        except ValueError:
-            raise FormatError(f"line {lineno + 1}: bad id {head!r}") from None
-    return names
-
-
-def save_name_map(names, path):
-    atomic_write_text(path, "".join(f"{i}\t{names[i]}\n" for i in sorted(names)))
 
 
 @dataclass(frozen=True)

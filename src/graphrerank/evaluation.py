@@ -90,7 +90,8 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns", score
 
 def sweep_k(tables, ground_truth, params, k_values, method="directed", metric="ns", **kw):
     """One reranked MetricReport per k, for plot-ready TSV emission."""
-    n = list(tables)[0].n
+    tables = list(tables)
+    n = tables[0].n
     for k in k_values:
         if k > n - 1:
             raise ValueError(f"k={k} exceeds corpus bound {n - 1}")

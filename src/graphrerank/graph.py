@@ -44,13 +44,10 @@ import numpy as np
 __all__ = [
     "GraphParams",
     "ImageGraph",
-    "neighbors",
     "reciprocal",
     "rank_of",
     "jaccard_weight",
     "rank_weight",
-    "bfs_depths",
-    "decay",
     "build_directed_graph",
     "build_undirected_graph",
     "graph_to_text",
@@ -111,7 +108,7 @@ class ImageGraph:
     def _set(self, query, ids, src, dst, weight, directed):
         if not (ids == query).any():
             raise ValueError("graph must contain its query node")
-        bad = weight <= 0
+        bad = ~(weight > 0)  # NaN too
         if bad.any():
             e = bad.argmax()
             raise ValueError(
@@ -147,13 +144,6 @@ class ImageGraph:
             f"ImageGraph(query={self.query}, nodes={len(self.ids)}, "
             f"edges={len(self.weight)}, directed={self.directed})"
         )
-
-
-def neighbors(table, i, k):
-    """First k entries of i's rank list, order preserved."""
-    if not 1 <= k <= table.n - 1:
-        raise ValueError(f"k={k} out of range [1, {table.n - 1}]")
-    return tuple(int(x) for x in table.lists[i, :k])
 
 
 def rank_of(table, i, i2):
@@ -197,31 +187,6 @@ def rank_weight(table, i, i2, k, decay_coeff):
     if pos[i, i2] > k:
         return 0.0
     return decay_coeff / float(pos[i, i2] + pos[i2, i])
-
-
-def bfs_depths(adjacency, query):
-    """Unweighted shortest hop counts from the query; unreachable nodes absent."""
-    if query not in adjacency:
-        raise ValueError("query missing from adjacency")
-    depths = {query: 0}
-    queue = deque([query])
-    while queue:
-        i = queue.popleft()
-        for j in adjacency.get(i, ()):
-            j = int(j)
-            if j not in depths:
-                depths[j] = depths[i] + 1
-                queue.append(j)
-    return depths
-
-
-def decay(alpha0, depth_i, depth_i2):
-    """alpha0 ** max(depths); 0 when either endpoint is unreachable (depth None)."""
-    if not 0.0 < alpha0 <= 1.0:
-        raise ValueError("alpha0 must lie in (0, 1]")
-    if depth_i is None or depth_i2 is None:
-        return 0.0
-    return alpha0 ** max(depth_i, depth_i2)
 
 
 def _checked_k(table, query, params):

@@ -11,11 +11,9 @@ from graphrerank.corpus_io import (
     atomic_write_text,
     load_feature_matrix,
     load_ground_truth,
-    load_name_map,
     load_rank_table,
     save_feature_matrix,
     save_ground_truth,
-    save_name_map,
     save_rank_table,
     synth_generate,
 )
@@ -68,6 +66,22 @@ class TestRankTableFormat:
         with pytest.raises(FormatError, match="out of order"):
             load_rank_table(path)
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [("2: 0 1 9", "out of range"), ("2: 0 2 1", "owner"), ("2: 1 0 1", "duplicate")],
+    )
+    def test_bad_id_on_later_line_names_its_list(self, tmp_path, line, reason):
+        path = tmp_path / "t.txt"
+        path.write_text(f"0: 1 2 3\n1: 0 2 3\n{line}\n3: 0 1 2\n")
+        with pytest.raises(FormatError, match=f"rank list 2: .*{reason}"):
+            load_rank_table(path)
+
+    def test_id_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text(f"0: 1 2\n1: 0 {2**70}\n2: 0 1\n")
+        with pytest.raises(FormatError, match="line 2: .*out of range"):
+            load_rank_table(path)
+
     def test_empty_corpus_round_trip(self, tmp_path):
         path = tmp_path / "t.txt"
         save_rank_table(RankTable(np.empty((0, 0), dtype=np.int64)), path)
@@ -103,6 +117,14 @@ class TestRankTableValidation:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             RankTable(np.array([[1, 1], [0, 2], [0, 1]]))
+
+    def test_rejection_names_list_and_reason(self):
+        with pytest.raises(ValueError, match="rank list 1: id -1 out of range"):
+            RankTable(np.array([[1, 2], [0, -1], [0, 1]]))
+        with pytest.raises(ValueError, match="rank list 2: contains its owner 2"):
+            RankTable(np.array([[1, 2], [0, 2], [2, 1]]))
+        with pytest.raises(ValueError, match="rank list 0: duplicate id 2"):
+            RankTable(np.array([[2, 2], [0, 2], [0, 1]]))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -165,20 +187,6 @@ class TestGroundTruthFormat:
         path = tmp_path_factory.mktemp("gt") / "gt.txt"
         save_ground_truth(gt, path)
         assert load_ground_truth(path).relevant == gt.relevant
-
-
-class TestNameMap:
-    def test_round_trip(self, tmp_path):
-        names = {0: "a.ppm", 1: "dir/b.ppm", 2: "weird name.ppm"}
-        path = tmp_path / "names.txt"
-        save_name_map(names, path)
-        assert load_name_map(path) == names
-
-    def test_missing_tab_rejected(self, tmp_path):
-        path = tmp_path / "names.txt"
-        path.write_text("0 a.ppm\n")
-        with pytest.raises(FormatError):
-            load_name_map(path)
 
 
 class TestFeatureMatrixFormat:

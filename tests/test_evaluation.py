@@ -226,6 +226,16 @@ class TestSweepK:
         assert [r.k for r in reports] == [3, 5, 8]
         assert len(reports_to_tsv(reports).splitlines()) == 4
 
+    def test_tables_from_iterator(self):
+        spec = SynthSpec(
+            n_groups=6, group_size=4, dims=4, n_spaces=2, agreement=0.9, seed=2
+        )
+        tables, gt = synth_tables(spec)
+        want = sweep_k(tables, gt, GraphParams(k=5), [3, 5])
+        got = sweep_k(iter(tables), gt, GraphParams(k=5), [3, 5])
+        assert [r.per_query for r in got] == [r.per_query for r in want]
+        assert [r.method for r in got] == ["rerank-directed-fused"] * 2
+
     def test_k_beyond_corpus_rejected(self):
         spec = SynthSpec(n_groups=3, group_size=2, dims=4, n_spaces=1, seed=2)
         tables, gt = synth_tables(spec)

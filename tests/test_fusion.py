@@ -66,11 +66,6 @@ class TestFuseBasics:
         with pytest.raises(ValueError):
             fuse([])
 
-    def test_scalar_multipliers(self):
-        g = ImageGraph(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
-        fused = fuse([g, g], scales=[1.0, 2.0])
-        assert fused.edges[(0, 1)] == pytest.approx(1.5)
-
 
 class TestFuseProperties:
     @settings(max_examples=100, deadline=None)

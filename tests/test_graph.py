@@ -9,13 +9,10 @@ from graphrerank.features import build_rank_table
 from graphrerank.graph import (
     GraphParams,
     ImageGraph,
-    bfs_depths,
     build_directed_graph,
     build_undirected_graph,
-    decay,
     graph_to_text,
     jaccard_weight,
-    neighbors,
     rank_of,
     rank_weight,
     reciprocal,
@@ -29,21 +26,6 @@ def inclusive_topk(table, i, k):
 
 
 class TestNeighbors:
-    def test_full_list(self):
-        table = random_rank_table(np.random.default_rng(0), 6)
-        assert neighbors(table, 2, 5) == tuple(int(x) for x in table.lists[2])
-
-    def test_single_top_neighbor(self):
-        table = random_rank_table(np.random.default_rng(0), 6)
-        assert neighbors(table, 2, 1) == (int(table.lists[2, 0]),)
-
-    def test_k_out_of_range(self):
-        table = random_rank_table(np.random.default_rng(0), 6)
-        with pytest.raises(ValueError):
-            neighbors(table, 0, 0)
-        with pytest.raises(ValueError):
-            neighbors(table, 0, 6)
-
     def test_matches_brute_force_top_k(self):
         rng = np.random.default_rng(1)
         rows = rng.normal(size=(20, 4))
@@ -52,7 +34,7 @@ class TestNeighbors:
             dists = sorted(
                 (float(np.linalg.norm(rows[i] - rows[j])), j) for j in range(20) if j != i
             )
-            assert neighbors(table, i, 5) == tuple(j for _, j in dists[:5])
+            assert table.lists[i, :5].tolist() == [j for _, j in dists[:5]]
 
 
 class TestReciprocal:
@@ -166,67 +148,6 @@ class TestRankWeight:
                 wi = rank_weight(table, i, j, 7, 1.0)
                 wj = rank_weight(table, j, i, 7, 1.0)
                 assert wi == wj  # both in each other's top-(n-1)
-
-
-def floyd_warshall(nodes, adj):
-    inf = float("inf")
-    dist = {a: {b: inf for b in nodes} for a in nodes}
-    for a in nodes:
-        dist[a][a] = 0
-        for b in adj.get(a, ()):
-            dist[a][b] = 1
-    for m in nodes:
-        for a in nodes:
-            for b in nodes:
-                if dist[a][m] + dist[m][b] < dist[a][b]:
-                    dist[a][b] = dist[a][m] + dist[m][b]
-    return dist
-
-
-class TestBfsDepths:
-    def test_star(self):
-        assert bfs_depths({0: [1, 2, 3], 1: [], 2: [], 3: []}, 0) == {0: 0, 1: 1, 2: 1, 3: 1}
-
-    def test_chain(self):
-        assert bfs_depths({0: [1], 1: [2], 2: []}, 0) == {0: 0, 1: 1, 2: 2}
-
-    def test_unreachable_absent(self):
-        assert bfs_depths({0: [1], 1: [], 2: [0]}, 0) == {0: 0, 1: 1}
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_matches_floyd_warshall(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 15))
-        nodes = list(range(n))
-        adj = {
-            a: [b for b in nodes if b != a and rng.random() < 0.25] for a in nodes
-        }
-        depths = bfs_depths(adj, 0)
-        dist = floyd_warshall(nodes, adj)
-        for b in nodes:
-            if dist[0][b] == float("inf"):
-                assert b not in depths
-            else:
-                assert depths[b] == dist[0][b]
-
-
-class TestDecay:
-    def test_depth_one_pair(self):
-        assert decay(0.8, 1, 1) == pytest.approx(0.8)
-
-    def test_query_incident_edge(self):
-        assert decay(0.8, 0, 1) == pytest.approx(0.8)
-
-    def test_unreachable_endpoint_is_zero(self):
-        assert decay(0.8, 1, None) == 0.0
-        assert decay(0.8, None, None) == 0.0
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            decay(0.0, 1, 1)
-        with pytest.raises(ValueError):
-            decay(1.5, 1, 1)
 
 
 def brute_force_directed(table, query, params):
@@ -393,6 +314,10 @@ class TestGraphInvariants:
     def test_validation_rejects_zero_weight(self):
         with pytest.raises(ValueError):
             ImageGraph(0, frozenset({0, 1}), {(0, 1): 0.0}, directed=True)
+
+    def test_validation_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="weight"):
+            ImageGraph(0, frozenset({0, 1}), {(0, 1): float("nan")}, directed=True)
 
     def test_truncated_storage_is_exactly_nk(self):
         for n, k in [(10, 3), (20, 5)]:
