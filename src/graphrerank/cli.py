@@ -87,11 +87,11 @@ def cmd_rerank(args):
         f"method={args.method} k={args.k} alpha0={args.alpha0:g} "
         f"depth={args.depth} score={args.score}"
     )
-    ranked = [
-        ranking.rerank(tables, q, params, method=args.method, score=args.score)
+    rows = [
+        (q, ranking.rerank(tables, q, params, method=args.method, score=args.score).order)
         for q in _queries(args, tables)
     ]
-    corpus_io.atomic_write_text(args.out, ranking.ranked_lists_to_text(ranked, header))
+    corpus_io.atomic_write_text(args.out, corpus_io.id_lines_text(rows, header))
 
 
 def cmd_eval(args):

@@ -29,6 +29,7 @@ __all__ = [
     "save_feature_matrix",
     "synth_generate",
     "atomic_write_text",
+    "id_lines_text",
 ]
 
 
@@ -50,6 +51,17 @@ def atomic_write_text(path, text):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def id_lines_text(rows, header=None):
+    """An `owner: id id ...` line per (owner, ids) pair after an optional `# header`.
+
+    Rank-table, ground-truth and ranked-list files all use it; an empty list
+    is written as `owner:`.
+    """
+    lines = [f"# {header}"] if header else []
+    lines += [" ".join([f"{owner}:", *map(str, ids)]) for owner, ids in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 @dataclass(frozen=True)
@@ -154,11 +166,8 @@ def load_rank_table(path):
 
 
 def save_rank_table(table, path):
-    lines = [
-        f"{i}: " + " ".join(str(int(x)) for x in table.lists[i]) if table.n > 1 else f"{i}:"
-        for i in range(table.n)
-    ]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    rows = ((i, row.tolist()) for i, row in enumerate(table.lists))
+    atomic_write_text(path, id_lines_text(rows))
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,7 @@ class GroundTruth:
         return sorted(self.relevant)
 
 
-def load_ground_truth(path, n=None):
+def load_ground_truth(path, n):
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     rel = {}
     for lineno, line in enumerate(lines):
@@ -192,19 +201,15 @@ def load_ground_truth(path, n=None):
             raise FormatError(f"line {lineno + 1}: empty relevant set for query {query}")
         if query in rel:
             raise FormatError(f"line {lineno + 1}: duplicate query {query}")
-        if n is not None:
-            for i in [query] + ids:
-                if not 0 <= i < n:
-                    raise FormatError(f"line {lineno + 1}: id {i} out of range [0, {n})")
+        for i in [query] + ids:
+            if not 0 <= i < n:
+                raise FormatError(f"line {lineno + 1}: id {i} out of range [0, {n})")
         rel[query] = ids
     return GroundTruth(rel)
 
 
 def save_ground_truth(gt, path):
-    lines = [
-        f"{q}: " + " ".join(str(i) for i in sorted(gt.relevant[q])) for q in gt.queries
-    ]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    atomic_write_text(path, id_lines_text((q, sorted(gt.relevant[q])) for q in gt.queries))
 
 
 @dataclass(frozen=True)

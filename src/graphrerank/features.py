@@ -24,6 +24,8 @@ __all__ = [
     "features_from_manifest",
 ]
 
+_BLOCK = 128  # rows per distance block; bounds the (block, n, dims) difference array
+
 
 @dataclass(frozen=True)
 class RawImage:
@@ -134,22 +136,22 @@ def normalize_histogram(v, exponent=0.5):
     return (v / total) ** exponent
 
 
-def _pairwise_sq_dists(rows, block=128):
+def _pairwise_sq_dists(rows):
     n = rows.shape[0]
     d2 = np.empty((n, n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
         diff = rows[start:stop, None, :] - rows[None, :, :]
         d2[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
     return d2
 
 
-def build_rank_table(features, block=128):
+def build_rank_table(features):
     """Exact Euclidean nearest-neighbor orderings; distance ties break by ascending id."""
     n = features.n
     if n < 2:
         raise ValueError("need at least 2 images to build a rank table")
-    d2 = _pairwise_sq_dists(features.rows, block=block)
+    d2 = _pairwise_sq_dists(features.rows)
     np.fill_diagonal(d2, np.inf)
     # stable sort: equal distances keep ascending-index order
     order = np.argsort(d2, axis=1, kind="stable")

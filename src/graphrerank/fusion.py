@@ -42,4 +42,4 @@ def fuse(graphs):
     weights = np.concatenate([g.weight for g in graphs])
     # bincount adds each key's weights one at a time in input (table) order
     weight = np.bincount(which, weights=weights, minlength=len(keys))
-    return ImageGraph.from_arrays(query, ids, keys // v, keys % v, weight, directed)
+    return ImageGraph(query, ids, keys // v, keys % v, weight, directed)

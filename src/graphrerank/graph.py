@@ -17,8 +17,9 @@ Neighborhood sets used by the Jaccard weight include the owner image itself
 entries of its stored list. List positions used by `rank_of` and the
 reciprocal test are 1-based over the stored owner-excluded lists.
 
-A graph is stored as arrays over a local node index (`ImageGraph.ids`,
-`src`, `dst`, `weight`). The builders walk the bounded BFS in Python and
+A graph is stored as arrays over a local node index: its one constructor,
+`ImageGraph(query, ids, src, dst, weight, directed)`, is what both builders
+and `fusion.fuse` call. The builders walk the bounded BFS in Python and
 weight every edge in one vectorised step. Their weights equal the scalar
 `rank_weight`/`jaccard_weight` bit for bit, because each one is computed
 with the same floating-point operations in the same order:
@@ -75,39 +76,22 @@ class GraphParams:
 class ImageGraph:
     """Weighted per-query graph over a local node index.
 
-    Local node a is image `ids[a]`; edge e runs from local node `src[e]` to
-    `dst[e]` with weight `weight[e]`. `nodes` (a frozenset of image ids) and
-    `edges` (a dict from (src id, dst id) to weight) are built from those
-    arrays on first use. Undirected graphs store each edge once under the (min, max) id
-    orientation. Zero-weight edges are never stored.
-
-    `ImageGraph(query, nodes, edges, directed)` builds a graph from a node
-    set and an edge mapping; the builders use `from_arrays`. Either way the
-    graph is validated once, when it is made.
+    `ImageGraph(query, ids, src, dst, weight, directed)`: local node a is
+    image `ids[a]`; edge e runs from local node `src[e]` to `dst[e]` with
+    weight `weight[e]`. `nodes` (a frozenset of image ids) and `edges` (a
+    dict from (src id, dst id) to weight) are built from those arrays on
+    first use. Undirected graphs store each edge once under the (min, max)
+    id orientation. Zero-weight edges are never stored. The graph is
+    validated once, when it is made: every local index must lie in
+    [0, len(ids)).
     """
 
-    def __init__(self, query, nodes, edges, directed):
-        ids = np.array(sorted(nodes), dtype=np.int64)
-        keys = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        weight = np.array(list(edges.values()), dtype=np.float64)
-        local = np.searchsorted(ids, keys).clip(max=max(len(ids) - 1, 0))
-        if len(ids) and len(keys):
-            outside = (ids[local] != keys).any(axis=1)
-            if outside.any():
-                src, dst = keys[outside.argmax()].tolist()
-                raise ValueError(f"edge ({src}, {dst}) endpoint outside node set")
-        self._set(query, ids, local[:, 0], local[:, 1], weight, directed)
-
-    @classmethod
-    def from_arrays(cls, query, ids, src, dst, weight, directed):
-        """Graph over image ids `ids` with edges src[e] -> dst[e] in local indices."""
-        graph = cls.__new__(cls)
-        graph._set(query, ids, src, dst, weight, directed)
-        return graph
-
-    def _set(self, query, ids, src, dst, weight, directed):
+    def __init__(self, query, ids, src, dst, weight, directed):
         if not (ids == query).any():
             raise ValueError("graph must contain its query node")
+        ends = np.concatenate([src, dst])
+        if ends.size and (ends.min() < 0 or ends.max() >= len(ids)):
+            raise ValueError(f"edge endpoint index outside [0, {len(ids)})")
         bad = ~(weight > 0)  # NaN too
         if bad.any():
             e = bad.argmax()
@@ -131,13 +115,6 @@ class ImageGraph:
     def edges(self):
         keys = zip(self.ids[self.src].tolist(), self.ids[self.dst].tolist())
         return dict(zip(keys, self.weight.tolist()))
-
-    def __eq__(self, other):
-        if not isinstance(other, ImageGraph):
-            return NotImplemented
-        return (self.query, self.directed, self.nodes, self.edges) == (
-            other.query, other.directed, other.nodes, other.edges
-        )
 
     def __repr__(self):
         return (
@@ -250,7 +227,7 @@ def build_directed_graph(table, query, params):
     ranks = col + 1 + table.positions[ids[dst], ids[src]]
     weight = _decays(params, depth, src, dst) / ranks.astype(np.float64)
     keep = weight > 0
-    return ImageGraph.from_arrays(query, ids, src[keep], dst[keep], weight[keep], True)
+    return ImageGraph(query, ids, src[keep], dst[keep], weight[keep], True)
 
 
 def build_undirected_graph(table, query, params):
@@ -279,7 +256,7 @@ def build_undirected_graph(table, query, params):
     inter = member[src[:, None], hood[dst]].sum(axis=1)
     weight = (_decays(params, depth, src, dst) * inter) / (2 * k - inter)
     keep = weight > 0
-    return ImageGraph.from_arrays(query, ids, src[keep], dst[keep], weight[keep], False)
+    return ImageGraph(query, ids, src[keep], dst[keep], weight[keep], False)
 
 
 def graph_to_text(graph, sources=()):

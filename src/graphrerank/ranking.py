@@ -148,13 +148,3 @@ def rerank(tables, query, params, method="directed", score="max"):
     graph = build_graph(tables, query, params, method)
     provenance = "rerank-fused" if len(tables) > 1 else "rerank-single"
     return greedy_rank(graph, tables[0].lists[query], score=score, provenance=provenance)
-
-
-def ranked_lists_to_text(lists, header=None):
-    """Ranked-list file: optional `#` header comment, then rank-table-shaped lines."""
-    out = []
-    if header:
-        out.append(f"# {header}")
-    for rl in lists:
-        out.append(f"{rl.query}: " + " ".join(str(i) for i in rl.order))
-    return "".join(line + "\n" for line in out)

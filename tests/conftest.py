@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphrerank.corpus_io import RankTable
+from graphrerank.graph import ImageGraph
 
 
 def random_rank_table(rng, n):
@@ -10,6 +11,17 @@ def random_rank_table(rng, n):
         others = np.array([j for j in range(n) if j != i])
         rows[i] = rng.permutation(others)
     return RankTable(rows)
+
+
+def graph_of(query, nodes, edges, directed):
+    """ImageGraph over the ids `nodes` with edges {(src id, dst id): weight}.
+
+    Only maps ids to local indices; the constructor does the checking.
+    """
+    ids = np.array(sorted(nodes), dtype=np.int64)
+    keys = np.searchsorted(ids, np.array(list(edges), dtype=np.int64).reshape(-1, 2))
+    weight = np.array(list(edges.values()), dtype=np.float64)
+    return ImageGraph(query, ids, keys[:, 0], keys[:, 1], weight, directed)
 
 
 @pytest.fixture

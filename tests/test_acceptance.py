@@ -241,8 +241,7 @@ class TestCriterion7Invariants:
         graph, initial = random_distinct_graph(rng)
         c = float(rng.uniform(0.1, 10.0))
         scaled = type(graph)(
-            graph.query, graph.nodes,
-            {k: c * w for k, w in graph.edges.items()}, graph.directed,
+            graph.query, graph.ids, graph.src, graph.dst, c * graph.weight, graph.directed
         )
         assert greedy_rank(graph, initial, len(initial)).order == greedy_rank(
             scaled, initial, len(initial)

@@ -149,14 +149,14 @@ class TestGroundTruthFormat:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "gt.txt"
         path.write_text("0: 1 2 3\n")
-        gt = load_ground_truth(path)
+        gt = load_ground_truth(path, n=4)
         assert gt.relevant[0] == {1, 2, 3}
 
     def test_empty_relevant_set_rejected(self, tmp_path):
         path = tmp_path / "gt.txt"
         path.write_text("0:\n")
         with pytest.raises(FormatError, match="empty relevant set"):
-            load_ground_truth(path)
+            load_ground_truth(path, n=4)
 
     def test_out_of_range_rejected_when_n_known(self, tmp_path):
         path = tmp_path / "gt.txt"
@@ -186,7 +186,7 @@ class TestGroundTruthFormat:
         gt = GroundTruth(rel)
         path = tmp_path_factory.mktemp("gt") / "gt.txt"
         save_ground_truth(gt, path)
-        assert load_ground_truth(path).relevant == gt.relevant
+        assert load_ground_truth(path, n=n).relevant == gt.relevant
 
 
 class TestFeatureMatrixFormat:

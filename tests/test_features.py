@@ -210,8 +210,10 @@ class TestBuildRankTable:
         assert table.n == n
 
     def test_chunked_blocks_match_single_block(self):
+        # n = 300 spans three distance blocks; the reference is one argsort
         rng = np.random.default_rng(3)
-        m = FeatureMatrix(rng.normal(size=(30, 4)))
-        assert np.array_equal(
-            build_rank_table(m, block=7).lists, build_rank_table(m, block=1000).lists
-        )
+        rows = rng.normal(size=(300, 4))
+        d2 = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        want = np.argsort(d2, axis=1, kind="stable")[:, :299]
+        assert np.array_equal(build_rank_table(FeatureMatrix(rows)).lists, want)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphrerank.fusion import fuse
-from graphrerank.graph import GraphParams, ImageGraph, build_directed_graph
+from graphrerank.graph import GraphParams, build_directed_graph
+
+from conftest import graph_of
 
 
 def random_graph(rng, directed=True, query=0):
@@ -18,7 +20,7 @@ def random_graph(rng, directed=True, query=0):
                 edges[(i, j)] = float(rng.random()) + 1e-9
             elif i < j:
                 edges[(i, j)] = float(rng.random()) + 1e-9
-    return ImageGraph(query, nodes, edges, directed)
+    return graph_of(query, nodes, edges, directed)
 
 
 def graphs_same(a, b):
@@ -38,27 +40,27 @@ class TestFuseBasics:
 
     def test_additive_identity_with_empty_graph(self):
         g = random_graph(np.random.default_rng(1))
-        empty = ImageGraph(g.query, frozenset({g.query}), {}, g.directed)
+        empty = graph_of(g.query, frozenset({g.query}), {}, g.directed)
         assert graphs_same(fuse([g, empty]), g)
 
     def test_two_graph_fixture(self):
         nodes = frozenset({0, 1, 2})
-        a = ImageGraph(0, nodes, {(0, 1): 0.2, (0, 2): 0.7}, True)
-        b = ImageGraph(0, nodes, {(0, 1): 0.3, (1, 2): 0.4}, True)
+        a = graph_of(0, nodes, {(0, 1): 0.2, (0, 2): 0.7}, True)
+        b = graph_of(0, nodes, {(0, 1): 0.3, (1, 2): 0.4}, True)
         fused = fuse([a, b])
         assert fused.edges[(0, 1)] == pytest.approx(0.5)
         assert fused.edges[(0, 2)] == pytest.approx(0.7)
         assert fused.edges[(1, 2)] == pytest.approx(0.4)
 
     def test_mixed_query_rejected(self):
-        a = ImageGraph(0, frozenset({0, 1}), {(0, 1): 0.1}, True)
-        b = ImageGraph(1, frozenset({0, 1}), {(1, 0): 0.1}, True)
+        a = graph_of(0, frozenset({0, 1}), {(0, 1): 0.1}, True)
+        b = graph_of(1, frozenset({0, 1}), {(1, 0): 0.1}, True)
         with pytest.raises(ValueError, match="query"):
             fuse([a, b])
 
     def test_mixed_directedness_rejected(self):
-        a = ImageGraph(0, frozenset({0, 1}), {(0, 1): 0.1}, True)
-        b = ImageGraph(0, frozenset({0, 1}), {(0, 1): 0.1}, False)
+        a = graph_of(0, frozenset({0, 1}), {(0, 1): 0.1}, True)
+        b = graph_of(0, frozenset({0, 1}), {(0, 1): 0.1}, False)
         with pytest.raises(ValueError, match="directed"):
             fuse([a, b])
 

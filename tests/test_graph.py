@@ -18,7 +18,7 @@ from graphrerank.graph import (
     reciprocal,
 )
 
-from conftest import random_rank_table
+from conftest import graph_of, random_rank_table
 
 
 def inclusive_topk(table, i, k):
@@ -308,16 +308,23 @@ class TestBuildUndirectedGraph:
 
 class TestGraphInvariants:
     def test_validation_rejects_dangling_edges(self):
-        with pytest.raises(ValueError):
-            ImageGraph(0, frozenset({0, 1}), {(0, 2): 0.5}, directed=True)
+        with pytest.raises(ValueError, match="outside"):
+            ImageGraph(0, np.array([0, 1]), np.array([0]), np.array([2]), np.array([0.5]), True)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("src, dst", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_rejects_local_index_outside_ids(self, src, dst, directed):
+        ids, weight = np.array([0, 1, 2]), np.array([0.5])
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            ImageGraph(0, ids, np.array([src]), np.array([dst]), weight, directed)
 
     def test_validation_rejects_zero_weight(self):
         with pytest.raises(ValueError):
-            ImageGraph(0, frozenset({0, 1}), {(0, 1): 0.0}, directed=True)
+            graph_of(0, frozenset({0, 1}), {(0, 1): 0.0}, directed=True)
 
     def test_validation_rejects_nan_weight(self):
         with pytest.raises(ValueError, match="weight"):
-            ImageGraph(0, frozenset({0, 1}), {(0, 1): float("nan")}, directed=True)
+            graph_of(0, frozenset({0, 1}), {(0, 1): float("nan")}, directed=True)
 
     def test_truncated_storage_is_exactly_nk(self):
         for n, k in [(10, 3), (20, 5)]:
@@ -335,5 +342,5 @@ class TestGraphInvariants:
         assert float(w) > 0
 
     def test_export_header_lists_sources(self):
-        g = ImageGraph(0, frozenset({0}), {}, True)
+        g = graph_of(0, frozenset({0}), {}, True)
         assert graph_to_text(g, ("hsv", "bow")) == "query 0 directed 1 sources hsv,bow\n"

@@ -7,6 +7,7 @@ import pytest
 
 import graphrerank
 from graphrerank.fusion import fuse
+from graphrerank.graph import ImageGraph
 
 MODULES = ["corpus_io", "evaluation", "features", "fusion", "graph", "ranking"]
 
@@ -76,3 +77,9 @@ def test_removed_helpers_stay_removed(module):
 
 def test_fuse_takes_only_graphs():
     assert list(inspect.signature(fuse).parameters) == ["graphs"]
+
+
+def test_image_graph_has_one_constructor():
+    params = list(inspect.signature(ImageGraph).parameters)
+    assert params == ["query", "ids", "src", "dst", "weight", "directed"]
+    assert not hasattr(ImageGraph, "from_arrays")

@@ -10,13 +10,12 @@ from graphrerank.features import build_rank_table
 from graphrerank.fusion import fuse
 from graphrerank.graph import (
     GraphParams,
-    ImageGraph,
     build_directed_graph,
     build_undirected_graph,
 )
 from graphrerank.ranking import RankedList, build_graph, greedy_rank, rerank
 
-from conftest import random_rank_table
+from conftest import graph_of, random_rank_table
 from test_graph import brute_force_directed, brute_force_undirected
 
 
@@ -74,7 +73,7 @@ def random_distinct_graph(rng, max_nodes=12, directed=None):
     # incremental and from-scratch simulations cannot disagree on ties
     weights = rng.permutation(len(keep)) + 1
     edges = {p: float(w) for p, w in zip(keep, weights)}
-    graph = ImageGraph(0, frozenset(range(n)), edges, directed)
+    graph = graph_of(0, frozenset(range(n)), edges, directed)
     initial = [int(x) for x in rng.permutation(np.arange(1, n))]
     return graph, initial
 
@@ -93,7 +92,7 @@ def random_tied_graph(rng, max_nodes=12):
         for j in range(n):
             if i != j and (directed or i < j) and rng.random() < 0.5:
                 edges[(i, j)] = float(rng.integers(1, 4))
-    graph = ImageGraph(0, frozenset(range(n)), edges, directed)
+    graph = graph_of(0, frozenset(range(n)), edges, directed)
     listed = [i for i in range(1, n) if rng.random() < 0.7] + list(range(n, n + 3))
     initial = [int(x) for x in rng.permutation(listed)]
     return graph, initial
@@ -122,7 +121,7 @@ class TestRankedList:
 
 class TestGreedyRank:
     def test_star_graph_orders_by_weight(self):
-        g = ImageGraph(
+        g = graph_of(
             0, frozenset({0, 1, 2, 3}),
             {(0, 1): 0.5, (0, 2): 0.3, (0, 3): 0.1}, True,
         )
@@ -131,7 +130,7 @@ class TestGreedyRank:
 
     def test_two_step_expansion_prefers_strong_second_hop(self):
         # after inserting a, the edge a -> b (0.9) beats everything else
-        g = ImageGraph(
+        g = graph_of(
             0, frozenset({0, 1, 2, 3}),
             {(0, 1): 0.5, (1, 2): 0.9, (0, 3): 0.4}, True,
         )
@@ -139,34 +138,34 @@ class TestGreedyRank:
         assert ranked.order[:2] == (1, 2)
 
     def test_bad_score_mode_rejected(self):
-        g = ImageGraph(1, frozenset({1, 2}), {(1, 2): 0.5}, True)
+        g = graph_of(1, frozenset({1, 2}), {(1, 2): 0.5}, True)
         with pytest.raises(ValueError):
             greedy_rank(g, [2], 1, score="bogus")
 
     def test_bad_target_len_rejected(self):
-        g = ImageGraph(1, frozenset({1, 2}), {(1, 2): 0.5}, True)
+        g = graph_of(1, frozenset({1, 2}), {(1, 2): 0.5}, True)
         with pytest.raises(ValueError):
             greedy_rank(g, [2], 5)
 
     def test_negative_ids_rejected(self):
-        g = ImageGraph(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
+        g = graph_of(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
         with pytest.raises(ValueError, match="non-negative"):
             greedy_rank(g, [1, -2], 1)
-        g = ImageGraph(0, frozenset({0, -1}), {(0, -1): 0.5}, True)
+        g = graph_of(0, frozenset({0, -1}), {(0, -1): 0.5}, True)
         with pytest.raises(ValueError, match="non-negative"):
             greedy_rank(g, [2], 1)
 
     def test_completion_from_initial(self):
-        g = ImageGraph(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
+        g = graph_of(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
         ranked = greedy_rank(g, [4, 3, 2, 1], 4)
         assert ranked.order == (1, 4, 3, 2)
 
     def test_exact_target_length(self):
-        g = ImageGraph(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
+        g = graph_of(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
         assert len(greedy_rank(g, [4, 3, 2, 1], 2).order) == 2
 
     def test_tie_breaks_by_initial_rank_then_id(self):
-        g = ImageGraph(
+        g = graph_of(
             0, frozenset({0, 1, 2, 3}),
             {(0, 1): 0.5, (0, 2): 0.5, (0, 3): 0.5}, True,
         )
@@ -196,7 +195,7 @@ class TestGreedyRank:
         rng = np.random.default_rng(seed)
         graph, initial = random_distinct_graph(rng)
         c = float(rng.uniform(0.1, 10.0))
-        scaled = ImageGraph(
+        scaled = graph_of(
             graph.query, graph.nodes,
             {k: c * w for k, w in graph.edges.items()}, graph.directed,
         )
@@ -260,7 +259,10 @@ class TestBuildGraph:
         for q in (0, 5, 13):
             graphs = [BY_METHOD[method](t, q, params) for t in tables]
             want = graphs[0] if n_tables == 1 else fuse(graphs)
-            assert build_graph(tables, q, params, method) == want
+            got = build_graph(tables, q, params, method)
+            assert (got.query, got.directed, got.nodes, got.edges) == (
+                want.query, want.directed, want.nodes, want.edges
+            )
 
     @pytest.mark.parametrize("method", sorted(BY_METHOD))
     @pytest.mark.parametrize("n_tables", [1, 2])
