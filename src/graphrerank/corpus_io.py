@@ -4,6 +4,12 @@ Image ids are dense integers in [0, n). A rank table stores, for every image
 used as a query, its full retrieval ordering over the rest of the corpus;
 truncation to the k nearest neighbors happens later, at graph-construction
 time, so a single table supports any k sweep.
+
+`load_rank_table` checks each line's `owner:` head in Python and parses all
+the ids in one `np.loadtxt` call. Anything that call does not read cleanly
+(a bad head or token, a blank or non-ASCII line, a wrong count, n < 2)
+sends the file to the per-line parser instead, which raises the
+`FormatError` that names the first bad line.
 """
 
 from __future__ import annotations
@@ -139,12 +145,34 @@ def _parse_id_line(line, lineno):
     return owner, ids
 
 
-def load_rank_table(path):
-    """Parse a rank-table file (one `owner: id id ...` line per image).
+def _rank_rows_fast(lines):
+    """All lines' ids from one `np.loadtxt` call; ValueError on anything unusual.
 
-    Owner order and length are checked here, the lists by `RankTable`.
+    That is a bad or out-of-order owner, a blank or non-ASCII tail (numpy
+    reads some non-ASCII letters as digits), a token numpy cannot read as
+    an int64 (`#` too: `comments=None`) or a table that is not n x (n - 1)
+    with n >= 2.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    n = len(lines)
+    if n < 2:
+        raise ValueError("no fast path for n < 2")
+
+    def tails():
+        for lineno, line in enumerate(lines):
+            head, _, tail = line.partition(":")  # no ':' leaves the tail blank
+            blank = not tail or tail.isspace()
+            if blank or not tail.isascii() or int(head) != lineno:
+                raise ValueError(f"line {lineno + 1}")
+            yield tail
+
+    rows = np.loadtxt(tails(), dtype=np.int64, comments=None, ndmin=2)
+    if rows.shape != (n, n - 1):
+        raise ValueError(f"table of shape {rows.shape}")
+    return rows
+
+
+def _rank_rows_per_line(lines):
+    """Parse line by line; the first bad line raises its `FormatError`."""
     n = len(lines)
     rows = np.empty((n, max(n - 1, 0)), dtype=np.int64)
     for lineno, line in enumerate(lines):
@@ -159,6 +187,21 @@ def load_rank_table(path):
             rows[lineno] = ids
         except OverflowError:
             raise FormatError(f"line {lineno + 1}: id out of range [0, {n})") from None
+    return rows
+
+
+def load_rank_table(path):
+    """Parse a rank-table file (one `owner: id id ...` line per image).
+
+    Owner order and length are checked here, the lists by `RankTable`. The
+    per-line parser runs only when the one-call parse fails, so both give
+    the same table or the same error.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        rows = _rank_rows_fast(lines)
+    except ValueError:
+        rows = _rank_rows_per_line(lines)
     try:
         return RankTable(rows)
     except ValueError as exc:

@@ -4,6 +4,12 @@ Conventions: average precision excludes the query from its own list and
 from the relevant count (Holidays protocol); the N-S score counts the query
 as its own first result, so the maximum is 4 with groups of four (UKBench
 protocol).
+
+The N-S score reads only the first `NS_DEPTH` ids of a list, so
+`evaluate(metric="ns")` scores the baseline on that prefix of tables[0]'s
+lists and reranks with `target_len=NS_DEPTH`; greedy ranking is
+prefix-consistent, so the scores equal those of the full lists. Average
+precision reads the whole list, and `metric="map"` ranks it in full.
 """
 
 from __future__ import annotations
@@ -12,7 +18,10 @@ from dataclasses import dataclass, replace
 
 from .ranking import RankedList, rerank
 
+NS_DEPTH = 3  # results after the query that the N-S score reads
+
 __all__ = [
+    "NS_DEPTH",
     "MetricReport",
     "average_precision",
     "ns_score",
@@ -56,18 +65,20 @@ def average_precision(ranked, relevant):
 def ns_score(ranked, query, relevant):
     """Relevant count among the query plus its top three results; in [0, 4]."""
     groupmates = set(int(r) for r in relevant) - {int(query)}
-    return 1.0 + len(set(ranked.order[:3]) & groupmates)
+    return 1.0 + len(set(ranked.order[:NS_DEPTH]) & groupmates)
 
 
 def evaluate(tables, ground_truth, params, method="directed", metric="ns", score="max"):
     """Score every ground-truth query; returns (baseline, reranked) reports.
 
     The baseline report scores tables[0]'s raw orderings without reranking.
+    Both are ranked only as deep as the metric reads.
     """
     if metric not in ("ns", "map"):
         raise ValueError("metric must be 'ns' or 'map'")
     tables = list(tables)
     queries = ground_truth.queries
+    length = min(NS_DEPTH, tables[0].n - 1) if metric == "ns" else None
 
     def value(ranked, q):
         rel = ground_truth.relevant[q]
@@ -75,9 +86,12 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns", score
             return ns_score(ranked, q, rel)
         return average_precision(ranked, rel)
 
-    base_vals = [value(RankedList(q, tables[0].lists[q], "initial"), q) for q in queries]
+    base_vals = [
+        value(RankedList(q, tables[0].lists[q, :length], "initial"), q) for q in queries
+    ]
     rr_vals = [
-        value(rerank(tables, q, params, method=method, score=score), q) for q in queries
+        value(rerank(tables, q, params, method=method, score=score, target_len=length), q)
+        for q in queries
     ]
     fused = "-fused" if len(tables) > 1 else ""
     common = dict(metric=metric, k=params.k, alpha0=params.alpha0, depth=params.depth)

@@ -19,10 +19,15 @@ reciprocal test are 1-based over the stored owner-excluded lists.
 
 A graph is stored as arrays over a local node index: its one constructor,
 `ImageGraph(query, ids, src, dst, weight, directed)`, is what both builders
-and `fusion.fuse` call. The builders walk the bounded BFS in Python and
-weight every edge in one vectorised step. Their weights equal the scalar
-`rank_weight`/`jaccard_weight` bit for bit, because each one is computed
-with the same floating-point operations in the same order:
+and `fusion.fuse` call. The builders run a frontier BFS that takes one
+whole level per step: the frontier's top-k rows (for the undirected graph
+only the mutual top-k entries), in row-major order, minus the ids already
+seen, each new id kept at its first occurrence. That is the order in which
+a one-node-at-a-time BFS discovers them, so a `max_nodes` cap keeps the
+same nodes. Every edge is then weighted in one vectorised step, and the
+weights equal the scalar `rank_weight`/`jaccard_weight` bit for bit,
+because each one is computed with the same floating-point operations in
+the same order:
 
 - the decay comes from a table of Python `alpha0 ** depth` values (numpy's
   array power rounds some of them differently in the last bit);
@@ -36,7 +41,6 @@ a smaller k than the one asked for.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,11 +86,16 @@ class ImageGraph:
     dict from (src id, dst id) to weight) are built from those arrays on
     first use. Undirected graphs store each edge once under the (min, max)
     id orientation. Zero-weight edges are never stored. The graph is
-    validated once, when it is made: every local index must lie in
-    [0, len(ids)).
+    validated once, when it is made: `src`, `dst` and `weight` hold one
+    entry per edge, and every local index lies in [0, len(ids)).
     """
 
     def __init__(self, query, ids, src, dst, weight, directed):
+        if not len(src) == len(dst) == len(weight):
+            raise ValueError(
+                f"src, dst and weight must have one entry per edge, "
+                f"got {len(src)}, {len(dst)} and {len(weight)}"
+            )
         if not (ids == query).any():
             raise ValueError("graph must contain its query node")
         ends = np.concatenate([src, dst])
@@ -174,36 +183,43 @@ def _checked_k(table, query, params):
     return params.k
 
 
-def _bounded_bfs(neighbor_fn, query, depth, max_nodes):
-    """Discovery BFS: depths of nodes within `depth` hops, capped in BFS order."""
-    depths = {query: 0}
-    queue = deque([query])
-    while queue:
-        i = queue.popleft()
-        if depths[i] >= depth:
-            continue
-        for j in neighbor_fn(i):
-            if j in depths:
-                continue
-            if max_nodes is not None and len(depths) >= max_nodes:
-                return depths
-            depths[j] = depths[i] + 1
-            queue.append(j)
-    return depths
+def _frontier_bfs(table, query, params, reciprocal):
+    """Nodes within `params.depth` hops of `query`, one whole BFS level per step.
 
-
-def _local_top_k(table, depths, k):
-    """Local index of a BFS result and every node's top-k list in it.
+    A level's neighbors are `lists[frontier, :k]` in row-major order (only
+    the mutual top-k ones when `reciprocal`); ids seen before are dropped
+    and each new id keeps its first occurrence, so discovery order is the
+    one-node-at-a-time BFS order and `max_nodes` keeps its first nodes.
 
     Returns (ids, depth, top, local): `ids`/`depth` in discovery order,
     `top` the (V, k) global top-k ids and `local` the same as local indices,
     -1 where the neighbor is not a graph node.
     """
-    ids = np.fromiter(depths, dtype=np.int64, count=len(depths))
-    depth = np.fromiter(depths.values(), dtype=np.int64, count=len(depths))
-    top = table.lists[ids, :k]
+    k = params.k
+    lists = table.lists
+    cap = table.n if params.max_nodes is None else params.max_nodes
     index = np.full(table.n, -1, dtype=np.int64)
-    index[ids] = np.arange(len(ids))
+    index[query] = 0
+    levels = [np.array([query], dtype=np.int64)]
+    count = 1
+    for _ in range(params.depth):
+        frontier = levels[-1]
+        if count >= cap or not frontier.size:
+            break
+        nbrs = lists[frontier, :k]
+        if reciprocal:
+            nbrs = nbrs[table.positions[nbrs, frontier[:, None]] <= k]
+        nbrs = nbrs[index[nbrs] < 0]  # a boolean mask flattens row-major
+        if len(frontier) > 1:  # one row holds distinct ids already
+            _, first = np.unique(nbrs, return_index=True)
+            nbrs = nbrs[np.sort(first)]
+        new = nbrs[: cap - count]
+        index[new] = np.arange(count, count + len(new))
+        count += len(new)
+        levels.append(new)
+    ids = np.concatenate(levels)
+    depth = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
+    top = lists[ids, :k]
     return ids, depth, top, index[top]
 
 
@@ -215,12 +231,8 @@ def _decays(params, depth, src, dst):
 
 def build_directed_graph(table, query, params):
     """Directed graph over the query's BFS neighborhood in the top-k digraph."""
-    k = _checked_k(table, query, params)
-    lists = table.lists
-    depths = _bounded_bfs(
-        lambda i: lists[i, :k].tolist(), query, params.depth, params.max_nodes
-    )
-    ids, depth, _, local = _local_top_k(table, depths, k)
+    _checked_k(table, query, params)
+    ids, depth, _, local = _frontier_bfs(table, query, params, reciprocal=False)
     src, col = np.nonzero(local >= 0)  # BFS order, then list order
     dst = local[src, col]
     # Rank(i, i') of i' in i's top-k is its column + 1
@@ -233,15 +245,8 @@ def build_directed_graph(table, query, params):
 def build_undirected_graph(table, query, params):
     """Reciprocal-neighbor baseline graph with Jaccard consistency weights."""
     k = _checked_k(table, query, params)
-    lists = table.lists
     pos = table.positions
-
-    def recip_nbrs(i):
-        row = lists[i, :k]
-        return row[pos[row, i] <= k].tolist()
-
-    depths = _bounded_bfs(recip_nbrs, query, params.depth, params.max_nodes)
-    ids, depth, top, local = _local_top_k(table, depths, k)
+    ids, depth, top, local = _frontier_bfs(table, query, params, reciprocal=True)
     owner = ids[:, None]
     # each mutual top-k pair once, from its smaller id
     src, col = np.nonzero((local >= 0) & (top > owner) & (pos[top, owner] <= k))

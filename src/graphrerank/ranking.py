@@ -8,6 +8,12 @@ Ties break by the candidate's position in the query's initial list, then by
 ascending id. If the graph is exhausted early, the list is completed from
 the initial ranking.
 
+Greedy insertion is prefix-consistent: each pick depends only on the picks
+before it, so `greedy_rank(g, init, target_len=t).order` equals the first
+t ids of the full order `greedy_rank(g, init).order`. `target_len` (and
+`rerank`'s, which is passed on) therefore stops the expansion where a
+caller stops reading; `evaluation.evaluate` asks for the N-S depth only.
+
 `greedy_rank` lays the graph's nodes out in tie order (query first, then by
 initial-list position, nodes absent from the list after all present ones,
 then by id), so `np.argmax`, which returns the first of equal maxima, picks
@@ -139,12 +145,15 @@ def build_graph(tables, query, params, method="directed"):
     return graphs[0] if len(graphs) == 1 else fuse(graphs)
 
 
-def rerank(tables, query, params, method="directed", score="max"):
+def rerank(tables, query, params, method="directed", score="max", target_len=None):
     """Greedy-rank `build_graph`'s graph for one query.
 
     The completed tail and tie-breaking both come from tables[0]'s list.
+    `target_len` (default: the whole list) is passed on to `greedy_rank`.
     """
     tables = list(tables)
     graph = build_graph(tables, query, params, method)
     provenance = "rerank-fused" if len(tables) > 1 else "rerank-single"
-    return greedy_rank(graph, tables[0].lists[query], score=score, provenance=provenance)
+    return greedy_rank(
+        graph, tables[0].lists[query], target_len, score=score, provenance=provenance
+    )

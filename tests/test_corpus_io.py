@@ -1,3 +1,6 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from graphrerank.corpus_io import (
     GroundTruth,
     RankTable,
     SynthSpec,
+    _rank_rows_per_line,
     atomic_write_text,
     load_feature_matrix,
     load_ground_truth,
@@ -107,6 +111,71 @@ class TestRankTableFormat:
         path = tmp_path_factory.mktemp("rt") / "t.txt"
         save_rank_table(table, path)
         assert np.array_equal(load_rank_table(path).lists, table.lists)
+
+
+TOKEN_CHARS = "0123456789+-_.#x \t"
+ODD_TOKENS = ["", "+1", "-0", "007", "1_0", "1.0", "#", "x1", str(2**63 - 1), str(2**63), str(-2**63)]
+
+
+@st.composite
+def rank_table_texts(draw):
+    """Rank-table text, valid or with a few tokens or heads mangled."""
+    n = draw(st.integers(0, 6))
+    lines = []
+    for i in range(n):
+        ids = draw(st.permutations([j for j in range(n) if j != i]))
+        lines.append([str(i)] + [str(x) for x in ids])
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        line = lines[draw(st.integers(0, n - 1))]
+        at = draw(st.integers(0, len(line)))
+        mangled = st.one_of(st.text(TOKEN_CHARS, max_size=4), st.sampled_from(ODD_TOKENS))
+        if at == len(line):
+            line.append(draw(mangled))
+        else:
+            line[at] = draw(mangled)
+    gap = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+    return "".join(f"{head}:{gap}{gap.join(ids)}\n" for head, *ids in lines)
+
+
+def load_outcome(load, path):
+    try:
+        return load(path).lists.tolist(), None
+    except FormatError as exc:
+        return None, str(exc)
+
+
+def load_per_line(path):
+    """The per-line parser alone: the reference the fast parse must agree with."""
+    rows = _rank_rows_per_line(Path(path).read_text(encoding="utf-8").splitlines())
+    try:
+        return RankTable(rows)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+class TestRankTableFastParse:
+    @settings(max_examples=300, deadline=None)
+    @given(text=rank_table_texts())
+    def test_equals_per_line_parser(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fast") / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load_outcome(load_rank_table, path)
+        assert got == load_outcome(load_per_line, path)
+
+    def test_non_ascii_digit_lookalike_rejected(self, tmp_path):
+        # numpy's integer parser reads some non-ASCII letters as digits
+        path = tmp_path / "t.txt"
+        path.write_text("0: 1 2\n1: 0 2\n2: 0 1\u01fe\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 3: non-integer id"):
+            load_rank_table(path)
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("0: 1 2\n1: 0 2 # note\n2: 0 1\n")
+        with pytest.raises(FormatError, match="line 2: non-integer id"):
+            load_rank_table(path)
 
 
 class TestRankTableValidation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphrerank.corpus_io import SynthSpec, synth_generate
+from graphrerank.corpus_io import GroundTruth, SynthSpec, synth_generate
 from graphrerank.evaluation import (
     MetricReport,
     average_precision,
@@ -16,7 +16,9 @@ from graphrerank.evaluation import (
 )
 from graphrerank.features import build_rank_table
 from graphrerank.graph import GraphParams
-from graphrerank.ranking import RankedList
+from graphrerank.ranking import RankedList, rerank
+
+from conftest import random_rank_table
 
 
 def ranked_with_relevant_at(positions, n_relevant, length=None):
@@ -201,6 +203,33 @@ class TestEvaluate:
         first = evaluate(tables, gt, GraphParams(k=5))
         second = evaluate(tables, gt, GraphParams(k=5))
         assert first[1].per_query == second[1].per_query
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        method=st.sampled_from(["directed", "undirected"]),
+        score=st.sampled_from(["max", "sum"]),
+        n_tables=st.integers(1, 2),
+        metric=st.sampled_from(["ns", "map"]),
+    )
+    def test_values_equal_metric_of_full_orders(self, seed, method, score, n_tables, metric):
+        # evaluate ranks only NS_DEPTH deep for "ns"; full lists must score the same
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 25))
+        tables = [random_rank_table(rng, n) for _ in range(n_tables)]
+        groups = {q: set(range(q - q % 4, min(q - q % 4 + 4, n))) for q in range(n)}
+        gt = GroundTruth({q: rel for q, rel in groups.items() if metric == "ns" or len(rel) > 1})
+        params = GraphParams(k=int(rng.integers(1, n)), depth=int(rng.integers(1, 4)))
+
+        def value(ranked, q):
+            rel = gt.relevant[q]
+            return ns_score(ranked, q, rel) if metric == "ns" else average_precision(ranked, rel)
+
+        baseline, reranked = evaluate(tables, gt, params, method, metric, score)
+        for q in gt.queries:
+            full = rerank(tables, q, params, method, score)
+            assert reranked.per_query[q] == value(full, q)
+            assert baseline.per_query[q] == value(RankedList(q, tables[0].lists[q]), q)
 
 
 class TestSweepK:

@@ -241,13 +241,15 @@ class TestBuildDirectedGraph:
         assert len(g.nodes) <= 7
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_matches_brute_force(self, seed):
+    @given(seed=st.integers(0, 10**9), capped=st.booleans())
+    def test_matches_brute_force(self, seed, capped):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 30))
         table = random_rank_table(rng, n)
         params = GraphParams(
-            k=int(rng.integers(1, min(n, 6))), depth=int(rng.integers(1, 4))
+            k=int(rng.integers(1, min(n, 6))),
+            depth=int(rng.integers(1, 4)),
+            max_nodes=int(rng.integers(1, n + 1)) if capped else None,
         )
         query = int(rng.integers(n))
         g = build_directed_graph(table, query, params)
@@ -289,13 +291,15 @@ class TestBuildUndirectedGraph:
             assert src < dst
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_matches_brute_force(self, seed):
+    @given(seed=st.integers(0, 10**9), capped=st.booleans())
+    def test_matches_brute_force(self, seed, capped):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 30))
         table = random_rank_table(rng, n)
         params = GraphParams(
-            k=int(rng.integers(1, min(n, 6))), depth=int(rng.integers(1, 4))
+            k=int(rng.integers(1, min(n, 6))),
+            depth=int(rng.integers(1, 4)),
+            max_nodes=int(rng.integers(1, n + 1)) if capped else None,
         )
         query = int(rng.integers(n))
         g = build_undirected_graph(table, query, params)
@@ -317,6 +321,15 @@ class TestGraphInvariants:
         ids, weight = np.array([0, 1, 2]), np.array([0.5])
         with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
             ImageGraph(0, ids, np.array([src]), np.array([dst]), weight, directed)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize(
+        "dst, weight", [([1], [0.5, 0.25]), ([1, 2], [0.5])], ids=["short-dst", "short-weight"]
+    )
+    def test_rejects_edge_arrays_of_different_lengths(self, dst, weight, directed):
+        ids, src = np.array([0, 1, 2]), np.array([0, 0])
+        with pytest.raises(ValueError, match="one entry per edge"):
+            ImageGraph(0, ids, src, np.array(dst), np.array(weight), directed)
 
     def test_validation_rejects_zero_weight(self):
         with pytest.raises(ValueError):

@@ -391,3 +391,28 @@ class TestRerankPinnedToReference:
         initial = [int(x) for x in tables[0].lists[query]]
         got = list(rerank(tables, query, params, method, score).order)
         assert got == reference_greedy(want, initial, len(initial), score)
+
+
+class TestPrefixConsistency:
+    """Ranking to `target_len` gives the first `target_len` ids of the full order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        method=st.sampled_from(["directed", "undirected"]),
+        score=st.sampled_from(["max", "sum"]),
+        n_tables=st.integers(1, 2),
+    )
+    def test_target_len_order_is_prefix_of_full_order(self, seed, method, score, n_tables):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 21))
+        tables = [random_rank_table(rng, n) for _ in range(n_tables)]
+        params = GraphParams(k=int(rng.integers(1, n)), depth=int(rng.integers(1, 4)))
+        query = int(rng.integers(n))
+        graph = build_graph(tables, query, params, method)
+        initial = tables[0].lists[query]
+        full = greedy_rank(graph, initial, score=score).order
+        assert rerank(tables, query, params, method, score).order == full
+        for t in range(len(initial) + 1):
+            assert greedy_rank(graph, initial, t, score=score).order == full[:t]
+            assert rerank(tables, query, params, method, score, target_len=t).order == full[:t]
