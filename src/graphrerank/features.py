@@ -4,6 +4,15 @@ histogram normalization, and exact nearest-neighbor rank tables.
 HSV uses the standard hexcone model with H in [0, 360) and S, V in [0, 1];
 gray pixels (undefined hue) fall into hue bin 0. Bin edges are uniform per
 channel. These conventions are fixed for reproducibility.
+
+A rank table lists every other image by squared Euclidean distance, closest
+first; equal distances break by ascending id, and the owner is always left
+out, even when overflowed distances are `inf` like its own diagonal entry.
+The order comes from a fast unstable argsort of each distance row; only rows
+that hold two equal distances are sorted again with a stable sort, since a
+row of distinct values has exactly one sorted order. Distances are computed
+in blocks of `_BLOCK` = 32 rows, so that a block's (32, n, dims) difference
+array stays in cache; every distance is bit-equal at any block size.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ __all__ = [
     "features_from_manifest",
 ]
 
-_BLOCK = 128  # rows per distance block; bounds the (block, n, dims) difference array
+_BLOCK = 32  # rows per distance block; keeps the (block, n, dims) difference array in cache
 
 
 @dataclass(frozen=True)
@@ -146,16 +155,34 @@ def _pairwise_sq_dists(rows):
     return d2
 
 
-def build_rank_table(features):
-    """Exact Euclidean nearest-neighbor orderings; distance ties break by ascending id."""
-    n = features.n
-    if n < 2:
-        raise ValueError("need at least 2 images to build a rank table")
-    d2 = _pairwise_sq_dists(features.rows)
+def _neighbor_order(rows):
+    """Each row's other ids by (distance, id); the n x n distances die on return."""
+    d2 = _pairwise_sq_dists(rows)
+    # inf, not NaN: a NaN row sends numpy's unstable argsort to a slow path
     np.fill_diagonal(d2, np.inf)
-    # stable sort: equal distances keep ascending-index order
-    order = np.argsort(d2, axis=1, kind="stable")
-    return RankTable(order[:, : n - 1])
+    order = np.argsort(d2, axis=1)
+    dist = np.sort(d2, axis=1)
+    # an owner whose inf equals overflowed distances makes its row tied too
+    tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
+    if tied.size:
+        # NaN sorts after every distance, so the owner is last even among infs
+        d2[tied, tied] = np.nan
+        order[tied] = np.argsort(d2[tied], axis=1, kind="stable")
+    return order[:, :-1]
+
+
+def build_rank_table(features):
+    """Exact Euclidean nearest-neighbor orderings; distance ties break by ascending id.
+
+    The owner is never in its own list. Rows are ordered by an unstable
+    argsort, and a sort of the distance values finds the rows that hold
+    equal distances; only those are re-sorted stably, so the result equals
+    a stable argsort with the owner placed last. The worst case, every row tied, costs one unstable
+    argsort and the tie check on top of that stable argsort.
+    """
+    if features.n < 2:
+        raise ValueError("need at least 2 images to build a rank table")
+    return RankTable(_neighbor_order(features.rows))
 
 
 def features_from_manifest(paths, bins_per_channel=10, exponent=0.5):

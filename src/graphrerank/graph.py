@@ -24,10 +24,11 @@ whole level per step: the frontier's top-k rows (for the undirected graph
 only the mutual top-k entries), in row-major order, minus the ids already
 seen, each new id kept at its first occurrence. That is the order in which
 a one-node-at-a-time BFS discovers them, so a `max_nodes` cap keeps the
-same nodes. Every edge is then weighted in one vectorised step, and the
-weights equal the scalar `rank_weight`/`jaccard_weight` bit for bit,
-because each one is computed with the same floating-point operations in
-the same order:
+same nodes, and the `ids` of a built graph are in that BFS discovery
+order (the query first). Every edge is then weighted in one vectorised
+step, and the weights equal the scalar `rank_weight`/`jaccard_weight` bit
+for bit, because each one is computed with the same floating-point
+operations in the same order:
 
 - the decay comes from a table of Python `alpha0 ** depth` values (numpy's
   array power rounds some of them differently in the last bit);

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphrerank import features
 from graphrerank.corpus_io import FeatureMatrix, FormatError
 from graphrerank.features import (
     RawImage,
@@ -210,10 +211,48 @@ class TestBuildRankTable:
         assert table.n == n
 
     def test_chunked_blocks_match_single_block(self):
-        # n = 300 spans three distance blocks; the reference is one argsort
+        assert 300 > features._BLOCK  # several distance blocks; the reference is one argsort
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(300, 4))
         d2 = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
         want = np.argsort(d2, axis=1, kind="stable")[:, :299]
         assert np.array_equal(build_rank_table(FeatureMatrix(rows)).lists, want)
+
+
+def stable_sort_oracle(rows):
+    """Stable argsort of the full squared-distance matrix, owner dropped."""
+    n = len(rows)
+    d2 = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, : n - 1]
+
+
+class TestRankTableTies:
+    """Ties break by ascending id, exactly as a stable argsort orders them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        dims=st.integers(1, 3),
+        seed=st.integers(0, 10**9),
+    )
+    def test_equals_stable_sort_on_tie_heavy_input(self, n, dims, seed):
+        # integer coordinates give exact integer distances, so summation
+        # order cannot matter and many rows hold exact ties
+        rows = np.random.default_rng(seed).integers(0, 3, size=(n, dims)).astype(float)
+        got = build_rank_table(FeatureMatrix(rows)).lists
+        assert np.array_equal(got, stable_sort_oracle(rows))
+
+    def test_all_rows_identical(self):
+        got = build_rank_table(FeatureMatrix(np.ones((40, 2)))).lists
+        assert np.array_equal(got, stable_sort_oracle(np.ones((40, 2))))
+
+    def test_overflowed_distances_keep_owner_out(self):
+        # squared distances of 1e200 apart overflow to inf, like the diagonal
+        table = build_rank_table(FeatureMatrix([[0.0], [1e200], [-1e200]]))
+        assert table.lists.tolist() == [[1, 2], [0, 2], [0, 1]]
+
+    def test_all_distances_infinite(self):
+        table = build_rank_table(FeatureMatrix([[0.0], [1e200], [-1e200], [3e200]]))
+        assert table.lists.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]

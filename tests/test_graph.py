@@ -151,7 +151,10 @@ class TestRankWeight:
 
 
 def brute_force_directed(table, query, params):
-    """Independent construction enumerating all pairs each BFS round."""
+    """Independent construction enumerating all pairs each BFS round.
+
+    Returns (nodes, edges), nodes as a list in BFS discovery order.
+    """
     k = min(params.k, table.n - 1)
     topk = {i: [int(x) for x in table.lists[i, :k]] for i in range(table.n)}
     depths = {query: 0}
@@ -175,7 +178,7 @@ def brute_force_directed(table, query, params):
                 )
                 if w > 0:
                     edges[(i, j)] = w
-    return set(depths), edges
+    return list(depths), edges
 
 
 def brute_force_undirected(table, query, params):
@@ -207,7 +210,7 @@ def brute_force_undirected(table, query, params):
                 w = params.alpha0 ** max(depths[i], depths[j]) * len(a & b) / len(a | b)
                 if w > 0:
                     edges[(i, j)] = w
-    return set(depths), edges
+    return list(depths), edges
 
 
 class TestBuildDirectedGraph:
@@ -254,7 +257,8 @@ class TestBuildDirectedGraph:
         query = int(rng.integers(n))
         g = build_directed_graph(table, query, params)
         nodes, edges = brute_force_directed(table, query, params)
-        assert g.nodes == nodes
+        assert g.nodes == set(nodes)
+        assert g.ids.tolist() == nodes
         assert set(g.edges) == set(edges)
         for key in edges:
             assert g.edges[key] == pytest.approx(edges[key], abs=1e-12)
@@ -304,7 +308,8 @@ class TestBuildUndirectedGraph:
         query = int(rng.integers(n))
         g = build_undirected_graph(table, query, params)
         nodes, edges = brute_force_undirected(table, query, params)
-        assert g.nodes == nodes
+        assert g.nodes == set(nodes)
+        assert g.ids.tolist() == nodes
         assert set(g.edges) == set(edges)
         for key in edges:
             assert g.edges[key] == pytest.approx(edges[key], abs=1e-12)

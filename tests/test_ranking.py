@@ -360,7 +360,7 @@ class TestRerankPinnedToReference:
         nodes, edges = set(), {}
         for t in tables:
             t_nodes, t_edges = BRUTE_FORCE[method](t, query, params)
-            nodes |= t_nodes
+            nodes.update(t_nodes)
             for key, w in t_edges.items():
                 edges[key] = edges.get(key, 0.0) + w
         return SimpleNamespace(
