@@ -125,7 +125,7 @@ class RankTable:
 
     def truncated(self, k):
         """The first k columns: exactly n*k stored ids."""
-        if not 1 <= k <= max(self.n - 1, 1):
+        if not 1 <= k <= self.n - 1:
             raise ValueError(f"k={k} out of range for corpus of {self.n}")
         return self.lists[:, :k]
 

@@ -87,7 +87,7 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns", score
         return average_precision(ranked, rel)
 
     base_vals = [
-        value(RankedList(q, tables[0].lists[q, :length], "initial"), q) for q in queries
+        value(RankedList(q, tables[0].lists[q, :length]), q) for q in queries
     ]
     rr_vals = [
         value(rerank(tables, q, params, method=method, score=score, target_len=length), q)

@@ -14,8 +14,9 @@ dropped.
 
 Neighborhood sets used by the Jaccard weight include the owner image itself
 (the image is rank 1 of its own retrieval), i.e. {i} plus the top k-1
-entries of its stored list. List positions used by `rank_of` and the
-reciprocal test are 1-based over the stored owner-excluded lists.
+entries of its stored list. List positions, `Rank(i, i')` and those the
+reciprocal test compares, are 1-based over the stored owner-excluded lists:
+`RankTable.positions`, whose diagonal is 0.
 
 A graph is stored as arrays over a local node index: its one constructor,
 `ImageGraph(query, ids, src, dst, weight, directed)`, is what both builders
@@ -26,9 +27,9 @@ seen, each new id kept at its first occurrence. That is the order in which
 a one-node-at-a-time BFS discovers them, so a `max_nodes` cap keeps the
 same nodes, and the `ids` of a built graph are in that BFS discovery
 order (the query first). Every edge is then weighted in one vectorised
-step, and the weights equal the scalar `rank_weight`/`jaccard_weight` bit
-for bit, because each one is computed with the same floating-point
-operations in the same order:
+step, and the weights equal bit for bit those of the scalar oracles
+`rank_weight` and `jaccard_weight` in `tests/conftest.py`, because each one
+is computed with the same floating-point operations in the same order:
 
 - the decay comes from a table of Python `alpha0 ** depth` values (numpy's
   array power rounds some of them differently in the last bit);
@@ -50,10 +51,6 @@ import numpy as np
 __all__ = [
     "GraphParams",
     "ImageGraph",
-    "reciprocal",
-    "rank_of",
-    "jaccard_weight",
-    "rank_weight",
     "build_directed_graph",
     "build_undirected_graph",
     "graph_to_text",
@@ -133,49 +130,6 @@ class ImageGraph:
         )
 
 
-def rank_of(table, i, i2):
-    """1-based position of i2 in i's full rank list."""
-    if i == i2:
-        raise ValueError("rank of an image within its own list is undefined")
-    return int(table.positions[i, i2])
-
-
-def reciprocal(table, i, i2, k):
-    """Mutual top-k membership."""
-    if i == i2:
-        raise ValueError("reciprocity of an image with itself is undefined")
-    pos = table.positions
-    return bool(pos[i, i2] <= k and pos[i2, i] <= k)
-
-
-def _inclusive_neighborhood(table, i, k):
-    """Size-k retrieval neighborhood counting the image itself as rank 1."""
-    return frozenset((int(i),) + tuple(int(x) for x in table.lists[i, : k - 1]))
-
-
-def jaccard_weight(table, i, i2, k, decay_coeff):
-    """Neighborhood-consistency weight for the undirected baseline."""
-    if not 0.0 <= decay_coeff <= 1.0:
-        raise ValueError("decay must lie in [0, 1]")
-    if not reciprocal(table, i, i2, k):
-        return 0.0
-    a = _inclusive_neighborhood(table, i, k)
-    b = _inclusive_neighborhood(table, i2, k)
-    return decay_coeff * len(a & b) / len(a | b)
-
-
-def rank_weight(table, i, i2, k, decay_coeff):
-    """Reciprocal-rank weight for the directed graph; 0 unless i2 is in i's top-k."""
-    if not 0.0 <= decay_coeff <= 1.0:
-        raise ValueError("decay must lie in [0, 1]")
-    if i == i2:
-        raise ValueError("no self edges")
-    pos = table.positions
-    if pos[i, i2] > k:
-        return 0.0
-    return decay_coeff / float(pos[i, i2] + pos[i2, i])
-
-
 def _checked_k(table, query, params):
     if not 0 <= query < table.n:
         raise ValueError(f"query {query} out of range")
@@ -252,14 +206,10 @@ def build_undirected_graph(table, query, params):
     # each mutual top-k pair once, from its smaller id
     src, col = np.nonzero((local >= 0) & (top > owner) & (pos[top, owner] <= k))
     dst = local[src, col]
-    # inclusive neighborhoods, as columns of a membership matrix over the
-    # distinct ids they hold; each holds k distinct ids, so union = 2k - inter
+    # y is in j's inclusive neighborhood iff pos[j, y] <= k - 1 (pos[j, j] is
+    # 0); each neighborhood holds k distinct ids, so union = 2k - inter
     hoods = np.concatenate([owner, top[:, : k - 1]], axis=1)
-    _, hood = np.unique(hoods, return_inverse=True)
-    hood = hood.reshape(hoods.shape)
-    member = np.zeros((len(ids), hood.max() + 1), dtype=bool)
-    member[np.arange(len(ids))[:, None], hood] = True
-    inter = member[src[:, None], hood[dst]].sum(axis=1)
+    inter = (pos[ids[dst][:, None], hoods[src]] <= k - 1).sum(axis=1)
     weight = (_decays(params, depth, src, dst) * inter) / (2 * k - inter)
     keep = weight > 0
     return ImageGraph(query, ids, src[keep], dst[keep], weight[keep], False)

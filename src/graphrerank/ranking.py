@@ -45,7 +45,6 @@ class RankedList:
 
     query: int
     order: tuple
-    provenance: str = "initial"
 
     def __post_init__(self):
         order = np.asarray(self.order, dtype=np.int64)
@@ -59,7 +58,7 @@ class RankedList:
         object.__setattr__(self, "order", tuple(order.tolist()))
 
 
-def greedy_rank(graph, initial, target_len=None, score="max", provenance="rerank-single"):
+def greedy_rank(graph, initial, target_len=None, score="max"):
     """Rank by greedy insertion over `graph`, completing from `initial`.
 
     `initial` is the query's initial ranking: distinct non-negative ids.
@@ -124,7 +123,7 @@ def greedy_rank(graph, initial, target_len=None, score="max", provenance="rerank
     placed[ranked] = True
     placed[q] = True
     rest = initial[~placed[initial]][: target_len - len(ranked)]
-    return RankedList(q, np.concatenate([ranked, rest]), provenance)
+    return RankedList(q, np.concatenate([ranked, rest]))
 
 
 def build_graph(tables, query, params, method="directed"):
@@ -153,7 +152,4 @@ def rerank(tables, query, params, method="directed", score="max", target_len=Non
     """
     tables = list(tables)
     graph = build_graph(tables, query, params, method)
-    provenance = "rerank-fused" if len(tables) > 1 else "rerank-single"
-    return greedy_rank(
-        graph, tables[0].lists[query], target_len, score=score, provenance=provenance
-    )
+    return greedy_rank(graph, tables[0].lists[query], target_len, score=score)

@@ -13,6 +13,49 @@ def random_rank_table(rng, n):
     return RankTable(rows)
 
 
+# Scalar oracles over a full rank table, one pair of images at a time. The
+# graph builders' vectorised weights and reciprocal test are pinned to them.
+
+
+def rank_of(table, i, i2):
+    """1-based position of i2 in i's full rank list."""
+    if i == i2:
+        raise ValueError("rank of an image within its own list is undefined")
+    return int(table.positions[i, i2])
+
+
+def reciprocal(table, i, i2, k):
+    """Mutual top-k membership."""
+    if i == i2:
+        raise ValueError("reciprocity of an image with itself is undefined")
+    pos = table.positions
+    return bool(pos[i, i2] <= k and pos[i2, i] <= k)
+
+
+def _inclusive_neighborhood(table, i, k):
+    """Size-k retrieval neighborhood counting the image itself as rank 1."""
+    return frozenset((int(i),) + tuple(int(x) for x in table.lists[i, : k - 1]))
+
+
+def jaccard_weight(table, i, i2, k, decay_coeff):
+    """Neighborhood-consistency weight for the undirected baseline."""
+    if not reciprocal(table, i, i2, k):
+        return 0.0
+    a = _inclusive_neighborhood(table, i, k)
+    b = _inclusive_neighborhood(table, i2, k)
+    return decay_coeff * len(a & b) / len(a | b)
+
+
+def rank_weight(table, i, i2, k, decay_coeff):
+    """Reciprocal-rank weight for the directed graph; 0 unless i2 is in i's top-k."""
+    if i == i2:
+        raise ValueError("no self edges")
+    pos = table.positions
+    if pos[i, i2] > k:
+        return 0.0
+    return decay_coeff / float(pos[i, i2] + pos[i2, i])
+
+
 def graph_of(query, nodes, edges, directed):
     """ImageGraph over the ids `nodes` with edges {(src id, dst id): weight}.
 

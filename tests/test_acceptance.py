@@ -22,16 +22,10 @@ from graphrerank.corpus_io import (
 from graphrerank.evaluation import average_precision, evaluate, ns_score
 from graphrerank.features import build_rank_table, hsv_histogram, RawImage
 from graphrerank.fusion import fuse
-from graphrerank.graph import (
-    GraphParams,
-    build_directed_graph,
-    build_undirected_graph,
-    jaccard_weight,
-    rank_weight,
-)
+from graphrerank.graph import GraphParams, build_directed_graph, build_undirected_graph
 from graphrerank.ranking import RankedList, greedy_rank
 
-from conftest import random_rank_table
+from conftest import jaccard_weight, random_rank_table, rank_weight
 from test_fusion import graphs_same, random_graph
 from test_ranking import random_distinct_graph, reference_greedy
 

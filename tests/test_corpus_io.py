@@ -212,6 +212,8 @@ class TestRankTableValidation:
             table.truncated(6)
         with pytest.raises(ValueError):
             table.truncated(0)
+        with pytest.raises(ValueError):
+            RankTable(np.empty((1, 0), dtype=np.int64)).truncated(1)
 
 
 class TestGroundTruthFormat:

@@ -12,13 +12,16 @@ from graphrerank.graph import (
     build_directed_graph,
     build_undirected_graph,
     graph_to_text,
+)
+
+from conftest import (
+    graph_of,
     jaccard_weight,
+    random_rank_table,
     rank_of,
     rank_weight,
     reciprocal,
 )
-
-from conftest import graph_of, random_rank_table
 
 
 def inclusive_topk(table, i, k):

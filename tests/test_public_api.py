@@ -1,54 +1,42 @@
 """The package's public names, fixed so that removed helpers cannot return unnoticed."""
 
+import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
 import graphrerank
 from graphrerank.fusion import fuse
 from graphrerank.graph import ImageGraph
+from graphrerank.ranking import RankedList, greedy_rank
 
 MODULES = ["corpus_io", "evaluation", "features", "fusion", "graph", "ranking"]
 
 PACKAGE_EXPORTS = {
-    "FeatureMatrix",
-    "FormatError",
     "GraphParams",
-    "GroundTruth",
-    "ImageGraph",
-    "MetricReport",
-    "RankTable",
-    "RankedList",
-    "RawImage",
     "SynthSpec",
-    "average_precision",
-    "build_directed_graph",
     "build_rank_table",
-    "build_undirected_graph",
     "evaluate",
-    "fuse",
-    "greedy_rank",
-    "hsv_histogram",
-    "jaccard_weight",
-    "load_feature_matrix",
-    "load_ground_truth",
-    "load_ppm",
-    "load_rank_table",
-    "normalize_histogram",
-    "ns_score",
-    "rank_of",
-    "rank_weight",
-    "reciprocal",
     "rerank",
-    "save_feature_matrix",
-    "save_ground_truth",
-    "save_rank_table",
-    "sweep_k",
     "synth_generate",
 }
 
-REMOVED = ["neighbors", "bfs_depths", "decay", "load_name_map", "save_name_map"]
+REMOVED = [
+    "neighbors",
+    "bfs_depths",
+    "decay",
+    "load_name_map",
+    "save_name_map",
+    # scalar oracles, kept in tests/conftest.py
+    "rank_of",
+    "reciprocal",
+    "rank_weight",
+    "jaccard_weight",
+]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_exports_are_fixed():
@@ -83,3 +71,14 @@ def test_image_graph_has_one_constructor():
     params = list(inspect.signature(ImageGraph).parameters)
     assert params == ["query", "ids", "src", "dst", "weight", "directed"]
     assert not hasattr(ImageGraph, "from_arrays")
+
+
+def test_ranked_list_has_no_provenance():
+    assert tuple(f.name for f in dataclasses.fields(RankedList)) == ("query", "order")
+    assert "provenance" not in inspect.signature(greedy_rank).parameters
+
+
+def test_readme_library_example_runs():
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})

@@ -291,13 +291,6 @@ class TestRerank:
         graph = build_directed_graph(table, 2, params)
         want = greedy_rank(graph, table.lists[2], None)
         assert got.order == want.order
-        assert got.provenance == "rerank-single"
-
-    def test_fused_provenance(self):
-        t1 = random_rank_table(np.random.default_rng(3), 10)
-        t2 = random_rank_table(np.random.default_rng(4), 10)
-        got = rerank([t1, t2], 0, GraphParams(k=3))
-        assert got.provenance == "rerank-fused"
 
     def test_inconsistent_corpus_sizes_rejected(self):
         t1 = random_rank_table(np.random.default_rng(3), 10)
