@@ -82,9 +82,6 @@ class RankTable:
 
     def __post_init__(self):
         arr = np.array(self.lists, dtype=np.int64)
-        if arr.size == 0:
-            n = arr.shape[0] if arr.ndim == 2 else 0
-            arr = arr.reshape(n, max(n - 1, 0))
         if arr.ndim != 2:
             raise ValueError("rank lists must form a 2-d array")
         n = arr.shape[0]
@@ -124,9 +121,15 @@ class RankTable:
         return pos
 
     def truncated(self, k):
-        """The first k columns: exactly n*k stored ids."""
-        if not 1 <= k <= self.n - 1:
-            raise ValueError(f"k={k} out of range for corpus of {self.n}")
+        """The first k columns: exactly n*k stored ids.
+
+        The one check of 1 <= k <= n - 1, and the graph builders' only read
+        of list prefixes, so they never use a smaller k than the one asked.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if k > self.n - 1:
+            raise ValueError(f"k={k} exceeds corpus bound {self.n - 1}")
         return self.lists[:, :k]
 
 

@@ -86,12 +86,13 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns", score
             return ns_score(ranked, q, rel)
         return average_precision(ranked, rel)
 
-    base_vals = [
-        value(RankedList(q, tables[0].lists[q, :length]), q) for q in queries
-    ]
+    # rerank first: a query outside [0, n) fails the builders' check, not an index
     rr_vals = [
         value(rerank(tables, q, params, method=method, score=score, target_len=length), q)
         for q in queries
+    ]
+    base_vals = [
+        value(RankedList(q, tables[0].lists[q, :length]), q) for q in queries
     ]
     fused = "-fused" if len(tables) > 1 else ""
     common = dict(metric=metric, k=params.k, alpha0=params.alpha0, depth=params.depth)
@@ -105,10 +106,8 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns", score
 def sweep_k(tables, ground_truth, params, k_values, method="directed", metric="ns", **kw):
     """One reranked MetricReport per k, for plot-ready TSV emission."""
     tables = list(tables)
-    n = tables[0].n
     for k in k_values:
-        if k > n - 1:
-            raise ValueError(f"k={k} exceeds corpus bound {n - 1}")
+        tables[0].truncated(k)  # a bad k fails before any evaluation
     reports = []
     for k in k_values:
         _, reranked = evaluate(

@@ -37,8 +37,8 @@ is computed with the same floating-point operations in the same order:
 - the undirected weight is `(decay * inter) / union`, with integer
   intersection and union sizes.
 
-`k` must not exceed n - 1: the builders raise `ValueError` rather than use
-a smaller k than the one asked for.
+The builders read list prefixes only through `RankTable.truncated(k)`,
+which is the one check of the bound 1 <= k <= n - 1.
 """
 
 from __future__ import annotations
@@ -130,28 +130,22 @@ class ImageGraph:
         )
 
 
-def _checked_k(table, query, params):
-    if not 0 <= query < table.n:
-        raise ValueError(f"query {query} out of range")
-    if params.k > table.n - 1:
-        raise ValueError(f"k={params.k} exceeds corpus bound {table.n - 1}")
-    return params.k
-
-
 def _frontier_bfs(table, query, params, reciprocal):
     """Nodes within `params.depth` hops of `query`, one whole BFS level per step.
 
-    A level's neighbors are `lists[frontier, :k]` in row-major order (only
-    the mutual top-k ones when `reciprocal`); ids seen before are dropped
-    and each new id keeps its first occurrence, so discovery order is the
-    one-node-at-a-time BFS order and `max_nodes` keeps its first nodes.
+    A level's neighbors are `table.truncated(k)[frontier]` in row-major order
+    (only the mutual top-k ones when `reciprocal`); ids seen before are
+    dropped and each new id keeps its first occurrence, so discovery order is
+    the one-node-at-a-time BFS order and `max_nodes` keeps its first nodes.
 
     Returns (ids, depth, top, local): `ids`/`depth` in discovery order,
     `top` the (V, k) global top-k ids and `local` the same as local indices,
     -1 where the neighbor is not a graph node.
     """
+    if not 0 <= query < table.n:
+        raise ValueError(f"query {query} out of range")
     k = params.k
-    lists = table.lists
+    top = table.truncated(k)
     cap = table.n if params.max_nodes is None else params.max_nodes
     index = np.full(table.n, -1, dtype=np.int64)
     index[query] = 0
@@ -161,7 +155,7 @@ def _frontier_bfs(table, query, params, reciprocal):
         frontier = levels[-1]
         if count >= cap or not frontier.size:
             break
-        nbrs = lists[frontier, :k]
+        nbrs = top[frontier]
         if reciprocal:
             nbrs = nbrs[table.positions[nbrs, frontier[:, None]] <= k]
         nbrs = nbrs[index[nbrs] < 0]  # a boolean mask flattens row-major
@@ -174,8 +168,8 @@ def _frontier_bfs(table, query, params, reciprocal):
         levels.append(new)
     ids = np.concatenate(levels)
     depth = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
-    top = lists[ids, :k]
-    return ids, depth, top, index[top]
+    rows = top[ids]
+    return ids, depth, rows, index[rows]
 
 
 def _decays(params, depth, src, dst):
@@ -186,7 +180,6 @@ def _decays(params, depth, src, dst):
 
 def build_directed_graph(table, query, params):
     """Directed graph over the query's BFS neighborhood in the top-k digraph."""
-    _checked_k(table, query, params)
     ids, depth, _, local = _frontier_bfs(table, query, params, reciprocal=False)
     src, col = np.nonzero(local >= 0)  # BFS order, then list order
     dst = local[src, col]
@@ -199,7 +192,7 @@ def build_directed_graph(table, query, params):
 
 def build_undirected_graph(table, query, params):
     """Reciprocal-neighbor baseline graph with Jaccard consistency weights."""
-    k = _checked_k(table, query, params)
+    k = params.k
     pos = table.positions
     ids, depth, top, local = _frontier_bfs(table, query, params, reciprocal=True)
     owner = ids[:, None]

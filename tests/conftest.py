@@ -15,21 +15,22 @@ def random_rank_table(rng, n):
 
 # Scalar oracles over a full rank table, one pair of images at a time. The
 # graph builders' vectorised weights and reciprocal test are pinned to them.
+# They scan `table.lists` rather than read `table.positions`, the index the
+# builders use, so a wrong `positions` cannot be mirrored by its own oracle.
 
 
 def rank_of(table, i, i2):
     """1-based position of i2 in i's full rank list."""
     if i == i2:
         raise ValueError("rank of an image within its own list is undefined")
-    return int(table.positions[i, i2])
+    return table.lists[i].tolist().index(i2) + 1
 
 
 def reciprocal(table, i, i2, k):
     """Mutual top-k membership."""
     if i == i2:
         raise ValueError("reciprocity of an image with itself is undefined")
-    pos = table.positions
-    return bool(pos[i, i2] <= k and pos[i2, i] <= k)
+    return rank_of(table, i, i2) <= k and rank_of(table, i2, i) <= k
 
 
 def _inclusive_neighborhood(table, i, k):
@@ -50,10 +51,10 @@ def rank_weight(table, i, i2, k, decay_coeff):
     """Reciprocal-rank weight for the directed graph; 0 unless i2 is in i's top-k."""
     if i == i2:
         raise ValueError("no self edges")
-    pos = table.positions
-    if pos[i, i2] > k:
+    rank = rank_of(table, i, i2)
+    if rank > k:
         return 0.0
-    return decay_coeff / float(pos[i, i2] + pos[i2, i])
+    return decay_coeff / float(rank + rank_of(table, i2, i))
 
 
 def graph_of(query, nodes, edges, directed):

@@ -208,12 +208,16 @@ class TestRankTableValidation:
     def test_truncated_bounds(self):
         table = random_rank_table(np.random.default_rng(0), 6)
         assert table.truncated(3).shape == (6, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k=6 exceeds corpus bound 5"):
             table.truncated(6)
         with pytest.raises(ValueError):
             table.truncated(0)
         with pytest.raises(ValueError):
             RankTable(np.empty((1, 0), dtype=np.int64)).truncated(1)
+        with pytest.raises(ValueError, match="2-d"):
+            RankTable([])
+        with pytest.raises(ValueError, match="length 1"):
+            RankTable(np.empty((2, 0), dtype=np.int64))
 
 
 class TestGroundTruthFormat:

@@ -149,6 +149,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="k=6 exceeds corpus bound 5"):
             evaluate(tables, gt, GraphParams(k=6), method=method)
 
+    @pytest.mark.parametrize("metric", ["ns", "map"])
+    def test_query_outside_corpus_rejected(self, metric):
+        # the builders' query check, not a bare IndexError from the baseline row
+        tables = [random_rank_table(np.random.default_rng(4), 20)]
+        gt = GroundTruth({0: {1, 2}, 20: {1, 2}})
+        with pytest.raises(ValueError, match="query 20 out of range"):
+            evaluate(tables, gt, GraphParams(k=5), metric=metric)
+
     def test_rerank_at_least_baseline_on_clean_corpus(self):
         spec = SynthSpec(
             n_groups=10, group_size=4, dims=6, n_spaces=1,

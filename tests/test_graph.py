@@ -15,6 +15,7 @@ from graphrerank.graph import (
 )
 
 from conftest import (
+    _inclusive_neighborhood,
     graph_of,
     jaccard_weight,
     random_rank_table,
@@ -22,10 +23,6 @@ from conftest import (
     rank_weight,
     reciprocal,
 )
-
-
-def inclusive_topk(table, i, k):
-    return {int(i)} | {int(x) for x in table.lists[i, : k - 1]}
 
 
 class TestNeighbors:
@@ -97,7 +94,7 @@ class TestJaccardWeight:
 
     def test_equal_inclusive_neighborhoods_give_one(self, weight_fixture_table):
         t = weight_fixture_table
-        assert inclusive_topk(t, 1, 5) == inclusive_topk(t, 3, 5)
+        assert _inclusive_neighborhood(t, 1, 5) == _inclusive_neighborhood(t, 3, 5)
         assert jaccard_weight(t, 1, 3, 5, 1.0) == 1.0
 
     def test_decay_scales_linearly(self, weight_fixture_table):
