@@ -5,16 +5,21 @@ used as a query, its full retrieval ordering over the rest of the corpus;
 truncation to the k nearest neighbors happens later, at graph-construction
 time, so a single table supports any k sweep.
 
-`load_rank_table` checks each line's `owner:` head in Python and parses all
-the ids in one `np.loadtxt` call. Anything that call does not read cleanly
-(a bad head or token, a blank or non-ASCII line, a wrong count, n < 2)
-sends the file to the per-line parser instead, which raises the
-`FormatError` that names the first bad line.
+Rank-table, ground-truth and ranked-list files share one line format,
+`owner: id id ...`, written by `id_lines_text`. Rank-table and ground-truth
+files are read by `_id_line`: each line is parsed once, and a `FormatError`
+names the first bad line. The owner is read by `int()`. An id is an ASCII
+decimal integer with an optional sign (`[+-]?[0-9]+`) that fits in int64;
+ids are separated by ASCII whitespace. Any other token (`1_0`, `1.0`, `#`, a
+non-ASCII digit) is a `non-integer id`, and an integer beyond int64 is `id
+out of range`.
 """
 
 from __future__ import annotations
 
 import os
+import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -133,7 +138,11 @@ class RankTable:
         return self.lists[:, :k]
 
 
-def _parse_id_line(line, lineno):
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _id_line(line, lineno):
+    """One `owner: id id ...` line as (owner, int64 ids); a bad line raises its `FormatError`."""
     head, sep, tail = line.partition(":")
     if not sep:
         raise FormatError(f"line {lineno + 1}: missing ':' separator")
@@ -141,70 +150,37 @@ def _parse_id_line(line, lineno):
         owner = int(head)
     except ValueError:
         raise FormatError(f"line {lineno + 1}: bad owner id {head!r}") from None
-    try:
-        ids = [int(tok) for tok in tail.split()]
-    except ValueError:
-        raise FormatError(f"line {lineno + 1}: non-integer id") from None
-    return owner, ids
-
-
-def _rank_rows_fast(lines):
-    """All lines' ids from one `np.loadtxt` call; ValueError on anything unusual.
-
-    That is a bad or out-of-order owner, a blank or non-ASCII tail (numpy
-    reads some non-ASCII letters as digits), a token numpy cannot read as
-    an int64 (`#` too: `comments=None`) or a table that is not n x (n - 1)
-    with n >= 2.
-    """
-    n = len(lines)
-    if n < 2:
-        raise ValueError("no fast path for n < 2")
-
-    def tails():
-        for lineno, line in enumerate(lines):
-            head, _, tail = line.partition(":")  # no ':' leaves the tail blank
-            blank = not tail or tail.isspace()
-            if blank or not tail.isascii() or int(head) != lineno:
-                raise ValueError(f"line {lineno + 1}")
-            yield tail
-
-    rows = np.loadtxt(tails(), dtype=np.int64, comments=None, ndmin=2)
-    if rows.shape != (n, n - 1):
-        raise ValueError(f"table of shape {rows.shape}")
-    return rows
-
-
-def _rank_rows_per_line(lines):
-    """Parse line by line; the first bad line raises its `FormatError`."""
-    n = len(lines)
-    rows = np.empty((n, max(n - 1, 0)), dtype=np.int64)
-    for lineno, line in enumerate(lines):
-        owner, ids = _parse_id_line(line, lineno)
-        if owner != lineno:
-            raise FormatError(f"line {lineno + 1}: owner id {owner} out of order")
-        if len(ids) != n - 1:
-            raise FormatError(
-                f"line {lineno + 1}: expected {n - 1} ids, got {len(ids)}"
-            )
+    if not tail or tail.isspace():
+        return owner, np.empty(0, dtype=np.int64)
+    # numpy reads some non-ASCII letters as digits, and older numpy reads a
+    # token it cannot parse as an int through float, with only a warning
+    if tail.isascii():
         try:
-            rows[lineno] = ids
-        except OverflowError:
-            raise FormatError(f"line {lineno + 1}: id out of range [0, {n})") from None
-    return rows
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return owner, np.loadtxt([tail], dtype=np.int64, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            if all(_INT_TOKEN.fullmatch(tok) for tok in tail.split()):
+                raise FormatError(f"line {lineno + 1}: id out of range") from None
+    raise FormatError(f"line {lineno + 1}: non-integer id")
 
 
 def load_rank_table(path):
-    """Parse a rank-table file (one `owner: id id ...` line per image).
+    """Parse a rank-table file: line i is `i:` and then the n - 1 other ids.
 
-    Owner order and length are checked here, the lists by `RankTable`. The
-    per-line parser runs only when the one-call parse fails, so both give
-    the same table or the same error.
+    Owner order and the id count are checked line by line, the lists by
+    `RankTable`.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    try:
-        rows = _rank_rows_fast(lines)
-    except ValueError:
-        rows = _rank_rows_per_line(lines)
+    n = len(lines)
+    rows = np.empty((n, max(n - 1, 0)), dtype=np.int64)
+    for lineno, line in enumerate(lines):
+        owner, ids = _id_line(line, lineno)
+        if owner != lineno:
+            raise FormatError(f"line {lineno + 1}: owner id {owner} out of order")
+        if len(ids) != n - 1:
+            raise FormatError(f"line {lineno + 1}: expected {n - 1} ids, got {len(ids)}")
+        rows[lineno] = ids
     try:
         return RankTable(rows)
     except ValueError as exc:
@@ -242,12 +218,12 @@ def load_ground_truth(path, n):
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     rel = {}
     for lineno, line in enumerate(lines):
-        query, ids = _parse_id_line(line, lineno)
-        if not ids:
+        query, ids = _id_line(line, lineno)
+        if not ids.size:
             raise FormatError(f"line {lineno + 1}: empty relevant set for query {query}")
         if query in rel:
             raise FormatError(f"line {lineno + 1}: duplicate query {query}")
-        for i in [query] + ids:
+        for i in [query, *ids[(ids < 0) | (ids >= n)]]:
             if not 0 <= i < n:
                 raise FormatError(f"line {lineno + 1}: id {i} out of range [0, {n})")
         rel[query] = ids
@@ -293,6 +269,8 @@ def load_feature_matrix(path):
         n, dims = int(head[0]), int(head[1])
     except ValueError:
         raise FormatError("header must be '<n> <dims>'") from None
+    if n < 0 or dims < 0:
+        raise FormatError("header must be '<n> <dims>'")
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} rows, got {len(lines) - 1}")
     rows = np.empty((n, dims), dtype=np.float64)

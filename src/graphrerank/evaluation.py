@@ -105,7 +105,7 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns", score
 
 def sweep_k(tables, ground_truth, params, k_values, method="directed", metric="ns", **kw):
     """One reranked MetricReport per k, for plot-ready TSV emission."""
-    tables = list(tables)
+    tables, k_values = list(tables), list(k_values)
     for k in k_values:
         tables[0].truncated(k)  # a bad k fails before any evaluation
     reports = []

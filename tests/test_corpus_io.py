@@ -1,3 +1,4 @@
+import re
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from graphrerank.corpus_io import (
     GroundTruth,
     RankTable,
     SynthSpec,
-    _rank_rows_per_line,
     atomic_write_text,
     load_feature_matrix,
     load_ground_truth,
@@ -144,25 +144,62 @@ def load_outcome(load, path):
         return None, str(exc)
 
 
-def load_per_line(path):
-    """The per-line parser alone: the reference the fast parse must agree with."""
-    rows = _rank_rows_per_line(Path(path).read_text(encoding="utf-8").splitlines())
+INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def load_scalar(path):
+    """Reference parse: ASCII `str.split()` tokens, each `[+-]?[0-9]+` read by `int()`."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    n = len(lines)
+    rows = []
+    for lineno, line in enumerate(lines):
+        where = f"line {lineno + 1}"
+        head, sep, tail = line.partition(":")
+        if not sep:
+            raise FormatError(f"{where}: missing ':' separator")
+        try:
+            owner = int(head)
+        except ValueError:
+            raise FormatError(f"{where}: bad owner id {head!r}") from None
+        tokens = tail.split()
+        if not tail.isascii() or not all(INT_TOKEN.fullmatch(tok) for tok in tokens):
+            raise FormatError(f"{where}: non-integer id")
+        ids = [int(tok) for tok in tokens]
+        if not all(-(2**63) <= i < 2**63 for i in ids):
+            raise FormatError(f"{where}: id out of range")
+        if owner != lineno:
+            raise FormatError(f"{where}: owner id {owner} out of order")
+        if len(ids) != n - 1:
+            raise FormatError(f"{where}: expected {n - 1} ids, got {len(ids)}")
+        rows.append(ids)
     try:
-        return RankTable(rows)
+        return RankTable(np.array(rows, dtype=np.int64).reshape(n, max(n - 1, 0)))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
-class TestRankTableFastParse:
+class TestRankTableParse:
     @settings(max_examples=300, deadline=None)
     @given(text=rank_table_texts())
-    def test_equals_per_line_parser(self, text, tmp_path_factory):
-        path = tmp_path_factory.mktemp("fast") / "t.txt"
+    def test_equals_scalar_oracle(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("parse") / "t.txt"
         path.write_bytes(text.encode("utf-8"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = load_outcome(load_rank_table, path)
-        assert got == load_outcome(load_per_line, path)
+        assert got == load_outcome(load_scalar, path)
+
+    # both read as 1 by int(), so both loaded before ids had to be ASCII decimal
+    @pytest.mark.parametrize("token", ["0_1", "\u0661"])
+    def test_underscore_and_non_ascii_digit_rejected(self, tmp_path, token):
+        path = tmp_path / "t.txt"
+        path.write_text(f"0: 1 2\n1: 0 2\n2: 0 {token}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 3: non-integer id"):
+            load_rank_table(path)
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"0: 2\n1: {token}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2: non-integer id"):
+            load_ground_truth(gt, n=3)
 
     def test_non_ascii_digit_lookalike_rejected(self, tmp_path):
         # numpy's integer parser reads some non-ASCII letters as digits
@@ -239,6 +276,13 @@ class TestGroundTruthFormat:
         with pytest.raises(FormatError, match="out of range"):
             load_ground_truth(path, n=4)
 
+    @pytest.mark.parametrize("line, bad", [("9: 1 8", 9), ("0: 1 9 -1", 9), ("0: 1 -1 9", -1)])
+    def test_out_of_range_names_query_then_first_bad_id(self, tmp_path, line, bad):
+        path = tmp_path / "gt.txt"
+        path.write_text(f"1: 2\n{line}\n")
+        with pytest.raises(FormatError, match=rf"line 2: id {bad} out of range \[0, 4\)"):
+            load_ground_truth(path, n=4)
+
     def test_ukbench_style_groups(self, tmp_path):
         spec = SynthSpec(n_groups=3, group_size=4, dims=3, n_spaces=1, seed=1)
         _, gt = synth_generate(spec)
@@ -276,6 +320,13 @@ class TestFeatureMatrixFormat:
         path = tmp_path / "f.txt"
         path.write_text("2 3\n1 2 3\n")
         with pytest.raises(FormatError, match="expected 2 rows"):
+            load_feature_matrix(path)
+
+    @pytest.mark.parametrize("header", ["2 -1", "-1 2"])
+    def test_negative_header_rejected(self, tmp_path, header):
+        path = tmp_path / "f.txt"
+        path.write_text(f"{header}\n\n\n")
+        with pytest.raises(FormatError, match="header must be '<n> <dims>'"):
             load_feature_matrix(path)
 
     def test_non_finite_rejected(self):

@@ -271,6 +271,14 @@ class TestSweepK:
         assert [r.per_query for r in got] == [r.per_query for r in want]
         assert [r.method for r in got] == ["rerank-directed-fused"] * 2
 
+    def test_k_values_from_generator(self):
+        spec = SynthSpec(n_groups=3, group_size=2, dims=4, n_spaces=1, seed=2)
+        tables, gt = synth_tables(spec)
+        want = sweep_k(tables, gt, GraphParams(k=2), [2, 3])
+        got = sweep_k(tables, gt, GraphParams(k=2), (k for k in [2, 3]))
+        assert [r.k for r in got] == [2, 3]
+        assert [r.per_query for r in got] == [r.per_query for r in want]
+
     def test_k_beyond_corpus_rejected(self):
         spec = SynthSpec(n_groups=3, group_size=2, dims=4, n_spaces=1, seed=2)
         tables, gt = synth_tables(spec)
