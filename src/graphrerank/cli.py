@@ -21,15 +21,12 @@ def _add_graph_args(p, k_list=False):
     p.add_argument("--alpha0", type=float, default=graph.GraphParams.alpha0, help="decay base")
     p.add_argument("--depth", type=int, default=graph.GraphParams.depth,
                    help="BFS expansion depth")
-    p.add_argument("--max-nodes", type=int, default=None, help="node cap per graph")
     p.add_argument("--method", choices=["directed", "undirected"], default="directed")
-    p.add_argument("--score", choices=["max", "sum"], default="max",
-                   help="candidate score: best incoming edge or their sum")
 
 
 def _params(args, k=None):
     k = args.k if k is None else k  # sweep passes one k of its list
-    return graph.GraphParams(k, args.alpha0, args.depth, args.max_nodes)
+    return graph.GraphParams(k, args.alpha0, args.depth)
 
 
 def _load_tables(paths):
@@ -85,10 +82,10 @@ def cmd_rerank(args):
     params = _params(args)
     header = (
         f"method={args.method} k={args.k} alpha0={args.alpha0:g} "
-        f"depth={args.depth} score={args.score}"
+        f"depth={args.depth} score=max"
     )
     rows = [
-        (q, ranking.rerank(tables, q, params, method=args.method, score=args.score).order)
+        (q, ranking.rerank(tables, q, params, method=args.method).order)
         for q in _queries(args, tables)
     ]
     corpus_io.atomic_write_text(args.out, corpus_io.id_lines_text(rows, header))
@@ -98,8 +95,7 @@ def cmd_eval(args):
     tables = _load_tables(args.tables)
     gt = corpus_io.load_ground_truth(args.gt, n=tables[0].n)
     baseline, reranked = evaluation.evaluate(
-        tables, gt, _params(args), method=args.method, metric=args.metric,
-        score=args.score,
+        tables, gt, _params(args), method=args.method, metric=args.metric
     )
     corpus_io.atomic_write_text(args.out, evaluation.reports_to_tsv([baseline, reranked]))
     if args.per_query:
@@ -113,8 +109,7 @@ def cmd_sweep(args):
     if not k_values:
         raise ValueError("--k must list at least one value")
     reports = evaluation.sweep_k(
-        tables, gt, _params(args, k_values[0]), k_values, method=args.method, metric=args.metric,
-        score=args.score,
+        tables, gt, _params(args, k_values[0]), k_values, method=args.method, metric=args.metric
     )
     corpus_io.atomic_write_text(args.out, evaluation.reports_to_tsv(reports))
 

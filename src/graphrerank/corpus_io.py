@@ -8,11 +8,12 @@ time, so a single table supports any k sweep.
 Rank-table, ground-truth and ranked-list files share one line format,
 `owner: id id ...`, written by `id_lines_text`. Rank-table and ground-truth
 files are read by `_id_line`: each line is parsed once, and a `FormatError`
-names the first bad line. The owner is read by `int()`. An id is an ASCII
-decimal integer with an optional sign (`[+-]?[0-9]+`) that fits in int64;
-ids are separated by ASCII whitespace. Any other token (`1_0`, `1.0`, `#`, a
-non-ASCII digit) is a `non-integer id`, and an integer beyond int64 is `id
-out of range`.
+names the first bad line. Every integer an input file holds (an owner, an
+id, a feature-matrix or P6 header field) is an ASCII decimal integer with an
+optional sign, `[+-]?[0-9]+`; `int()` alone would also take `1_0` and
+non-ASCII digits. Ids must fit in int64 and are separated by ASCII
+whitespace. Any other id token (`1_0`, `1.0`, `#`, a non-ASCII digit) is a
+`non-integer id`, and an integer beyond int64 is `id out of range`.
 """
 
 from __future__ import annotations
@@ -141,13 +142,20 @@ class RankTable:
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
+def _parse_int(token):
+    """`int(token)` for a `[+-]?[0-9]+` token only; any other raises ValueError."""
+    if not _INT_TOKEN.fullmatch(token):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _id_line(line, lineno):
     """One `owner: id id ...` line as (owner, int64 ids); a bad line raises its `FormatError`."""
     head, sep, tail = line.partition(":")
     if not sep:
         raise FormatError(f"line {lineno + 1}: missing ':' separator")
     try:
-        owner = int(head)
+        owner = _parse_int(head.strip())
     except ValueError:
         raise FormatError(f"line {lineno + 1}: bad owner id {head!r}") from None
     if not tail or tail.isspace():
@@ -266,7 +274,7 @@ def load_feature_matrix(path):
     if len(head) != 2:
         raise FormatError("header must be '<n> <dims>'")
     try:
-        n, dims = int(head[0]), int(head[1])
+        n, dims = _parse_int(head[0]), _parse_int(head[1])
     except ValueError:
         raise FormatError("header must be '<n> <dims>'") from None
     if n < 0 or dims < 0:

@@ -10,6 +10,9 @@ The N-S score reads only the first `NS_DEPTH` ids of a list, so
 lists and reranks with `target_len=NS_DEPTH`; greedy ranking is
 prefix-consistent, so the scores equal those of the full lists. Average
 precision reads the whole list, and `metric="map"` ranks it in full.
+
+`evaluate` and `sweep_k` rerank through `ranking.rerank`, greedy max-weight
+expansion; `GraphParams` and `method` are the only ranking settings they take.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def ns_score(ranked, query, relevant):
     return 1.0 + len(set(ranked.order[:NS_DEPTH]) & groupmates)
 
 
-def evaluate(tables, ground_truth, params, method="directed", metric="ns", score="max"):
+def evaluate(tables, ground_truth, params, method="directed", metric="ns"):
     """Score every ground-truth query; returns (baseline, reranked) reports.
 
     The baseline report scores tables[0]'s raw orderings without reranking.
@@ -88,7 +91,7 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns", score
 
     # rerank first: a query outside [0, n) fails the builders' check, not an index
     rr_vals = [
-        value(rerank(tables, q, params, method=method, score=score, target_len=length), q)
+        value(rerank(tables, q, params, method=method, target_len=length), q)
         for q in queries
     ]
     base_vals = [
@@ -103,7 +106,7 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns", score
     return baseline, reranked
 
 
-def sweep_k(tables, ground_truth, params, k_values, method="directed", metric="ns", **kw):
+def sweep_k(tables, ground_truth, params, k_values, method="directed", metric="ns"):
     """One reranked MetricReport per k, for plot-ready TSV emission."""
     tables, k_values = list(tables), list(k_values)
     for k in k_values:
@@ -111,7 +114,7 @@ def sweep_k(tables, ground_truth, params, k_values, method="directed", metric="n
     reports = []
     for k in k_values:
         _, reranked = evaluate(
-            tables, ground_truth, replace(params, k=k), method=method, metric=metric, **kw
+            tables, ground_truth, replace(params, k=k), method=method, metric=metric
         )
         reports.append(reranked)
     return reports

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus_io import FeatureMatrix, FormatError, RankTable
+from .corpus_io import FeatureMatrix, FormatError, RankTable, _parse_int
 
 __all__ = [
     "RawImage",
@@ -82,7 +82,7 @@ def load_ppm(path):
     for _ in range(3):
         token, pos = _next_token(data, pos)
         try:
-            fields.append(int(token))
+            fields.append(_parse_int(token.decode("latin-1")))
         except ValueError:
             raise FormatError(f"{path}: bad header token {token!r}") from None
     width, height, maxval = fields

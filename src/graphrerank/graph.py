@@ -21,13 +21,11 @@ reciprocal test compares, are 1-based over the stored owner-excluded lists:
 A graph is stored as arrays over a local node index: its one constructor,
 `ImageGraph(query, ids, src, dst, weight, directed)`, is what both builders
 and `fusion.fuse` call. The builders run a frontier BFS that takes one
-whole level per step: the frontier's top-k rows (for the undirected graph
-only the mutual top-k entries), in row-major order, minus the ids already
-seen, each new id kept at its first occurrence. That is the order in which
-a one-node-at-a-time BFS discovers them, so a `max_nodes` cap keeps the
-same nodes, and the `ids` of a built graph are in that BFS discovery
-order (the query first). Every edge is then weighted in one vectorised
-step, and the weights equal bit for bit those of the scalar oracles
+whole level per step: the ids in the frontier's top-k rows (for the
+undirected graph only the mutual top-k entries) that were not seen before.
+The `ids` of a built graph are therefore ordered by hop distance from the
+query, then by id. Every edge is then weighted in one vectorised step,
+and the weights equal bit for bit those of the scalar oracles
 `rank_weight` and `jaccard_weight` in `tests/conftest.py`, because each one
 is computed with the same floating-point operations in the same order:
 
@@ -62,7 +60,6 @@ class GraphParams:
     k: int
     alpha0: float = 0.8
     depth: int = 2
-    max_nodes: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -71,8 +68,6 @@ class GraphParams:
             raise ValueError("alpha0 must lie in (0, 1]")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError("max_nodes must be >= 1 when given")
 
 
 class ImageGraph:
@@ -133,36 +128,29 @@ class ImageGraph:
 def _frontier_bfs(table, query, params, reciprocal):
     """Nodes within `params.depth` hops of `query`, one whole BFS level per step.
 
-    A level's neighbors are `table.truncated(k)[frontier]` in row-major order
-    (only the mutual top-k ones when `reciprocal`); ids seen before are
-    dropped and each new id keeps its first occurrence, so discovery order is
-    the one-node-at-a-time BFS order and `max_nodes` keeps its first nodes.
+    A level is the ids in `table.truncated(k)[frontier]` (only the mutual
+    top-k ones when `reciprocal`) that no earlier level holds, in id order.
 
-    Returns (ids, depth, top, local): `ids`/`depth` in discovery order,
-    `top` the (V, k) global top-k ids and `local` the same as local indices,
-    -1 where the neighbor is not a graph node.
+    Returns (ids, depth, top, local): `ids`/`depth` ordered by depth, then
+    id, `top` the (V, k) global top-k ids and `local` the same as local
+    indices, -1 where the neighbor is not a graph node.
     """
     if not 0 <= query < table.n:
         raise ValueError(f"query {query} out of range")
     k = params.k
     top = table.truncated(k)
-    cap = table.n if params.max_nodes is None else params.max_nodes
     index = np.full(table.n, -1, dtype=np.int64)
     index[query] = 0
     levels = [np.array([query], dtype=np.int64)]
     count = 1
     for _ in range(params.depth):
         frontier = levels[-1]
-        if count >= cap or not frontier.size:
+        if not frontier.size:
             break
         nbrs = top[frontier]
         if reciprocal:
             nbrs = nbrs[table.positions[nbrs, frontier[:, None]] <= k]
-        nbrs = nbrs[index[nbrs] < 0]  # a boolean mask flattens row-major
-        if len(frontier) > 1:  # one row holds distinct ids already
-            _, first = np.unique(nbrs, return_index=True)
-            nbrs = nbrs[np.sort(first)]
-        new = nbrs[: cap - count]
+        new = np.unique(nbrs[index[nbrs] < 0])
         index[new] = np.arange(count, count + len(new))
         count += len(new)
         levels.append(new)

@@ -3,10 +3,9 @@
 Starting from S = {query}, repeatedly insert the candidate (a node the
 current set points to) whose best edge from S has the largest weight; the
 output order is the insertion order. A candidate's score is the MAX over its
-incoming edges from S by default; a SUM variant is available for ablation.
-Ties break by the candidate's position in the query's initial list, then by
-ascending id. If the graph is exhausted early, the list is completed from
-the initial ranking.
+incoming edges from S, the one scoring rule. Ties break by the candidate's
+position in the query's initial list, then by ascending id. If the graph is
+exhausted early, the list is completed from the initial ranking.
 
 Greedy insertion is prefix-consistent: each pick depends only on the picks
 before it, so `greedy_rank(g, init, target_len=t).order` equals the first
@@ -17,9 +16,8 @@ caller stops reading; `evaluation.evaluate` asks for the N-S depth only.
 `greedy_rank` lays the graph's nodes out in tie order (query first, then by
 initial-list position, nodes absent from the list after all present ones,
 then by id), so `np.argmax`, which returns the first of equal maxima, picks
-the documented tie-break. Scores are compared exactly: a running
-`np.maximum` for "max", and for "sum" a running `+=` that adds each edge
-weight in the order its source node was inserted.
+the documented tie-break. Scores are a running `np.maximum`, compared
+exactly.
 
 `build_graph` is the one build -> fuse path: it checks the rank tables,
 builds one graph per table and fuses them when there are several. `rerank`
@@ -58,7 +56,7 @@ class RankedList:
         object.__setattr__(self, "order", tuple(order.tolist()))
 
 
-def greedy_rank(graph, initial, target_len=None, score="max"):
+def greedy_rank(graph, initial, target_len=None):
     """Rank by greedy insertion over `graph`, completing from `initial`.
 
     `initial` is the query's initial ranking: distinct non-negative ids.
@@ -68,8 +66,6 @@ def greedy_rank(graph, initial, target_len=None, score="max"):
         target_len = len(initial)
     if not 0 <= target_len <= len(initial):
         raise ValueError(f"target_len {target_len} out of range [0, {len(initial)}]")
-    if score not in ("max", "sum"):
-        raise ValueError("score must be 'max' or 'sum'")
     q = graph.query
     ids = graph.ids
     if ids.min() < 0 or initial.min(initial=0) < 0:
@@ -106,10 +102,7 @@ def greedy_rank(graph, initial, target_len=None, score="max"):
     while True:
         nbrs = dst[start[best]:start[best + 1]]
         w = weight[start[best]:start[best + 1]]
-        if score == "max":
-            scores[nbrs] = np.maximum(scores[nbrs], w)
-        else:
-            scores[nbrs] += w
+        scores[nbrs] = np.maximum(scores[nbrs], w)
         if len(picked) >= target_len:
             break
         best = int(np.minimum(scores, cap, out=capped).argmax())
@@ -144,7 +137,7 @@ def build_graph(tables, query, params, method="directed"):
     return graphs[0] if len(graphs) == 1 else fuse(graphs)
 
 
-def rerank(tables, query, params, method="directed", score="max", target_len=None):
+def rerank(tables, query, params, method="directed", target_len=None):
     """Greedy-rank `build_graph`'s graph for one query.
 
     The completed tail and tie-breaking both come from tables[0]'s list.
@@ -152,4 +145,4 @@ def rerank(tables, query, params, method="directed", score="max", target_len=Non
     """
     tables = list(tables)
     graph = build_graph(tables, query, params, method)
-    return greedy_rank(graph, tables[0].lists[query], target_len, score=score)
+    return greedy_rank(graph, tables[0].lists[query], target_len)

@@ -19,8 +19,7 @@ SPACES = ("space0_ranks.txt", "space1_ranks.txt")
 CASES = {
     "rerank-fused": (["rerank", "--k", "5"], ["out"]),
     "rerank-single-undirected": (["rerank", "--k", "5", "--method", "undirected"], ["out"]),
-    "eval-fused-max": (["eval", "--k", "5", "--score", "max"], ["out", "per_query"]),
-    "eval-fused-sum": (["eval", "--k", "5", "--score", "sum"], ["out", "per_query"]),
+    "eval-fused-max": (["eval", "--k", "5"], ["out", "per_query"]),
     "dump-single-directed": (["graph-dump", "--k", "5", "--method", "directed"], ["out"]),
     "dump-single-undirected": (["graph-dump", "--k", "5", "--method", "undirected"], ["out"]),
     "dump-fused-directed": (["graph-dump", "--k", "5", "--method", "directed"], ["out"]),
@@ -43,10 +42,6 @@ GOLDEN = {
     "eval-fused-max": {
         "out": "e76b1b3a1c68c253f480c90191be82ddf0b67a1fdc9ff00a47dcaeb5890a1837",
         "per_query": "78c65ef4fac5527ed7cdab7432221915a5462a06c57da6a6b848b6fe23892186",
-    },
-    "eval-fused-sum": {
-        "out": "af71921b5f1effbb0091d5cb3dbbab8c741916b6c0a53310d1ee2cfefb9ff607",
-        "per_query": "2376772f246e94b1135d8eeb6ec1875b7e90a1480739f186e1c086f4c2af5552",
     },
     "rerank-fused": {
         "out": "a9d39e6f4973b521a083869978c81d20937d9547ca3a0d861cbac830208502b3",

@@ -148,7 +148,8 @@ INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 def load_scalar(path):
-    """Reference parse: ASCII `str.split()` tokens, each `[+-]?[0-9]+` read by `int()`."""
+    """Reference parse: the head and the ASCII `str.split()` tokens must each be
+    `[+-]?[0-9]+`, read by `int()`."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     n = len(lines)
     rows = []
@@ -157,10 +158,9 @@ def load_scalar(path):
         head, sep, tail = line.partition(":")
         if not sep:
             raise FormatError(f"{where}: missing ':' separator")
-        try:
-            owner = int(head)
-        except ValueError:
-            raise FormatError(f"{where}: bad owner id {head!r}") from None
+        if not INT_TOKEN.fullmatch(head.strip()):
+            raise FormatError(f"{where}: bad owner id {head!r}")
+        owner = int(head)
         tokens = tail.split()
         if not tail.isascii() or not all(INT_TOKEN.fullmatch(tok) for tok in tokens):
             raise FormatError(f"{where}: non-integer id")
@@ -199,6 +199,19 @@ class TestRankTableParse:
         gt = tmp_path / "gt.txt"
         gt.write_text(f"0: 2\n1: {token}\n", encoding="utf-8")
         with pytest.raises(FormatError, match="line 2: non-integer id"):
+            load_ground_truth(gt, n=3)
+
+    # `int()` alone reads both heads as integers, and the same tokens are
+    # rejected as ids
+    @pytest.mark.parametrize("head", ["0_1", "\u0660"])
+    def test_underscore_and_non_ascii_digit_owner_rejected(self, tmp_path, head):
+        path = tmp_path / "t.txt"
+        path.write_text(f"0: 1 2\n1: 0 2\n{head}: 0 1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 3: bad owner id"):
+            load_rank_table(path)
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"0: 2\n{head}: 2\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2: bad owner id"):
             load_ground_truth(gt, n=3)
 
     def test_non_ascii_digit_lookalike_rejected(self, tmp_path):
@@ -326,6 +339,13 @@ class TestFeatureMatrixFormat:
     def test_negative_header_rejected(self, tmp_path, header):
         path = tmp_path / "f.txt"
         path.write_text(f"{header}\n\n\n")
+        with pytest.raises(FormatError, match="header must be '<n> <dims>'"):
+            load_feature_matrix(path)
+
+    def test_underscore_header_rejected(self, tmp_path):
+        # `int("1_0")` alone is 10, which would read this as ten rows
+        path = tmp_path / "f.txt"
+        path.write_text("1_0 1\n" + "0.5\n" * 10)
         with pytest.raises(FormatError, match="header must be '<n> <dims>'"):
             load_feature_matrix(path)
 

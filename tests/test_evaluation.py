@@ -216,11 +216,10 @@ class TestEvaluate:
     @given(
         seed=st.integers(0, 10**9),
         method=st.sampled_from(["directed", "undirected"]),
-        score=st.sampled_from(["max", "sum"]),
         n_tables=st.integers(1, 2),
         metric=st.sampled_from(["ns", "map"]),
     )
-    def test_values_equal_metric_of_full_orders(self, seed, method, score, n_tables, metric):
+    def test_values_equal_metric_of_full_orders(self, seed, method, n_tables, metric):
         # evaluate ranks only NS_DEPTH deep for "ns"; full lists must score the same
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 25))
@@ -233,9 +232,9 @@ class TestEvaluate:
             rel = gt.relevant[q]
             return ns_score(ranked, q, rel) if metric == "ns" else average_precision(ranked, rel)
 
-        baseline, reranked = evaluate(tables, gt, params, method, metric, score)
+        baseline, reranked = evaluate(tables, gt, params, method, metric)
         for q in gt.queries:
-            full = rerank(tables, q, params, method, score)
+            full = rerank(tables, q, params, method)
             assert reranked.per_query[q] == value(full, q)
             assert baseline.per_query[q] == value(RankedList(q, tables[0].lists[q]), q)
 

@@ -70,6 +70,13 @@ class TestLoadPpm:
         with pytest.raises(FormatError, match="truncated"):
             load_ppm(path)
 
+    def test_underscore_header_token_rejected(self, tmp_path):
+        # `int(b"1_0")` alone is 10, which would read this as a 10 x 1 image
+        path = tmp_path / "u.ppm"
+        path.write_bytes(b"P6 1_0 1 255\n" + b"\x00" * 30)
+        with pytest.raises(FormatError, match="bad header token"):
+            load_ppm(path)
+
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n# a comment\n1 1\n255\n\x01\x02\x03")

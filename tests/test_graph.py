@@ -153,7 +153,8 @@ class TestRankWeight:
 def brute_force_directed(table, query, params):
     """Independent construction enumerating all pairs each BFS round.
 
-    Returns (nodes, edges), nodes as a list in BFS discovery order.
+    Returns (depths, edges): each node's hop distance from the query, and
+    the edge weights by (src id, dst id).
     """
     k = min(params.k, table.n - 1)
     topk = {i: [int(x) for x in table.lists[i, :k]] for i in range(table.n)}
@@ -164,8 +165,6 @@ def brute_force_directed(table, query, params):
         for i in frontier:
             for j in topk[i]:
                 if j not in depths:
-                    if params.max_nodes is not None and len(depths) >= params.max_nodes:
-                        break
                     depths[j] = d
                     nxt.append(j)
         frontier = nxt
@@ -178,7 +177,7 @@ def brute_force_directed(table, query, params):
                 )
                 if w > 0:
                     edges[(i, j)] = w
-    return list(depths), edges
+    return depths, edges
 
 
 def brute_force_undirected(table, query, params):
@@ -196,8 +195,6 @@ def brute_force_undirected(table, query, params):
             for j in table.lists[i, :k]:
                 j = int(j)
                 if j not in depths and recip(i, j):
-                    if params.max_nodes is not None and len(depths) >= params.max_nodes:
-                        break
                     depths[j] = d
                     nxt.append(j)
         frontier = nxt
@@ -210,7 +207,7 @@ def brute_force_undirected(table, query, params):
                 w = params.alpha0 ** max(depths[i], depths[j]) * len(a & b) / len(a | b)
                 if w > 0:
                     edges[(i, j)] = w
-    return list(depths), edges
+    return depths, edges
 
 
 class TestBuildDirectedGraph:
@@ -238,27 +235,18 @@ class TestBuildDirectedGraph:
             bound = sum(k**d for d in range(depth + 1))
             assert len(g.nodes) <= bound
 
-    def test_max_nodes_cap(self):
-        table = random_rank_table(np.random.default_rng(5), 25)
-        g = build_directed_graph(table, 0, GraphParams(k=10, depth=2, max_nodes=7))
-        assert len(g.nodes) <= 7
-
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 10**9), capped=st.booleans())
-    def test_matches_brute_force(self, seed, capped):
+    @given(seed=st.integers(0, 10**9))
+    def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 30))
         table = random_rank_table(rng, n)
-        params = GraphParams(
-            k=int(rng.integers(1, min(n, 6))),
-            depth=int(rng.integers(1, 4)),
-            max_nodes=int(rng.integers(1, n + 1)) if capped else None,
-        )
+        params = GraphParams(k=int(rng.integers(1, min(n, 6))), depth=int(rng.integers(1, 4)))
         query = int(rng.integers(n))
         g = build_directed_graph(table, query, params)
-        nodes, edges = brute_force_directed(table, query, params)
-        assert g.nodes == set(nodes)
-        assert g.ids.tolist() == nodes
+        depths, edges = brute_force_directed(table, query, params)
+        assert g.nodes == set(depths)
+        assert g.ids.tolist() == sorted(depths, key=lambda v: (depths[v], v))
         assert set(g.edges) == set(edges)
         for key in edges:
             assert g.edges[key] == pytest.approx(edges[key], abs=1e-12)
@@ -295,21 +283,17 @@ class TestBuildUndirectedGraph:
             assert src < dst
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 10**9), capped=st.booleans())
-    def test_matches_brute_force(self, seed, capped):
+    @given(seed=st.integers(0, 10**9))
+    def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 30))
         table = random_rank_table(rng, n)
-        params = GraphParams(
-            k=int(rng.integers(1, min(n, 6))),
-            depth=int(rng.integers(1, 4)),
-            max_nodes=int(rng.integers(1, n + 1)) if capped else None,
-        )
+        params = GraphParams(k=int(rng.integers(1, min(n, 6))), depth=int(rng.integers(1, 4)))
         query = int(rng.integers(n))
         g = build_undirected_graph(table, query, params)
-        nodes, edges = brute_force_undirected(table, query, params)
-        assert g.nodes == set(nodes)
-        assert g.ids.tolist() == nodes
+        depths, edges = brute_force_undirected(table, query, params)
+        assert g.nodes == set(depths)
+        assert g.ids.tolist() == sorted(depths, key=lambda v: (depths[v], v))
         assert set(g.edges) == set(edges)
         for key in edges:
             assert g.edges[key] == pytest.approx(edges[key], abs=1e-12)

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import graphrerank
+from graphrerank.cli import build_parser
+from graphrerank.evaluation import evaluate, sweep_k
 from graphrerank.fusion import fuse
-from graphrerank.graph import ImageGraph
-from graphrerank.ranking import RankedList, greedy_rank
+from graphrerank.graph import GraphParams, ImageGraph
+from graphrerank.ranking import RankedList, greedy_rank, rerank
 
 MODULES = ["corpus_io", "evaluation", "features", "fusion", "graph", "ranking"]
 
@@ -76,6 +78,26 @@ def test_image_graph_has_one_constructor():
 def test_ranked_list_has_no_provenance():
     assert tuple(f.name for f in dataclasses.fields(RankedList)) == ("query", "order")
     assert "provenance" not in inspect.signature(greedy_rank).parameters
+
+
+def test_graph_params_fields_are_fixed():
+    assert tuple(f.name for f in dataclasses.fields(GraphParams)) == ("k", "alpha0", "depth")
+
+
+@pytest.mark.parametrize("func", [greedy_rank, rerank, evaluate, sweep_k])
+def test_ranking_has_no_score_option(func):
+    params = inspect.signature(func).parameters
+    assert "score" not in params
+    assert all(p.kind != p.VAR_KEYWORD for p in params.values())
+
+
+@pytest.mark.parametrize("flag", [["--score", "max"], ["--max-nodes", "5"]], ids=lambda f: f[0])
+def test_cli_rejects_removed_flags(flag):
+    argv = ["rerank", "--tables", "t.txt", "--out", "o.txt", *flag]
+    build_parser().parse_args(argv[:-2])  # valid without the flag
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
 
 
 def test_readme_library_example_runs():

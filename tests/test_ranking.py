@@ -19,7 +19,7 @@ from conftest import graph_of, random_rank_table
 from test_graph import brute_force_directed, brute_force_undirected
 
 
-def reference_greedy(graph, initial, target_len, score="max"):
+def reference_greedy(graph, initial, target_len):
     """Step-by-step simulation recomputing everything from scratch per round."""
     chosen = [graph.query]
     while len(chosen) - 1 < target_len:
@@ -27,8 +27,6 @@ def reference_greedy(graph, initial, target_len, score="max"):
         for cand in graph.nodes:
             if cand in chosen:
                 continue
-            # weights in the order their sources were chosen: float sums
-            # depend on the order, and this is the one greedy_rank documents
             ws = []
             for s in chosen:
                 w = graph.edges.get((s, cand))
@@ -38,7 +36,7 @@ def reference_greedy(graph, initial, target_len, score="max"):
                     ws.append(w)
             if not ws:
                 continue
-            val = max(ws) if score == "max" else sum(ws)
+            val = max(ws)
             pos = initial.index(cand) if cand in initial else len(initial)
             key = (-val, pos, cand)
             if best is None or key < best[0]:
@@ -137,11 +135,6 @@ class TestGreedyRank:
         ranked = greedy_rank(g, [3, 2, 1], 3)
         assert ranked.order[:2] == (1, 2)
 
-    def test_bad_score_mode_rejected(self):
-        g = graph_of(1, frozenset({1, 2}), {(1, 2): 0.5}, True)
-        with pytest.raises(ValueError):
-            greedy_rank(g, [2], 1, score="bogus")
-
     def test_bad_target_len_rejected(self):
         g = graph_of(1, frozenset({1, 2}), {(1, 2): 0.5}, True)
         with pytest.raises(ValueError):
@@ -180,14 +173,6 @@ class TestGreedyRank:
         got = greedy_rank(graph, initial, target)
         want = reference_greedy(graph, initial, target)
         assert list(got.order) == want
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_sum_mode_matches_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        graph, initial = random_distinct_graph(rng)
-        got = greedy_rank(graph, initial, len(initial), score="sum")
-        assert list(got.order) == reference_greedy(graph, initial, len(initial), "sum")
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -231,13 +216,13 @@ class TestGreedyRank:
         assert len(set(ranked.order)) == len(ranked.order)
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 10**9), score=st.sampled_from(["max", "sum"]))
-    def test_tied_weights_match_reference(self, seed, score):
+    @given(seed=st.integers(0, 10**9))
+    def test_tied_weights_match_reference(self, seed):
         rng = np.random.default_rng(seed)
         graph, initial = random_tied_graph(rng)
         target = int(rng.integers(0, len(initial) + 1))
-        got = greedy_rank(graph, initial, target, score=score)
-        assert list(got.order) == reference_greedy(graph, initial, target, score)
+        got = greedy_rank(graph, initial, target)
+        assert list(got.order) == reference_greedy(graph, initial, target)
 
     def test_determinism(self):
         rng = np.random.default_rng(77)
@@ -352,8 +337,8 @@ class TestRerankPinnedToReference:
     def reference_graph(tables, query, params, method):
         nodes, edges = set(), {}
         for t in tables:
-            t_nodes, t_edges = BRUTE_FORCE[method](t, query, params)
-            nodes.update(t_nodes)
+            t_depths, t_edges = BRUTE_FORCE[method](t, query, params)
+            nodes.update(t_depths)
             for key, w in t_edges.items():
                 edges[key] = edges.get(key, 0.0) + w
         return SimpleNamespace(
@@ -364,26 +349,20 @@ class TestRerankPinnedToReference:
     @given(
         seed=st.integers(0, 10**9),
         method=st.sampled_from(sorted(BRUTE_FORCE)),
-        score=st.sampled_from(["max", "sum"]),
         n_tables=st.integers(1, 3),
-        capped=st.booleans(),
     )
-    def test_order_equals_reference(self, seed, method, score, n_tables, capped):
+    def test_order_equals_reference(self, seed, method, n_tables):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 31))
         tables = [random_rank_table(rng, n) for _ in range(n_tables)]
-        params = GraphParams(
-            k=int(rng.integers(1, n)),
-            depth=int(rng.integers(1, 4)),
-            max_nodes=int(rng.integers(1, n + 1)) if capped else None,
-        )
+        params = GraphParams(k=int(rng.integers(1, n)), depth=int(rng.integers(1, 4)))
         query = int(rng.integers(n))
         want = self.reference_graph(tables, query, params, method)
         graph = build_graph(tables, query, params, method)
         assert (graph.nodes, graph.edges) == (want.nodes, want.edges)
         initial = [int(x) for x in tables[0].lists[query]]
-        got = list(rerank(tables, query, params, method, score).order)
-        assert got == reference_greedy(want, initial, len(initial), score)
+        got = list(rerank(tables, query, params, method).order)
+        assert got == reference_greedy(want, initial, len(initial))
 
 
 class TestPrefixConsistency:
@@ -393,10 +372,9 @@ class TestPrefixConsistency:
     @given(
         seed=st.integers(0, 10**9),
         method=st.sampled_from(["directed", "undirected"]),
-        score=st.sampled_from(["max", "sum"]),
         n_tables=st.integers(1, 2),
     )
-    def test_target_len_order_is_prefix_of_full_order(self, seed, method, score, n_tables):
+    def test_target_len_order_is_prefix_of_full_order(self, seed, method, n_tables):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 21))
         tables = [random_rank_table(rng, n) for _ in range(n_tables)]
@@ -404,8 +382,8 @@ class TestPrefixConsistency:
         query = int(rng.integers(n))
         graph = build_graph(tables, query, params, method)
         initial = tables[0].lists[query]
-        full = greedy_rank(graph, initial, score=score).order
-        assert rerank(tables, query, params, method, score).order == full
+        full = greedy_rank(graph, initial).order
+        assert rerank(tables, query, params, method).order == full
         for t in range(len(initial) + 1):
-            assert greedy_rank(graph, initial, t, score=score).order == full[:t]
-            assert rerank(tables, query, params, method, score, target_len=t).order == full[:t]
+            assert greedy_rank(graph, initial, t).order == full[:t]
+            assert rerank(tables, query, params, method, target_len=t).order == full[:t]
