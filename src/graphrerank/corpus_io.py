@@ -7,17 +7,21 @@ time, so a single table supports any k sweep.
 
 Rank-table, ground-truth and ranked-list files share one line format,
 `owner: id id ...`, written by `id_lines_text`. Rank-table and ground-truth
-files are read by `_id_line`: each line is parsed once, and a `FormatError`
-names the first bad line. Every integer an input file holds (an owner, an
-id, a feature-matrix or P6 header field) is an ASCII decimal integer with an
-optional sign, `[+-]?[0-9]+`; `int()` alone would also take `1_0` and
-non-ASCII digits. Ids must fit in int64 and are separated by ASCII
+files are read by `_id_line`: each line is parsed once. Every loader (and
+`features.load_ppm`) runs under `_names_file`, so a `FormatError` names its
+file and, in a text file, the first bad line (1-based): `<path>: line N: ...`,
+or `<path>: ...` for a P6 pixmap. Every integer an input file holds (an
+owner, an id, a feature-matrix or P6 header field) is an ASCII decimal
+integer with an optional sign, `[+-]?[0-9]+`; `int()` alone would also take
+`1_0` and non-ASCII digits. Ids must fit in int64 and are separated by ASCII
 whitespace. Any other id token (`1_0`, `1.0`, `#`, a non-ASCII digit) is a
 `non-integer id`, and an integer beyond int64 is `id out of range`.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import os
 import re
 import warnings
@@ -47,6 +51,25 @@ __all__ = [
 
 class FormatError(ValueError):
     """A corpus file failed parsing or validation."""
+
+
+def _names_file(load):
+    """`load(path, ...)`, whose ValueErrors become `FormatError`s that start with the path."""
+    @functools.wraps(load)
+    def named(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    return named
+
+
+def _int_ids(ids):
+    """`ids` as int64; a non-empty array of another dtype raises TypeError (no pass over it)."""
+    arr = np.asarray(ids)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise TypeError(f"image ids must be integers, not {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def atomic_write_text(path, text):
@@ -81,13 +104,14 @@ class RankTable:
     """Full retrieval orderings for an n-image corpus.
 
     `lists[i]` is a permutation of all ids except i itself, closest first;
-    a rejection names the first list that is not, and why. Immutable.
+    a rejection names the first list that is not, and why (TypeError for a
+    non-integer dtype). Immutable.
     """
 
     lists: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.lists, dtype=np.int64)
+        arr = np.array(_int_ids(self.lists))
         if arr.ndim != 2:
             raise ValueError("rank lists must form a 2-d array")
         n = arr.shape[0]
@@ -142,10 +166,10 @@ class RankTable:
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
-def _parse_int(token):
-    """`int(token)` for a `[+-]?[0-9]+` token only; any other raises ValueError."""
+def _parse_int(token, fault="not a decimal integer"):
+    """`int(token)` for a `[+-]?[0-9]+` token only; any other raises `FormatError(fault)`."""
     if not _INT_TOKEN.fullmatch(token):
-        raise ValueError(f"not a decimal integer: {token!r}")
+        raise FormatError(fault)
     return int(token)
 
 
@@ -154,10 +178,7 @@ def _id_line(line, lineno):
     head, sep, tail = line.partition(":")
     if not sep:
         raise FormatError(f"line {lineno + 1}: missing ':' separator")
-    try:
-        owner = _parse_int(head.strip())
-    except ValueError:
-        raise FormatError(f"line {lineno + 1}: bad owner id {head!r}") from None
+    owner = _parse_int(head.strip(), f"line {lineno + 1}: bad owner id {head!r}")
     if not tail or tail.isspace():
         return owner, np.empty(0, dtype=np.int64)
     # numpy reads some non-ASCII letters as digits, and older numpy reads a
@@ -173,6 +194,7 @@ def _id_line(line, lineno):
     raise FormatError(f"line {lineno + 1}: non-integer id")
 
 
+@_names_file
 def load_rank_table(path):
     """Parse a rank-table file: line i is `i:` and then the n - 1 other ids.
 
@@ -189,10 +211,7 @@ def load_rank_table(path):
         if len(ids) != n - 1:
             raise FormatError(f"line {lineno + 1}: expected {n - 1} ids, got {len(ids)}")
         rows[lineno] = ids
-    try:
-        return RankTable(rows)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return RankTable(rows)
 
 
 def save_rank_table(table, path):
@@ -202,19 +221,20 @@ def save_rank_table(table, path):
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Query id -> non-empty set of relevant image ids."""
+    """Query id -> non-empty set of relevant image ids; a non-integer id raises TypeError."""
 
     relevant: dict
 
     def __post_init__(self):
         rel = {}
         for q, ids in self.relevant.items():
-            ids = frozenset(int(i) for i in ids)
+            q = operator.index(q)
+            ids = frozenset(map(operator.index, ids))
             if not ids:
                 raise ValueError(f"query {q}: empty relevant set")
-            if any(i < 0 for i in ids) or int(q) < 0:
+            if any(i < 0 for i in ids) or q < 0:
                 raise ValueError("image ids must be non-negative")
-            rel[int(q)] = ids
+            rel[q] = ids
         object.__setattr__(self, "relevant", rel)
 
     @property
@@ -222,6 +242,7 @@ class GroundTruth:
         return sorted(self.relevant)
 
 
+@_names_file
 def load_ground_truth(path, n):
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     rel = {}
@@ -266,32 +287,28 @@ class FeatureMatrix:
         return self.rows.shape[1]
 
 
+@_names_file
 def load_feature_matrix(path):
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise FormatError("missing feature-matrix header line")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError("header must be '<n> <dims>'")
     try:
-        n, dims = _parse_int(head[0]), _parse_int(head[1])
-    except ValueError:
-        raise FormatError("header must be '<n> <dims>'") from None
-    if n < 0 or dims < 0:
-        raise FormatError("header must be '<n> <dims>'")
+        n, dims = map(_parse_int, lines[0].split())
+        if n < 0 or dims < 0:
+            raise ValueError
+    except (IndexError, ValueError):
+        raise FormatError("line 1: header must be '<n> <dims>'") from None
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} rows, got {len(lines) - 1}")
     rows = np.empty((n, dims), dtype=np.float64)
     for i, line in enumerate(lines[1:]):
         vals = line.split()
         if len(vals) != dims:
-            raise FormatError(f"row {i}: expected {dims} values, got {len(vals)}")
+            raise FormatError(f"line {i + 2}: expected {dims} values, got {len(vals)}")
         try:
             rows[i] = [float(v) for v in vals]
         except ValueError:
-            raise FormatError(f"row {i}: non-numeric value") from None
+            raise FormatError(f"line {i + 2}: non-numeric value") from None
         if not np.isfinite(rows[i]).all():
-            raise FormatError(f"row {i}: non-finite value")
+            raise FormatError(f"line {i + 2}: non-finite value")
     return FeatureMatrix(rows)
 
 

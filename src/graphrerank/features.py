@@ -13,16 +13,22 @@ that hold two equal distances are sorted again with a stable sort, since a
 row of distinct values has exactly one sorted order. Distances are computed
 in blocks of `_BLOCK` = 32 rows, so that a block's (32, n, dims) difference
 array stays in cache; every distance is bit-equal at any block size.
+
+A P6 header is `P6`, then width, height and maxval, each the next
+non-whitespace run not starting with `#` (a `#` there opens a comment to the
+end of its line), read by `corpus_io`'s integer rule; one whitespace byte ends
+it. `load_ppm`'s errors start with the path: `<path>: ...`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus_io import FeatureMatrix, FormatError, RankTable, _parse_int
+from .corpus_io import FeatureMatrix, FormatError, RankTable, _names_file, _parse_int
 
 __all__ = [
     "RawImage",
@@ -52,49 +58,34 @@ class RawImage:
         object.__setattr__(self, "pixels", arr)
 
 
-def _next_token(data, pos):
-    """Next whitespace-delimited header token, skipping '#' comments."""
-    while pos < len(data):
-        c = data[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise FormatError("truncated pixmap header")
-    return data[start:pos], pos
+# whitespace and comments, then one token; matched once per token, as one
+# pattern for all three tokens backtracks to split a token when fewer follow
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
 
 
+@_names_file
 def load_ppm(path):
     """Decode a binary P6 portable pixmap with maxval 255."""
     data = Path(path).read_bytes()
-    magic = data[:2]
-    if magic != b"P6":
-        raise FormatError(f"{path}: unsupported pixmap magic {magic!r} (need binary 'P6')")
-    pos = 2
-    fields = []
+    if data[:2] != b"P6":
+        raise FormatError(f"unsupported pixmap magic {data[:2]!r} (need binary 'P6')")
+    pos, fields = 2, []
     for _ in range(3):
-        token, pos = _next_token(data, pos)
-        try:
-            fields.append(_parse_int(token.decode("latin-1")))
-        except ValueError:
-            raise FormatError(f"{path}: bad header token {token!r}") from None
+        token = _HEADER_TOKEN.match(data, pos)
+        if not token:
+            raise FormatError("truncated pixmap header")
+        fields.append(_parse_int(token[1].decode("latin-1"), f"bad header token {token[1]!r}"))
+        pos = token.end()
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise FormatError(f"{path}: non-positive dimensions {width}x{height}")
+        raise FormatError(f"non-positive dimensions {width}x{height}")
     if maxval != 255:
-        raise FormatError(f"{path}: unsupported maxval {maxval} (need 255)")
+        raise FormatError(f"unsupported maxval {maxval} (need 255)")
     pos += 1  # single whitespace byte terminates the header
     need = width * height * 3
     payload = data[pos : pos + need]
     if len(payload) < need:
-        raise FormatError(f"{path}: truncated payload ({len(payload)} of {need} bytes)")
+        raise FormatError(f"truncated payload ({len(payload)} of {need} bytes)")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
     return RawImage(width, height, pixels)
 

@@ -41,6 +41,7 @@ which is the one check of the bound 1 <= k <= n - 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,11 +63,11 @@ class GraphParams:
     depth: int = 2
 
     def __post_init__(self):
-        if self.k < 1:
+        if operator.index(self.k) < 1:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.alpha0 <= 1.0:
             raise ValueError("alpha0 must lie in (0, 1]")
-        if self.depth < 1:
+        if operator.index(self.depth) < 1:
             raise ValueError("depth must be >= 1")
 
 

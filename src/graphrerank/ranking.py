@@ -27,10 +27,12 @@ commands all go through it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus_io import _int_ids
 from .fusion import fuse
 from .graph import build_directed_graph, build_undirected_graph
 
@@ -39,13 +41,14 @@ __all__ = ["RankedList", "build_graph", "greedy_rank", "rerank"]
 
 @dataclass(frozen=True)
 class RankedList:
-    """Output ordering for one query; the query never appears in its own order."""
+    """Output ordering for one query over integer ids; the query never appears in it."""
 
     query: int
     order: tuple
 
     def __post_init__(self):
-        order = np.asarray(self.order, dtype=np.int64)
+        operator.index(self.query)
+        order = _int_ids(self.order)
         if order.ndim != 1:
             raise ValueError("ranked list must be one-dimensional")
         if (order == self.query).any():
@@ -59,11 +62,11 @@ class RankedList:
 def greedy_rank(graph, initial, target_len=None):
     """Rank by greedy insertion over `graph`, completing from `initial`.
 
-    `initial` is the query's initial ranking: distinct non-negative ids.
+    `initial` is the query's initial ranking: distinct non-negative ids of
+    an integer dtype.
     """
-    initial = np.asarray(initial, dtype=np.int64)
-    if target_len is None:
-        target_len = len(initial)
+    initial = _int_ids(initial)
+    target_len = len(initial) if target_len is None else operator.index(target_len)
     if not 0 <= target_len <= len(initial):
         raise ValueError(f"target_len {target_len} out of range [0, {len(initial)}]")
     q = graph.query

@@ -214,6 +214,18 @@ class TestErrorPaths:
         assert capsys.readouterr().err == "error: k=24 exceeds corpus bound 23\n"
         assert not out.exists()
 
+    def test_bad_second_table_is_named(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "bad_ranks.txt"
+        lines = (synth_dir / "space1_ranks.txt").read_text(encoding="utf-8").splitlines()
+        lines[2] = "2: 0 x"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run(
+            "eval", "--tables", synth_dir / "space0_ranks.txt", bad,
+            "--gt", synth_dir / "ground_truth.txt", "--out", tmp_path / "o.tsv",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 3: non-integer id\n"
+
     def test_missing_table_file(self, tmp_path, capsys):
         code = run("rerank", "--tables", tmp_path / "none.txt", "--out", tmp_path / "o")
         assert code == 1

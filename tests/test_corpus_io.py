@@ -149,12 +149,12 @@ INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 def load_scalar(path):
     """Reference parse: the head and the ASCII `str.split()` tokens must each be
-    `[+-]?[0-9]+`, read by `int()`."""
+    `[+-]?[0-9]+`, read by `int()`; every error starts with the path."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     n = len(lines)
     rows = []
     for lineno, line in enumerate(lines):
-        where = f"line {lineno + 1}"
+        where = f"{path}: line {lineno + 1}"
         head, sep, tail = line.partition(":")
         if not sep:
             raise FormatError(f"{where}: missing ':' separator")
@@ -175,7 +175,7 @@ def load_scalar(path):
     try:
         return RankTable(np.array(rows, dtype=np.int64).reshape(n, max(n - 1, 0)))
     except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        raise FormatError(f"{path}: {exc}") from None
 
 
 class TestRankTableParse:
@@ -249,6 +249,11 @@ class TestRankTableValidation:
         with pytest.raises(ValueError):
             RankTable(np.array([[1], [0], [0]]))
 
+    def test_rejects_non_integer_dtype(self):
+        # cast to int64, these floats loaded as the valid table [[1], [0]]
+        with pytest.raises(TypeError, match="integers"):
+            RankTable(np.array([[1.9], [0.2]]))
+
     def test_positions_inverse_of_lists(self):
         table = random_rank_table(np.random.default_rng(0), 9)
         for i in range(9):
@@ -271,6 +276,13 @@ class TestRankTableValidation:
 
 
 class TestGroundTruthFormat:
+    def test_non_integer_id_rejected(self):
+        # `int()` truncated 1.7 to 1, so this held {1, 2}
+        with pytest.raises(TypeError):
+            GroundTruth({0: [1.7, 2]})
+        with pytest.raises(TypeError):
+            GroundTruth({0.5: [1]})
+
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "gt.txt"
         path.write_text("0: 1 2 3\n")
@@ -349,6 +361,12 @@ class TestFeatureMatrixFormat:
         with pytest.raises(FormatError, match="header must be '<n> <dims>'"):
             load_feature_matrix(path)
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("")
+        with pytest.raises(FormatError, match="header must be '<n> <dims>'"):
+            load_feature_matrix(path)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             FeatureMatrix(np.array([[1.0, np.nan]]))
@@ -357,8 +375,34 @@ class TestFeatureMatrixFormat:
     def test_non_finite_in_file_is_format_error(self, tmp_path, token):
         path = tmp_path / "f.txt"
         path.write_text(f"2 2\n1 2\n3 {token}\n")
-        with pytest.raises(FormatError, match="row 1: non-finite"):
+        with pytest.raises(FormatError, match="line 3: non-finite"):
             load_feature_matrix(path)
+
+
+class TestErrorsNameTheirFile:
+    """Every loader's `FormatError` starts with the path it was reading."""
+
+    @pytest.mark.parametrize("name, text, load, where", [
+        ("t.txt", "0: 1 2\n1: 0 2\n2: 0 x\n", load_rank_table, "line 3: non-integer id"),
+        ("t.txt", "0: 1 2\n1: 0 0\n2: 0 1\n", load_rank_table, "rank list 1: duplicate id 0"),
+        ("gt.txt", "0: 1\n1: 9\n", lambda p: load_ground_truth(p, n=3), "line 2: id 9 out of range [0, 3)"),
+        ("f.txt", "2 2\n1 2\n3 x\n", load_feature_matrix, "line 3: non-numeric value"),
+        ("f.txt", "2 2\n1 2\n3\n", load_feature_matrix, "line 3: expected 2 values, got 1"),
+        ("f.txt", "2 x\n", load_feature_matrix, "line 1: header must be '<n> <dims>'"),
+    ])
+    def test_message_starts_with_path(self, tmp_path, name, text, load, where):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: {where}"
+
+    def test_undecodable_file_names_its_path(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"0: 1\n1: \xff\n")
+        with pytest.raises(FormatError, match="utf-8") as err:
+            load_rank_table(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 class TestAtomicWriteText:

@@ -1,4 +1,5 @@
 import colorsys
+import re
 
 import numpy as np
 import pytest
@@ -44,7 +45,70 @@ def reference_decode_ppm(data):
     return w, h, list(data[i : i + w * h * 3])
 
 
+ASCII_WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+
+
+@st.composite
+def p6_files(draw):
+    """A valid P6 file: separators mix the six ASCII whitespace bytes and
+    `#...\n` comments; the one after `P6` may be empty or open with a comment."""
+    whitespace = st.sampled_from(ASCII_WHITESPACE)
+    comment = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+
+    def separator(first):
+        pieces = draw(st.lists(st.one_of(whitespace, comment), max_size=3))
+        # after a token, a `#` would continue it, so whitespace must come first
+        return b"".join(pieces if first else [draw(whitespace), *pieces])
+
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    header = b"P6"
+    for i, value in enumerate([w, h, 255]):
+        prefix = draw(st.sampled_from([b"", b"+", b"0", b"+00"]))
+        header += separator(i == 0) + prefix + str(value).encode()
+    payload = draw(st.binary(min_size=w * h * 3, max_size=w * h * 3 + 2))
+    return header + draw(whitespace) + payload
+
+
 class TestLoadPpm:
+    @settings(max_examples=300, deadline=None)
+    @given(data=p6_files())
+    def test_valid_files_match_reference_decoder(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ppm") / "p.ppm"
+        path.write_bytes(data)
+        w, h, flat = reference_decode_ppm(data)
+        img = load_ppm(path)
+        assert (img.width, img.height) == (w, h)
+        assert list(img.pixels.reshape(-1)) == flat
+
+    # a comment right after P6, a width straight after it, rarer whitespace bytes
+    @pytest.mark.parametrize("header", [b"P6#c\n1 1 255\n", b"P61 1 255\n", b"P6\t1\x0b1 #x\n255\r"])
+    def test_header_edge_cases_match_reference_decoder(self, tmp_path, header):
+        data = header + b"\x01\x02\x03"
+        path = tmp_path / "e.ppm"
+        path.write_bytes(data)
+        w, h, flat = reference_decode_ppm(data)
+        img = load_ppm(path)
+        assert (img.width, img.height, list(img.pixels.reshape(-1))) == (w, h, flat)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P6 1 1 #no newline", "truncated pixmap header"),
+        (b"P6 1\n# eof in a comment", "truncated pixmap header"),
+        (b"P6 1#2 1 255\n\x00\x00\x00", "bad header token b'1#2'"),
+    ])
+    def test_header_messages(self, tmp_path, data, message):
+        path = tmp_path / "m.ppm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_ppm(path)
+
+    @pytest.mark.parametrize("data", [b"P6 1", b"P3 1 1 255\n\x00\x00\x00", b"P6 1 1 255\n\x00"])
+    def test_errors_start_with_path(self, tmp_path, data):
+        path = tmp_path / "p.ppm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as err:
+            load_ppm(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_single_red_pixel(self, tmp_path):
         path = tmp_path / "red.ppm"
         write_ppm(path, [[[255, 0, 0]]])

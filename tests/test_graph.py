@@ -299,6 +299,14 @@ class TestBuildUndirectedGraph:
             assert g.edges[key] == pytest.approx(edges[key], abs=1e-12)
 
 
+class TestGraphParams:
+    # both were accepted, and only `rerank` failed later on the slice or `range()`
+    @pytest.mark.parametrize("kw", [{"k": 2.5}, {"k": 3, "depth": 1.5}])
+    def test_non_integer_k_or_depth_rejected(self, kw):
+        with pytest.raises(TypeError):
+            GraphParams(**kw)
+
+
 class TestGraphInvariants:
     def test_validation_rejects_dangling_edges(self):
         with pytest.raises(ValueError, match="outside"):

@@ -110,6 +110,12 @@ class TestRankedList:
         assert from_array == RankedList(0, (3, 1, 2))
         assert all(type(i) is int for i in from_array.order)
 
+    def test_non_integer_ids_rejected(self):
+        # `np.asarray(..., dtype=np.int64)` alone truncates these to (1, 2)
+        with pytest.raises(TypeError, match="integers"):
+            RankedList(0, [1.5, 2.7])
+        assert RankedList(0, []).order == ()
+
     def test_ndarray_rejects_duplicates_and_own_query(self):
         with pytest.raises(ValueError, match="duplicates"):
             RankedList(0, np.array([1, 2, 1]))
@@ -139,6 +145,14 @@ class TestGreedyRank:
         g = graph_of(1, frozenset({1, 2}), {(1, 2): 0.5}, True)
         with pytest.raises(ValueError):
             greedy_rank(g, [2], 5)
+
+    def test_non_integer_initial_rejected(self):
+        # truncated, this list would silently rank ids 1, 2, 3
+        g = graph_of(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
+        with pytest.raises(TypeError, match="integers"):
+            greedy_rank(g, [1.9, 2.2, 3.7], 2)
+        with pytest.raises(TypeError):
+            greedy_rank(g, [1, 2, 3], 1.5)
 
     def test_negative_ids_rejected(self):
         g = graph_of(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
