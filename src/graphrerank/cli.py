@@ -1,7 +1,12 @@
 """Command-line entry point wiring the library into reproducible experiments.
 
 Subcommands: features, ranks, synth, rerank, eval, sweep, graph-dump.
-All outputs are written atomically; inputs are never mutated.
+All outputs are written atomically; inputs are never mutated. Integer flags
+(and each value of `sweep`'s `--k` list) follow the integer rule of the
+input files, `corpus_io._parse_int`: an ASCII decimal integer with an
+optional sign, so `1_0` is an error rather than 10. Every error, a bad
+integer flag among them, is one `error: ...` line on stderr and exit code
+1; argparse's own usage errors (a missing flag, a bad choice) exit with 2.
 """
 
 from __future__ import annotations
@@ -13,14 +18,29 @@ from pathlib import Path
 from . import corpus_io, evaluation, features, graph, ranking
 
 
+# the flags `_read_int_flags` reads as integers, by their argparse dest
+_INT_FLAGS = ("k", "depth", "query", "bins", "groups", "group_size", "dims", "spaces", "seed")
+
+
+def _int_flag(dest, text):
+    flag = "--" + dest.replace("_", "-")
+    return corpus_io._parse_int(text, f"{flag}: not a decimal integer {text!r}")
+
+
+def _read_int_flags(args):
+    """Replace each integer flag's text (or default) in `args` by its value."""
+    for dest in _INT_FLAGS:
+        if dest in vars(args):
+            setattr(args, dest, _int_flag(dest, str(getattr(args, dest))))
+
+
 def _add_graph_args(p, k_list=False):
     if k_list:
-        p.add_argument("--k", type=str, default="10", help="comma-separated k values")
+        p.add_argument("--k", dest="k_values", default="10", help="comma-separated k values")
     else:
-        p.add_argument("--k", type=int, default=10, help="neighbor count")
+        p.add_argument("--k", default=10, help="neighbor count")
     p.add_argument("--alpha0", type=float, default=graph.GraphParams.alpha0, help="decay base")
-    p.add_argument("--depth", type=int, default=graph.GraphParams.depth,
-                   help="BFS expansion depth")
+    p.add_argument("--depth", default=graph.GraphParams.depth, help="BFS expansion depth")
     p.add_argument("--method", choices=["directed", "undirected"], default="directed")
 
 
@@ -84,10 +104,9 @@ def cmd_rerank(args):
         f"method={args.method} k={args.k} alpha0={args.alpha0:g} "
         f"depth={args.depth} score=max"
     )
-    rows = [
-        (q, ranking.rerank(tables, q, params, method=args.method).order)
-        for q in _queries(args, tables)
-    ]
+    queries = _queries(args, tables)
+    ranked = ranking.rerank_batch(tables, queries, params, method=args.method)
+    rows = [(q, r.order) for q, r in zip(queries, ranked)]
     corpus_io.atomic_write_text(args.out, corpus_io.id_lines_text(rows, header))
 
 
@@ -105,7 +124,7 @@ def cmd_eval(args):
 def cmd_sweep(args):
     tables = _load_tables(args.tables)
     gt = corpus_io.load_ground_truth(args.gt, n=tables[0].n)
-    k_values = [int(tok) for tok in args.k.split(",") if tok]
+    k_values = [_int_flag("k", tok) for tok in args.k_values.split(",") if tok]
     if not k_values:
         raise ValueError("--k must list at least one value")
     reports = evaluation.sweep_k(
@@ -130,7 +149,7 @@ def build_parser():
     p = sub.add_parser("features", help="HSV histograms for a P6 image manifest")
     p.add_argument("--manifest", required=True, help="file listing image paths in id order")
     p.add_argument("--out", required=True)
-    p.add_argument("--bins", type=int, default=10, help="bins per HSV channel")
+    p.add_argument("--bins", default=10, help="bins per HSV channel")
     p.add_argument("--exponent", type=float, default=0.5, help="power scaling exponent")
     p.set_defaults(func=cmd_features)
 
@@ -141,14 +160,14 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a grouped synthetic corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--groups", type=int, required=True)
-    p.add_argument("--group-size", type=int, default=4)
-    p.add_argument("--dims", type=int, default=8)
-    p.add_argument("--spaces", type=int, default=2)
+    p.add_argument("--groups", required=True)
+    p.add_argument("--group-size", default=4)
+    p.add_argument("--dims", default=8)
+    p.add_argument("--spaces", default=2)
     p.add_argument("--intra-spread", type=float, default=0.1)
     p.add_argument("--inter-spread", type=float, default=1.0)
     p.add_argument("--agreement", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("rerank", help="rerank queries over one or more rank tables")
@@ -177,7 +196,7 @@ def build_parser():
 
     p = sub.add_parser("graph-dump", help="export one query's graph as an edge list")
     p.add_argument("--tables", nargs="+", required=True)
-    p.add_argument("--query", type=int, required=True)
+    p.add_argument("--query", required=True)
     p.add_argument("--out", required=True)
     _add_graph_args(p)
     p.set_defaults(func=cmd_graph_dump)
@@ -188,6 +207,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _read_int_flags(args)
         args.func(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

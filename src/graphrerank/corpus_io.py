@@ -15,7 +15,11 @@ owner, an id, a feature-matrix or P6 header field) is an ASCII decimal
 integer with an optional sign, `[+-]?[0-9]+`; `int()` alone would also take
 `1_0` and non-ASCII digits. Ids must fit in int64 and are separated by ASCII
 whitespace. Any other id token (`1_0`, `1.0`, `#`, a non-ASCII digit) is a
-`non-integer id`, and an integer beyond int64 is `id out of range`.
+`non-integer id`, and an integer beyond int64 is `id out of range`. A
+feature value is an ASCII decimal float (`_FLOAT_TOKEN`: optional sign,
+digits with an optional point, optional exponent) or an infinity or NaN,
+which is then rejected as non-finite; any other token, `1_0` or a non-ASCII
+digit among them, is a `non-numeric value`.
 """
 
 from __future__ import annotations
@@ -99,6 +103,22 @@ def id_lines_text(rows, header=None):
     return "".join(line + "\n" for line in lines)
 
 
+def _all_permutations(lists):
+    """Whether each row i of the (n, n - 1) `lists` holds every id in [0, n) but i.
+
+    In range, an (n, n) scatter marks n * (n - 1) distinct (row, id) pairs
+    exactly when no row repeats an id, and then a row that holds its owner
+    misses another id. No sort is needed: `RankTable` sorts only to name
+    the first bad list.
+    """
+    n = len(lists)
+    if lists.min() < 0 or lists.max() >= n:
+        return False
+    seen = np.zeros((n, n), dtype=bool)
+    seen[np.arange(n)[:, None], lists] = True
+    return np.count_nonzero(seen) == n * (n - 1) and not seen.diagonal().any()
+
+
 @dataclass(frozen=True)
 class RankTable:
     """Full retrieval orderings for an n-image corpus.
@@ -117,23 +137,21 @@ class RankTable:
         n = arr.shape[0]
         if arr.shape[1] != max(n - 1, 0):
             raise ValueError(f"each rank list must have length {max(n - 1, 0)}")
-        if n > 1:
+        if n > 1 and not _all_permutations(arr):
             j = np.arange(n - 1)
             # sorted row i minus [0..n-1] with i removed: all 0 iff a permutation
             off = np.sort(arr, axis=1)
             off -= j
             off -= j >= np.arange(n)[:, None]
-            bad = off.any(axis=1)
-            if bad.any():
-                i = int(bad.argmax())
-                row = np.sort(arr[i])
-                if row[0] < 0 or row[-1] >= n:
-                    fault = f"id {row[0] if row[0] < 0 else row[-1]} out of range [0, {n})"
-                elif (row == i).any():
-                    fault = f"contains its owner {i}"
-                else:
-                    fault = f"duplicate id {row[1:][row[1:] == row[:-1]][0]}"
-                raise ValueError(f"rank list {i}: {fault}")
+            i = int(off.any(axis=1).argmax())
+            row = np.sort(arr[i])
+            if row[0] < 0 or row[-1] >= n:
+                fault = f"id {row[0] if row[0] < 0 else row[-1]} out of range [0, {n})"
+            elif (row == i).any():
+                fault = f"contains its owner {i}"
+            else:
+                fault = f"duplicate id {row[1:][row[1:] == row[:-1]][0]}"
+            raise ValueError(f"rank list {i}: {fault}")
         arr.setflags(write=False)
         object.__setattr__(self, "lists", arr)
 
@@ -164,6 +182,12 @@ class RankTable:
 
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+# a feature value: an ASCII decimal float, or an infinity or NaN (rejected
+# later as non-finite); `float()` alone would also take `1_0` and non-ASCII digits
+_FLOAT_TOKEN = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+    re.IGNORECASE,
+)
 
 
 def _parse_int(token, fault="not a decimal integer"):
@@ -303,10 +327,9 @@ def load_feature_matrix(path):
         vals = line.split()
         if len(vals) != dims:
             raise FormatError(f"line {i + 2}: expected {dims} values, got {len(vals)}")
-        try:
-            rows[i] = [float(v) for v in vals]
-        except ValueError:
-            raise FormatError(f"line {i + 2}: non-numeric value") from None
+        if not all(map(_FLOAT_TOKEN.fullmatch, vals)):
+            raise FormatError(f"line {i + 2}: non-numeric value")
+        rows[i] = [float(v) for v in vals]
         if not np.isfinite(rows[i]).all():
             raise FormatError(f"line {i + 2}: non-finite value")
     return FeatureMatrix(rows)

@@ -11,15 +11,21 @@ lists and reranks with `target_len=NS_DEPTH`; greedy ranking is
 prefix-consistent, so the scores equal those of the full lists. Average
 precision reads the whole list, and `metric="map"` ranks it in full.
 
-`evaluate` and `sweep_k` rerank through `ranking.rerank`, greedy max-weight
-expansion; `GraphParams` and `method` are the only ranking settings they take.
+`evaluate` and `sweep_k` rerank through `ranking.rerank_batch`, greedy
+max-weight expansion; `GraphParams` and `method` are the only ranking
+settings they take. `evaluate` ranks and scores its queries in chunks of
+`ranking.CHUNK`: each chunk's graphs are built, fused and laid out as one
+batch of flat arrays (see `graph`), and only one chunk's ranked lists are
+held at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .ranking import RankedList, rerank
+import numpy as np
+
+from .ranking import CHUNK, RankedList, rerank_batch
 
 NS_DEPTH = 3  # results after the query that the N-S score reads
 
@@ -89,14 +95,14 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns"):
             return ns_score(ranked, q, rel)
         return average_precision(ranked, rel)
 
-    # rerank first: a query outside [0, n) fails the builders' check, not an index
-    rr_vals = [
-        value(rerank(tables, q, params, method=method, target_len=length), q)
-        for q in queries
-    ]
-    base_vals = [
-        value(RankedList(q, tables[0].lists[q, :length]), q) for q in queries
-    ]
+    rr_vals, base_vals = [], []
+    for start in range(0, len(queries), CHUNK):
+        chunk = queries[start:start + CHUNK]
+        # rerank first: a query outside [0, n) fails the builders' check, not an index
+        ranked = rerank_batch(tables, chunk, params, method=method, target_len=length)
+        rr_vals += map(value, ranked, chunk)
+        rows = np.array(chunk, dtype=np.int64)
+        base_vals += map(value, RankedList._batch(rows, tables[0].lists[rows, :length]), chunk)
     fused = "-fused" if len(tables) > 1 else ""
     common = dict(metric=metric, k=params.k, alpha0=params.alpha0, depth=params.depth)
     baseline = MetricReport(method="baseline", per_query=dict(zip(queries, base_vals)), **common)

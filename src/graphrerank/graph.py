@@ -19,12 +19,24 @@ reciprocal test compares, are 1-based over the stored owner-excluded lists:
 `RankTable.positions`, whose diagonal is 0.
 
 A graph is stored as arrays over a local node index: its one constructor,
-`ImageGraph(query, ids, src, dst, weight, directed)`, is what both builders
-and `fusion.fuse` call. The builders run a frontier BFS that takes one
-whole level per step: the ids in the frontier's top-k rows (for the
-undirected graph only the mutual top-k entries) that were not seen before.
-The `ids` of a built graph are therefore ordered by hop distance from the
-query, then by id. Every edge is then weighted in one vectorised step,
+`ImageGraph(query, ids, src, dst, weight, directed)`, checks them once.
+
+Graphs are built for a batch of queries at once (`ranking` ranks each
+chunk of `ranking.CHUNK` queries this way), as one set of flat arrays. The
+query in slot b of the batch owns the node keys `b * n + id`, so one array
+of keys holds every query's nodes, and an edge joins two nodes of one
+query. `_graph_arrays` returns `(keys, src, dst, weight)` for a batch, with
+`src`/`dst` indexing `keys`; `build_directed_graph` and
+`build_undirected_graph` are batches of one, where a key is the id itself.
+
+The BFS takes one whole level per step for every query of the batch: the
+keys in the frontier's top-k rows (for the undirected graph only the
+mutual top-k entries) that were not seen before. A level is deduplicated
+by a sort and one comparison pass, not by `np.unique`, which on numpy 2.4
+takes a hash path that is slower at these sizes (2.5x at 100 keys, 14x at
+5 000 on one 2-core machine). So each level is in (query, id) order, and a
+batch of one's `ids` are ordered by hop distance from the query, then by
+id. Every edge is then weighted in one vectorised step,
 and the weights equal bit for bit those of the scalar oracles
 `rank_weight` and `jaccard_weight` in `tests/conftest.py`, because each one
 is computed with the same floating-point operations in the same order:
@@ -80,29 +92,14 @@ class ImageGraph:
     dict from (src id, dst id) to weight) are built from those arrays on
     first use. Undirected graphs store each edge once under the (min, max)
     id orientation. Zero-weight edges are never stored. The graph is
-    validated once, when it is made: `src`, `dst` and `weight` hold one
-    entry per edge, and every local index lies in [0, len(ids)).
+    validated once, when it is made: it must hold its query node, and
+    `_check_edges` checks its edge arrays.
     """
 
     def __init__(self, query, ids, src, dst, weight, directed):
-        if not len(src) == len(dst) == len(weight):
-            raise ValueError(
-                f"src, dst and weight must have one entry per edge, "
-                f"got {len(src)}, {len(dst)} and {len(weight)}"
-            )
         if not (ids == query).any():
             raise ValueError("graph must contain its query node")
-        ends = np.concatenate([src, dst])
-        if ends.size and (ends.min() < 0 or ends.max() >= len(ids)):
-            raise ValueError(f"edge endpoint index outside [0, {len(ids)})")
-        bad = ~(weight > 0)  # NaN too
-        if bad.any():
-            e = bad.argmax()
-            raise ValueError(
-                f"edge ({ids[src[e]]}, {ids[dst[e]]}) has non-positive weight {weight[e]}"
-            )
-        if not directed and (ids[src] > ids[dst]).any():
-            raise ValueError("undirected edges must use (min, max) orientation")
+        _check_edges(ids, src, dst, weight, directed)
         self.query = int(query)
         self.ids = ids
         self.src = src
@@ -126,39 +123,72 @@ class ImageGraph:
         )
 
 
-def _frontier_bfs(table, query, params, reciprocal):
-    """Nodes within `params.depth` hops of `query`, one whole BFS level per step.
+def _check_edges(keys, src, dst, weight, directed):
+    """`ImageGraph`'s edge checks, for one graph or for a batch's flat arrays.
 
-    A level is the ids in `table.truncated(k)[frontier]` (only the mutual
-    top-k ones when `reciprocal`) that no earlier level holds, in id order.
-
-    Returns (ids, depth, top, local): `ids`/`depth` ordered by depth, then
-    id, `top` the (V, k) global top-k ids and `local` the same as local
-    indices, -1 where the neighbor is not a graph node.
+    `src`, `dst` and `weight` hold one entry per edge; every endpoint
+    indexes `keys`; every weight is positive; undirected edges run from
+    the smaller key.
     """
-    if not 0 <= query < table.n:
-        raise ValueError(f"query {query} out of range")
-    k = params.k
-    top = table.truncated(k)
-    index = np.full(table.n, -1, dtype=np.int64)
-    index[query] = 0
-    levels = [np.array([query], dtype=np.int64)]
-    count = 1
+    if not len(src) == len(dst) == len(weight):
+        raise ValueError(
+            f"src, dst and weight must have one entry per edge, "
+            f"got {len(src)}, {len(dst)} and {len(weight)}"
+        )
+    ends = np.concatenate([src, dst])
+    if np.count_nonzero((ends < 0) | (ends >= len(keys))):
+        raise ValueError(f"edge endpoint index outside [0, {len(keys)})")
+    positive = weight > 0  # False for NaN too
+    if np.count_nonzero(positive) < len(weight):
+        e = positive.argmin()
+        raise ValueError(
+            f"edge ({keys[src[e]]}, {keys[dst[e]]}) has non-positive weight {weight[e]}"
+        )
+    if not directed and np.count_nonzero(keys[src] > keys[dst]):
+        raise ValueError("undirected edges must use (min, max) orientation")
+
+
+def _sorted_unique(a):
+    """The distinct values of `a`, ascending: a sort and one comparison pass."""
+    a = np.sort(a)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _frontier_bfs(table, top, queries, params, reciprocal):
+    """Nodes within `params.depth` hops of each query, one whole BFS level per step.
+
+    Query b of the batch owns the keys `b * n + id`. A level is the keys in
+    the `top` (k-column) rows of the frontier (only the mutual top-k ones
+    when `reciprocal`) that no earlier level holds, in key order.
+
+    Returns (keys, depth, index): `keys`/`depth` ordered by depth, then key,
+    and `index`, of length `len(queries) * n`, maps a key to its node, -1 for
+    a key that is not one.
+    """
+    n, k = table.n, params.k
+    index = np.full(len(queries) * n, -1, dtype=np.int64)
+    level = np.arange(0, len(queries) * n, n) + queries
+    index[level] = np.arange(len(level))
+    levels = [level]
+    count = len(level)
     for _ in range(params.depth):
-        frontier = levels[-1]
-        if not frontier.size:
-            break
-        nbrs = top[frontier]
+        ids = level % n
+        nbrs = top[ids]
+        keys = nbrs + (level - ids)[:, None]
         if reciprocal:
-            nbrs = nbrs[table.positions[nbrs, frontier[:, None]] <= k]
-        new = np.unique(nbrs[index[nbrs] < 0])
-        index[new] = np.arange(count, count + len(new))
-        count += len(new)
-        levels.append(new)
-    ids = np.concatenate(levels)
+            keys = keys[table.positions[nbrs, ids[:, None]] <= k]
+        level = _sorted_unique(keys[index[keys] < 0])
+        if not level.size:
+            break
+        index[level] = np.arange(count, count + len(level))
+        count += len(level)
+        levels.append(level)
+    keys = np.concatenate(levels)
     depth = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
-    rows = top[ids]
-    return ids, depth, rows, index[rows]
+    return keys, depth, index
 
 
 def _decays(params, depth, src, dst):
@@ -167,34 +197,61 @@ def _decays(params, depth, src, dst):
     return table[np.maximum(depth[src], depth[dst])]
 
 
+def _graph_arrays(table, queries, params, directed):
+    """One table's graph for each of `queries`, as flat (keys, src, dst, weight).
+
+    Directed: an edge i -> i' for every i' in the top-k list of i, both in
+    the BFS neighborhood. Undirected: each mutual top-k pair once, from its
+    smaller id, with the Jaccard consistency weight.
+    """
+    n, k, pos = table.n, params.k, table.positions
+    for query in queries.tolist():
+        if not 0 <= query < n:
+            raise ValueError(f"query {query} out of range")
+    top = table.truncated(k)
+    keys, depth, index = _frontier_bfs(table, top, queries, params, reciprocal=not directed)
+    ids = keys % n
+    top = top[ids]
+    local = index[top + (keys - ids)[:, None]]
+    # (row, column) of each edge in BFS order, then list order; np.nonzero
+    # is several times slower on a 2-d mask
+    if directed:
+        src, col = np.divmod(np.flatnonzero(local >= 0), k)
+        dst = local[src, col]
+        # Rank(i, i') of i' in i's top-k is its column + 1
+        ranks = col + 1 + pos[ids[dst], ids[src]]
+        weight = _decays(params, depth, src, dst) / ranks.astype(np.float64)
+    else:
+        owner = ids[:, None]
+        # each mutual top-k pair once, from its smaller id
+        mutual = (local >= 0) & (top > owner) & (pos[top, owner] <= k)
+        src, col = np.divmod(np.flatnonzero(mutual), k)
+        dst = local[src, col]
+        # y is in j's inclusive neighborhood iff pos[j, y] <= k - 1 (pos[j, j] is
+        # 0); each neighborhood holds k distinct ids, so union = 2k - inter
+        hoods = np.concatenate([owner, top[:, : k - 1]], axis=1)
+        inter = (pos[ids[dst][:, None], hoods[src]] <= k - 1).sum(axis=1)
+        weight = (_decays(params, depth, src, dst) * inter) / (2 * k - inter)
+    keep = weight > 0
+    if np.count_nonzero(keep) < len(keep):
+        src, dst, weight = src[keep], dst[keep], weight[keep]
+    return keys, src, dst, weight
+
+
+def _one_graph(table, query, params, directed):
+    query = operator.index(query)
+    arrays = _graph_arrays(table, np.array([query]), params, directed)
+    return ImageGraph(query, *arrays, directed)
+
+
 def build_directed_graph(table, query, params):
     """Directed graph over the query's BFS neighborhood in the top-k digraph."""
-    ids, depth, _, local = _frontier_bfs(table, query, params, reciprocal=False)
-    src, col = np.nonzero(local >= 0)  # BFS order, then list order
-    dst = local[src, col]
-    # Rank(i, i') of i' in i's top-k is its column + 1
-    ranks = col + 1 + table.positions[ids[dst], ids[src]]
-    weight = _decays(params, depth, src, dst) / ranks.astype(np.float64)
-    keep = weight > 0
-    return ImageGraph(query, ids, src[keep], dst[keep], weight[keep], True)
+    return _one_graph(table, query, params, directed=True)
 
 
 def build_undirected_graph(table, query, params):
     """Reciprocal-neighbor baseline graph with Jaccard consistency weights."""
-    k = params.k
-    pos = table.positions
-    ids, depth, top, local = _frontier_bfs(table, query, params, reciprocal=True)
-    owner = ids[:, None]
-    # each mutual top-k pair once, from its smaller id
-    src, col = np.nonzero((local >= 0) & (top > owner) & (pos[top, owner] <= k))
-    dst = local[src, col]
-    # y is in j's inclusive neighborhood iff pos[j, y] <= k - 1 (pos[j, j] is
-    # 0); each neighborhood holds k distinct ids, so union = 2k - inter
-    hoods = np.concatenate([owner, top[:, : k - 1]], axis=1)
-    inter = (pos[ids[dst][:, None], hoods[src]] <= k - 1).sum(axis=1)
-    weight = (_decays(params, depth, src, dst) * inter) / (2 * k - inter)
-    keep = weight > 0
-    return ImageGraph(query, ids, src[keep], dst[keep], weight[keep], False)
+    return _one_graph(table, query, params, directed=False)
 
 
 def graph_to_text(graph, sources=()):

@@ -9,20 +9,27 @@ exhausted early, the list is completed from the initial ranking.
 
 Greedy insertion is prefix-consistent: each pick depends only on the picks
 before it, so `greedy_rank(g, init, target_len=t).order` equals the first
-t ids of the full order `greedy_rank(g, init).order`. `target_len` (and
-`rerank`'s, which is passed on) therefore stops the expansion where a
+t ids of the full order `greedy_rank(g, init).order`. `target_len` (also
+`rerank`'s and `rerank_batch`'s) therefore stops the expansion where a
 caller stops reading; `evaluation.evaluate` asks for the N-S depth only.
 
-`greedy_rank` lays the graph's nodes out in tie order (query first, then by
-initial-list position, nodes absent from the list after all present ones,
-then by id), so `np.argmax`, which returns the first of equal maxima, picks
-the documented tie-break. Scores are a running `np.maximum`, compared
-exactly.
+Nodes are laid out in tie order (query first, then by initial-list
+position, nodes absent from the list after all present ones, then by id),
+so `np.argmax`, which returns the first of equal maxima, picks the
+documented tie-break. Scores are a running `np.maximum`, compared exactly.
 
-`build_graph` is the one build -> fuse path: it checks the rank tables,
-builds one graph per table and fuses them when there are several. `rerank`
-(and through it `evaluation.evaluate`) and the CLI `rerank` and `graph-dump`
-commands all go through it.
+Queries are ranked in batches: `rerank_batch` takes `CHUNK` queries at a
+time through one array program over the flat node keys `b * n + id` (see
+`graph`): one BFS, one weighting step and one fusion for the whole batch,
+then one tie-order layout (a sort by query slot, then by position in the
+slot's tables[0] list, where the query's own position is 0) and one
+out-edge index. Only the greedy expansion runs per query, as a scalar loop
+over that query's segment of the layout. Every check of `ImageGraph`,
+`greedy_rank` and `RankedList` is run once per batch. `rerank` is a batch
+of one; `build_graph` (one graph per table, fused by per-edge weight sum
+when several), `greedy_rank` and `fusion.fuse` run the same code on one
+graph. `evaluation.evaluate` and the CLI `rerank` command rank through
+`rerank_batch`, and the CLI `graph-dump` command through `build_graph`.
 """
 
 from __future__ import annotations
@@ -33,10 +40,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus_io import _int_ids
-from .fusion import fuse
-from .graph import build_directed_graph, build_undirected_graph
+from .fusion import _fuse_arrays
+from .graph import ImageGraph, _check_edges, _graph_arrays
 
-__all__ = ["RankedList", "build_graph", "greedy_rank", "rerank"]
+__all__ = ["CHUNK", "RankedList", "build_graph", "greedy_rank", "rerank", "rerank_batch"]
+
+CHUNK = 64  # queries ranked as one batch; bounds the batch's (CHUNK * n) key index
+
+
+def _check_orders(queries, orders):
+    """`RankedList`'s checks, for every row of the 2-d `orders` against its query."""
+    if np.count_nonzero(orders == queries[:, None]):
+        raise ValueError("ranked list must not contain its own query")
+    ids = np.sort(orders, axis=1)
+    if np.count_nonzero(ids[:, 1:] == ids[:, :-1]):
+        raise ValueError("ranked list contains duplicates")
 
 
 @dataclass(frozen=True)
@@ -51,12 +69,80 @@ class RankedList:
         order = _int_ids(self.order)
         if order.ndim != 1:
             raise ValueError("ranked list must be one-dimensional")
-        if (order == self.query).any():
-            raise ValueError("ranked list must not contain its own query")
-        ids = np.sort(order)
-        if (ids[1:] == ids[:-1]).any():
-            raise ValueError("ranked list contains duplicates")
+        _check_orders(np.array([self.query]), order[None, :])
         object.__setattr__(self, "order", tuple(order.tolist()))
+
+    @classmethod
+    def _batch(cls, queries, orders):
+        """One RankedList per row of the int64 (B, L) `orders`, checked once for all rows."""
+        _check_orders(queries, orders)
+        ranked = []
+        for query, order in zip(queries.tolist(), orders.tolist()):
+            r = object.__new__(cls)
+            object.__setattr__(r, "query", query)
+            object.__setattr__(r, "order", tuple(order))
+            ranked.append(r)
+        return ranked
+
+
+def _expand(layout, sizes, src, dst, weight, directed, target_len):
+    """Greedy insertion in every graph of a batch; returns each one's picked nodes.
+
+    `layout` lists the batch's nodes graph by graph, each graph's in tie
+    order with its query first; graph s holds the next `sizes[s]` of them.
+    Edges index the nodes, undirected ones are stored once. Returns, per
+    graph, the indices of at most `target_len` nodes in insertion order.
+    """
+    v = len(layout)
+    at = np.empty(v, dtype=np.int64)
+    at[layout] = np.arange(v)
+    if not directed:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        weight = np.concatenate([weight, weight])
+    # out-edges grouped by source, the laid-out node a's in first[a]:last[a];
+    # the stable sort is one pass over edges already grouped by source, as
+    # the builders and fusion leave them
+    by_src = np.argsort(src, kind="stable")
+    dst, weight = at[dst[by_src]], weight[by_src]
+    degree = np.bincount(src, minlength=v)
+    end = np.cumsum(degree)
+    first, last = (end - degree)[layout].tolist(), end[layout].tolist()
+
+    # a candidate's score is > 0 and any other node's 0; capping inserted
+    # nodes at -inf (the rest at +inf) keeps them out of the argmax
+    scores = np.zeros(v)
+    cap = np.full(v, np.inf)
+    capped = np.empty(v)
+    picks = []
+    lo = 0
+    for size in sizes:
+        hi = lo + size
+        cap[lo] = -np.inf
+        seg_scores, seg_cap, seg_capped = scores[lo:hi], cap[lo:hi], capped[lo:hi]
+        picked = []
+        best = lo
+        while True:
+            nbrs = dst[first[best]:last[best]]
+            scores[nbrs] = np.maximum(scores[nbrs], weight[first[best]:last[best]])
+            if len(picked) >= target_len:
+                break
+            best = int(np.minimum(seg_scores, seg_cap, out=seg_capped).argmax())
+            if seg_capped[best] <= 0:
+                break
+            seg_cap[best] = -np.inf
+            best += lo
+            picked.append(best)
+        picks.append(layout[picked])
+        lo = hi
+    return picks
+
+
+def _complete(initial, skip, need):
+    """The first `need` ids of `initial` whose positions are not in `skip`."""
+    head = initial[: need + len(skip)]
+    keep = np.ones(len(head), dtype=bool)
+    keep[skip[skip < len(head)]] = False
+    return head[keep][:need]
 
 
 def greedy_rank(graph, initial, target_len=None):
@@ -75,77 +161,91 @@ def greedy_rank(graph, initial, target_len=None):
         raise ValueError("image ids must be non-negative")
 
     # tie order: query, then initial-list position (absent: len(initial)), then id
-    v = len(ids)
     init_pos = np.full(max(int(ids.max()), int(initial.max(initial=-1))) + 1, len(initial))
     init_pos[initial] = np.arange(len(initial))
-    tie_pos = init_pos[ids]
-    tie_pos[ids == q] = -1
-    layout = np.lexsort((ids, tie_pos))
-    ids = ids[layout]
-    at = np.empty(v, dtype=np.int64)
-    at[layout] = np.arange(v)
-
-    # out-edges in CSR form over the tie-ordered nodes
-    src, dst, weight = at[graph.src], at[graph.dst], graph.weight
-    if not graph.directed:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        weight = np.concatenate([weight, weight])
-    by_src = np.argsort(src, kind="stable")
-    dst, weight = dst[by_src], weight[by_src]
-    start = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=v))]).tolist()
-
-    # a candidate's score is > 0 and any other node's 0; capping inserted
-    # nodes at -inf (the rest at +inf) keeps them out of the argmax
-    scores = np.zeros(v)
-    cap = np.full(v, np.inf)
-    cap[0] = -np.inf
-    capped = np.empty(v)
-    picked = []
-    best = 0
-    while True:
-        nbrs = dst[start[best]:start[best + 1]]
-        w = weight[start[best]:start[best + 1]]
-        scores[nbrs] = np.maximum(scores[nbrs], w)
-        if len(picked) >= target_len:
-            break
-        best = int(np.minimum(scores, cap, out=capped).argmax())
-        if capped[best] <= 0:
-            break
-        cap[best] = -np.inf
-        picked.append(best)
-
-    ranked = ids[picked]
-    placed = np.zeros(len(init_pos), dtype=bool)
-    placed[ranked] = True
-    placed[q] = True
-    rest = initial[~placed[initial]][: target_len - len(ranked)]
-    return RankedList(q, np.concatenate([ranked, rest]))
+    tie = init_pos[ids]
+    tie[ids == q] = -1
+    layout = np.lexsort((ids, tie))
+    (picked,) = _expand(
+        layout, [len(ids)], graph.src, graph.dst, graph.weight, graph.directed, target_len
+    )
+    skip = np.append(tie[picked], init_pos[q])  # the query is never completed either
+    rest = _complete(initial, skip, target_len - len(picked))
+    return RankedList(q, np.concatenate([ids[picked], rest]))
 
 
-def build_graph(tables, query, params, method="directed"):
-    """One graph per rank table, fused by per-edge weight sum when several."""
+def _checked_tables(tables, method):
+    """The tables as a list, and whether `method` builds directed graphs."""
     tables = list(tables)
     if not tables:
         raise ValueError("need at least one rank table")
     n = tables[0].n
     if any(t.n != n for t in tables):
         raise ValueError("all rank tables must cover the same corpus")
-    if method == "directed":
-        build = build_directed_graph
-    elif method == "undirected":
-        build = build_undirected_graph
-    else:
+    if method not in ("directed", "undirected"):
         raise ValueError(f"unknown method {method!r}")
-    graphs = [build(t, query, params) for t in tables]
-    return graphs[0] if len(graphs) == 1 else fuse(graphs)
+    return tables, method == "directed"
+
+
+def _graphs(tables, queries, params, directed):
+    """Each query's graph, one per table and fused when several, as flat arrays."""
+    parts = [_graph_arrays(t, queries, params, directed) for t in tables]
+    return parts[0] if len(parts) == 1 else _fuse_arrays(parts)
+
+
+def build_graph(tables, query, params, method="directed"):
+    """One graph per rank table, fused by per-edge weight sum when several."""
+    tables, directed = _checked_tables(tables, method)
+    query = operator.index(query)
+    return ImageGraph(query, *_graphs(tables, np.array([query]), params, directed), directed)
+
+
+def _rank_chunk(tables, queries, params, directed, target_len):
+    """`rerank` for every query of one batch."""
+    n = tables[0].n
+    keys, src, dst, weight = _graphs(tables, queries, params, directed)
+    _check_edges(keys, src, dst, weight, directed)
+    slot, ids = np.divmod(keys, n)
+    # tie order: query (its own position is 0), then position in tables[0]'s list
+    tie = tables[0].positions[queries[slot], ids]
+    if np.count_nonzero(tie == 0) < len(queries):  # keys are distinct
+        raise ValueError("graph must contain its query node")
+    layout = np.lexsort((tie, slot))
+    sizes = np.bincount(slot, minlength=len(queries)).tolist()
+    picks = _expand(layout, sizes, src, dst, weight, directed, target_len)
+    orders = np.empty((len(queries), target_len), dtype=np.int64)
+    lists = tables[0].lists
+    for order, query, picked in zip(orders, queries.tolist(), picks):
+        order[: len(picked)] = ids[picked]
+        if len(picked) < target_len:
+            order[len(picked):] = _complete(lists[query], tie[picked] - 1, target_len - len(picked))
+    return RankedList._batch(queries, orders)
+
+
+def rerank_batch(tables, queries, params, method="directed", target_len=None):
+    """`rerank` for each of `queries`, ranked `CHUNK` queries at a time.
+
+    A query may repeat; each result depends only on its own query.
+    """
+    tables, directed = _checked_tables(tables, method)
+    queries = _int_ids(queries)
+    if queries.ndim != 1:
+        raise ValueError("queries must be one-dimensional")
+    length = tables[0].n - 1
+    target_len = length if target_len is None else operator.index(target_len)
+    if not 0 <= target_len <= length:
+        raise ValueError(f"target_len {target_len} out of range [0, {length}]")
+    ranked = []
+    for start in range(0, len(queries), CHUNK):
+        chunk = queries[start:start + CHUNK]
+        ranked += _rank_chunk(tables, chunk, params, directed, target_len)
+    return ranked
 
 
 def rerank(tables, query, params, method="directed", target_len=None):
-    """Greedy-rank `build_graph`'s graph for one query.
+    """Greedy-rank `build_graph`'s graph for one query: a batch of one.
 
     The completed tail and tie-breaking both come from tables[0]'s list.
-    `target_len` (default: the whole list) is passed on to `greedy_rank`.
+    `target_len` (default: the whole list) stops the expansion early.
     """
-    tables = list(tables)
-    graph = build_graph(tables, query, params, method)
-    return greedy_rank(graph, tables[0].lists[query], target_len)
+    return rerank_batch(tables, [operator.index(query)], params, method, target_len)[0]

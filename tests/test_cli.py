@@ -226,6 +226,36 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: line 3: non-integer id\n"
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("rerank", "--k", "1_0"),
+        ("rerank", "--depth", "\u0662"),
+        ("sweep", "--k", "5,1_0"),
+        ("graph-dump", "--query", "1_0"),
+        ("synth", "--seed", "1_0"),
+        ("synth", "--groups", " 6"),
+        ("features", "--bins", "1_0"),
+    ])
+    def test_integer_flag_follows_input_integer_rule(
+        self, synth_dir, tmp_path, capsys, command, flag, value
+    ):
+        # argparse's `type=int` read `1_0` as 10 and non-ASCII digits as numbers
+        tables = ["--tables", synth_dir / "space0_ranks.txt"]
+        gt = ["--gt", synth_dir / "ground_truth.txt"]
+        required = {
+            "rerank": tables,
+            "sweep": tables + gt,
+            "graph-dump": tables + ["--query", 0],
+            "synth": ["--groups", 6],
+            "features": ["--manifest", synth_dir / "ground_truth.txt"],
+        }[command]
+        out = tmp_path / "out"
+        args = ["--out-dir" if command == "synth" else "--out", out]
+        code = run(command, *required, *args, flag, value)
+        assert code == 1
+        token = value.split(",")[-1]
+        assert capsys.readouterr().err == f"error: {flag}: not a decimal integer {token!r}\n"
+        assert not out.exists()
+
     def test_missing_table_file(self, tmp_path, capsys):
         code = run("rerank", "--tables", tmp_path / "none.txt", "--out", tmp_path / "o")
         assert code == 1

@@ -237,6 +237,10 @@ class TestRankTableValidation:
         with pytest.raises(ValueError):
             RankTable(np.array([[1, 1], [0, 2], [0, 1]]))
 
+    def test_first_bad_list_named_when_a_later_one_is_out_of_range(self):
+        with pytest.raises(ValueError, match="rank list 0: duplicate id 2"):
+            RankTable(np.array([[2, 2], [0, 5], [0, 1]]))
+
     def test_rejection_names_list_and_reason(self):
         with pytest.raises(ValueError, match="rank list 1: id -1 out of range"):
             RankTable(np.array([[1, 2], [0, -1], [0, 1]]))
@@ -387,6 +391,9 @@ class TestErrorsNameTheirFile:
         ("t.txt", "0: 1 2\n1: 0 0\n2: 0 1\n", load_rank_table, "rank list 1: duplicate id 0"),
         ("gt.txt", "0: 1\n1: 9\n", lambda p: load_ground_truth(p, n=3), "line 2: id 9 out of range [0, 3)"),
         ("f.txt", "2 2\n1 2\n3 x\n", load_feature_matrix, "line 3: non-numeric value"),
+        # `float()` reads both as numbers: 10.0 and 1.0
+        ("f.txt", "2 2\n1 2\n3 1_0\n", load_feature_matrix, "line 3: non-numeric value"),
+        ("f.txt", "2 2\n1 2\n3 \u0661\n", load_feature_matrix, "line 3: non-numeric value"),
         ("f.txt", "2 2\n1 2\n3\n", load_feature_matrix, "line 3: expected 2 values, got 1"),
         ("f.txt", "2 x\n", load_feature_matrix, "line 1: header must be '<n> <dims>'"),
     ])

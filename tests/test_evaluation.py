@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphrerank import evaluation, ranking
 from graphrerank.corpus_io import GroundTruth, SynthSpec, synth_generate
 from graphrerank.evaluation import (
     MetricReport,
@@ -188,6 +189,17 @@ class TestEvaluate:
         _, single = evaluate(tables, gt, params, metric="ns")
         _, fused = evaluate([tables[0], tables[0]], gt, params, metric="ns")
         assert fused.per_query == single.per_query
+
+    @pytest.mark.parametrize("metric", ["ns", "map"])
+    def test_values_independent_of_chunk_size(self, metric):
+        spec = SynthSpec(n_groups=6, group_size=4, dims=4, n_spaces=2, agreement=0.7, seed=5)
+        tables, gt = synth_tables(spec)
+        want = evaluate(tables, gt, GraphParams(k=5), metric=metric)
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (evaluation, ranking):
+                mp.setattr(module, "CHUNK", 5)
+            got = evaluate(tables, gt, GraphParams(k=5), metric=metric)
+        assert [r.per_query for r in got] == [r.per_query for r in want]
 
     def test_method_labels(self):
         spec = SynthSpec(n_groups=4, group_size=2, dims=4, n_spaces=2, seed=1)

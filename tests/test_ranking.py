@@ -13,7 +13,8 @@ from graphrerank.graph import (
     build_directed_graph,
     build_undirected_graph,
 )
-from graphrerank.ranking import RankedList, build_graph, greedy_rank, rerank
+from graphrerank import ranking
+from graphrerank.ranking import RankedList, build_graph, greedy_rank, rerank, rerank_batch
 
 from conftest import graph_of, random_rank_table
 from test_graph import brute_force_directed, brute_force_undirected
@@ -401,3 +402,67 @@ class TestPrefixConsistency:
         for t in range(len(initial) + 1):
             assert greedy_rank(graph, initial, t).order == full[:t]
             assert rerank(tables, query, params, method, target_len=t).order == full[:t]
+
+
+class TestRerankBatch:
+    """`rerank_batch` ranks each query of a batch as if it were alone."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        method=st.sampled_from(sorted(BRUTE_FORCE)),
+        n_tables=st.integers(1, 2),
+    )
+    def test_each_order_equals_reference(self, seed, method, n_tables):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 26))
+        tables = [random_rank_table(rng, n) for _ in range(n_tables)]
+        params = GraphParams(k=int(rng.integers(1, n)), depth=int(rng.integers(1, 4)))
+        target = int(rng.integers(0, n))
+        # repeats allowed; a small chunk size splits the batch into several
+        queries = [int(q) for q in rng.integers(0, n, size=int(rng.integers(1, 12)))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ranking, "CHUNK", int(rng.integers(1, 5)))
+            got = rerank_batch(tables, queries, params, method, target)
+        assert [r.query for r in got] == queries
+        for q, ranked in zip(queries, got):
+            want = TestRerankPinnedToReference.reference_graph(tables, q, params, method)
+            initial = [int(x) for x in tables[0].lists[q]]
+            assert list(ranked.order) == reference_greedy(want, initial, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        method=st.sampled_from(sorted(BRUTE_FORCE)),
+        n_tables=st.integers(1, 2),
+    )
+    def test_result_independent_of_batch_order_and_members(self, seed, method, n_tables):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 26))
+        tables = [random_rank_table(rng, n) for _ in range(n_tables)]
+        params = GraphParams(k=int(rng.integers(1, n)), depth=int(rng.integers(1, 4)))
+        target = int(rng.integers(0, n))
+        queries = [int(q) for q in rng.integers(0, n, size=int(rng.integers(1, 10)))]
+        whole = rerank_batch(tables, queries, params, method, target)
+        shuffled = [int(i) for i in rng.permutation(len(queries))]
+        reordered = rerank_batch(tables, [queries[i] for i in shuffled], params, method, target)
+        assert reordered == [whole[i] for i in shuffled]
+        for q, ranked in zip(queries, whole):
+            assert rerank(tables, q, params, method, target) == ranked
+
+    @pytest.mark.parametrize("method", sorted(BRUTE_FORCE))
+    def test_query_out_of_range_rejected(self, method):
+        tables = [random_rank_table(np.random.default_rng(3), 8)]
+        with pytest.raises(ValueError, match="query 8 out of range"):
+            rerank_batch(tables, [0, 8, 1], GraphParams(k=3), method)
+        with pytest.raises(ValueError, match="query -1 out of range"):
+            rerank_batch(tables, [-1], GraphParams(k=3), method)
+
+    def test_empty_batch(self):
+        tables = [random_rank_table(np.random.default_rng(3), 8)]
+        assert rerank_batch(tables, [], GraphParams(k=3)) == []
+
+    def test_bad_target_len_rejected(self):
+        tables = [random_rank_table(np.random.default_rng(3), 8)]
+        with pytest.raises(ValueError, match=r"target_len 8 out of range \[0, 7\]"):
+            rerank_batch(tables, [0], GraphParams(k=3), target_len=8)
