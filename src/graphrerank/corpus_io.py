@@ -125,13 +125,16 @@ class RankTable:
 
     `lists[i]` is a permutation of all ids except i itself, closest first;
     a rejection names the first list that is not, and why (TypeError for a
-    non-integer dtype). Immutable.
+    non-integer dtype). Immutable: a caller's ndarray is copied; other
+    input, such as `load_rank_table`'s list of rows, is converted once.
     """
 
     lists: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(_int_ids(self.lists))
+        arr = _int_ids(self.lists)
+        if isinstance(self.lists, np.ndarray) and np.may_share_memory(arr, self.lists):
+            arr = arr.copy()
         if arr.ndim != 2:
             raise ValueError("rank lists must form a 2-d array")
         n = arr.shape[0]
@@ -227,15 +230,16 @@ def load_rank_table(path):
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     n = len(lines)
-    rows = np.empty((n, max(n - 1, 0)), dtype=np.int64)
+    rows = []
     for lineno, line in enumerate(lines):
         owner, ids = _id_line(line, lineno)
         if owner != lineno:
             raise FormatError(f"line {lineno + 1}: owner id {owner} out of order")
         if len(ids) != n - 1:
             raise FormatError(f"line {lineno + 1}: expected {n - 1} ids, got {len(ids)}")
-        rows[lineno] = ids
-    return RankTable(rows)
+        rows.append(ids)
+    # an empty file is the 0-image table; `np.asarray([])` would be 1-d
+    return RankTable(rows if rows else np.empty((0, 0), dtype=np.int64))
 
 
 def save_rank_table(table, path):

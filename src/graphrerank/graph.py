@@ -1,6 +1,6 @@
 """Per-query image graphs built from rank tables.
 
-Two constructions are provided:
+Two constructions are provided, both built through `ranking.build_graph`:
 
 - the improved directed graph: an edge i -> i' whenever i' is in the top-k
   list of i, weighted by the reciprocal of the two mutual list positions;
@@ -26,8 +26,8 @@ chunk of `ranking.CHUNK` queries this way), as one set of flat arrays. The
 query in slot b of the batch owns the node keys `b * n + id`, so one array
 of keys holds every query's nodes, and an edge joins two nodes of one
 query. `_graph_arrays` returns `(keys, src, dst, weight)` for a batch, with
-`src`/`dst` indexing `keys`; `build_directed_graph` and
-`build_undirected_graph` are batches of one, where a key is the id itself.
+`src`/`dst` indexing `keys`; for a batch of one, as `ranking.build_graph`
+builds, a key is the id itself. `ranking` has range-checked the queries.
 
 The BFS takes one whole level per step for every query of the batch: the
 keys in the frontier's top-k rows (for the undirected graph only the
@@ -59,13 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = [
-    "GraphParams",
-    "ImageGraph",
-    "build_directed_graph",
-    "build_undirected_graph",
-    "graph_to_text",
-]
+__all__ = ["GraphParams", "ImageGraph", "graph_to_text"]
 
 
 @dataclass(frozen=True)
@@ -91,15 +85,28 @@ class ImageGraph:
     weight `weight[e]`. `nodes` (a frozenset of image ids) and `edges` (a
     dict from (src id, dst id) to weight) are built from those arrays on
     first use. Undirected graphs store each edge once under the (min, max)
-    id orientation. Zero-weight edges are never stored. The graph is
-    validated once, when it is made: it must hold its query node, and
-    `_check_edges` checks its edge arrays.
+    id orientation. Zero-weight edges are never stored. Checked once, when made.
     """
 
     def __init__(self, query, ids, src, dst, weight, directed):
         if not (ids == query).any():
             raise ValueError("graph must contain its query node")
-        _check_edges(ids, src, dst, weight, directed)
+        if not len(src) == len(dst) == len(weight):
+            raise ValueError(
+                f"src, dst and weight must have one entry per edge, "
+                f"got {len(src)}, {len(dst)} and {len(weight)}"
+            )
+        ends = np.concatenate([src, dst])
+        if np.count_nonzero((ends < 0) | (ends >= len(ids))):
+            raise ValueError(f"edge endpoint index outside [0, {len(ids)})")
+        positive = weight > 0  # False for NaN too
+        if np.count_nonzero(positive) < len(weight):
+            e = positive.argmin()
+            raise ValueError(
+                f"edge ({ids[src[e]]}, {ids[dst[e]]}) has non-positive weight {weight[e]}"
+            )
+        if not directed and np.count_nonzero(ids[src] > ids[dst]):
+            raise ValueError("undirected edges must use (min, max) orientation")
         self.query = int(query)
         self.ids = ids
         self.src = src
@@ -121,31 +128,6 @@ class ImageGraph:
             f"ImageGraph(query={self.query}, nodes={len(self.ids)}, "
             f"edges={len(self.weight)}, directed={self.directed})"
         )
-
-
-def _check_edges(keys, src, dst, weight, directed):
-    """`ImageGraph`'s edge checks, for one graph or for a batch's flat arrays.
-
-    `src`, `dst` and `weight` hold one entry per edge; every endpoint
-    indexes `keys`; every weight is positive; undirected edges run from
-    the smaller key.
-    """
-    if not len(src) == len(dst) == len(weight):
-        raise ValueError(
-            f"src, dst and weight must have one entry per edge, "
-            f"got {len(src)}, {len(dst)} and {len(weight)}"
-        )
-    ends = np.concatenate([src, dst])
-    if np.count_nonzero((ends < 0) | (ends >= len(keys))):
-        raise ValueError(f"edge endpoint index outside [0, {len(keys)})")
-    positive = weight > 0  # False for NaN too
-    if np.count_nonzero(positive) < len(weight):
-        e = positive.argmin()
-        raise ValueError(
-            f"edge ({keys[src[e]]}, {keys[dst[e]]}) has non-positive weight {weight[e]}"
-        )
-    if not directed and np.count_nonzero(keys[src] > keys[dst]):
-        raise ValueError("undirected edges must use (min, max) orientation")
 
 
 def _sorted_unique(a):
@@ -205,9 +187,6 @@ def _graph_arrays(table, queries, params, directed):
     smaller id, with the Jaccard consistency weight.
     """
     n, k, pos = table.n, params.k, table.positions
-    for query in queries.tolist():
-        if not 0 <= query < n:
-            raise ValueError(f"query {query} out of range")
     top = table.truncated(k)
     keys, depth, index = _frontier_bfs(table, top, queries, params, reciprocal=not directed)
     ids = keys % n
@@ -236,22 +215,6 @@ def _graph_arrays(table, queries, params, directed):
     if np.count_nonzero(keep) < len(keep):
         src, dst, weight = src[keep], dst[keep], weight[keep]
     return keys, src, dst, weight
-
-
-def _one_graph(table, query, params, directed):
-    query = operator.index(query)
-    arrays = _graph_arrays(table, np.array([query]), params, directed)
-    return ImageGraph(query, *arrays, directed)
-
-
-def build_directed_graph(table, query, params):
-    """Directed graph over the query's BFS neighborhood in the top-k digraph."""
-    return _one_graph(table, query, params, directed=True)
-
-
-def build_undirected_graph(table, query, params):
-    """Reciprocal-neighbor baseline graph with Jaccard consistency weights."""
-    return _one_graph(table, query, params, directed=False)
 
 
 def graph_to_text(graph, sources=()):

@@ -24,11 +24,14 @@ time through one array program over the flat node keys `b * n + id` (see
 then one tie-order layout (a sort by query slot, then by position in the
 slot's tables[0] list, where the query's own position is 0) and one
 out-edge index. Only the greedy expansion runs per query, as a scalar loop
-over that query's segment of the layout. Every check of `ImageGraph`,
-`greedy_rank` and `RankedList` is run once per batch. `rerank` is a batch
-of one; `build_graph` (one graph per table, fused by per-edge weight sum
-when several), `greedy_rank` and `fusion.fuse` run the same code on one
-graph. `evaluation.evaluate` and the CLI `rerank` command rank through
+over that query's segment of the layout. Queries are checked once, where
+they enter (`rerank_batch`, `build_graph`), `RankedList`'s rules once per
+batch, and the graphs a batch builds are not re-checked. `rerank` is a
+batch of one; `build_graph` (one graph per table, fused by per-edge weight
+sum when several), the one graph builder, and `fusion.fuse` run the same
+code on one graph, and `greedy_rank` ranks one `ImageGraph` through the
+batch's layout, expansion and completion (`_rank_graphs`).
+`evaluation.evaluate` and the CLI `rerank` command rank through
 `rerank_batch`, and the CLI `graph-dump` command through `build_graph`.
 """
 
@@ -41,7 +44,7 @@ import numpy as np
 
 from .corpus_io import _int_ids
 from .fusion import _fuse_arrays
-from .graph import ImageGraph, _check_edges, _graph_arrays
+from .graph import ImageGraph, _graph_arrays
 
 __all__ = ["CHUNK", "RankedList", "build_graph", "greedy_rank", "rerank", "rerank_batch"]
 
@@ -145,11 +148,32 @@ def _complete(initial, skip, need):
     return head[keep][:need]
 
 
+def _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, target_len):
+    """Greedy-rank a batch of graphs, completing each list from its initial list.
+
+    Node a is image `ids[a]` of graph s = `slot[a]`, whose query
+    `queries[s]` is not in its initial list `initials[s]`. `tie[a]` is 0
+    for the query, 1 + its position for a listed node and a distinct
+    larger value for any other node, so one sort by (slot, tie) lays each
+    graph out in tie order, and completion skips a picked node's position
+    `tie - 1` (none, for an unlisted node).
+    """
+    layout = np.lexsort((tie, slot))
+    sizes = np.bincount(slot, minlength=len(queries)).tolist()
+    picks = _expand(layout, sizes, src, dst, weight, directed, target_len)
+    orders = np.empty((len(queries), target_len), dtype=np.int64)
+    for order, initial, picked in zip(orders, initials, picks):
+        order[: len(picked)] = ids[picked]
+        if len(picked) < target_len:
+            order[len(picked):] = _complete(initial, tie[picked] - 1, target_len - len(picked))
+    return RankedList._batch(queries, orders)
+
+
 def greedy_rank(graph, initial, target_len=None):
     """Rank by greedy insertion over `graph`, completing from `initial`.
 
     `initial` is the query's initial ranking: distinct non-negative ids of
-    an integer dtype.
+    an integer dtype, without the query itself.
     """
     initial = _int_ids(initial)
     target_len = len(initial) if target_len is None else operator.index(target_len)
@@ -159,23 +183,22 @@ def greedy_rank(graph, initial, target_len=None):
     ids = graph.ids
     if ids.min() < 0 or initial.min(initial=0) < 0:
         raise ValueError("image ids must be non-negative")
+    if np.count_nonzero(initial == q):
+        raise ValueError("initial list must not contain its own query")
 
-    # tie order: query, then initial-list position (absent: len(initial)), then id
-    init_pos = np.full(max(int(ids.max()), int(initial.max(initial=-1))) + 1, len(initial))
-    init_pos[initial] = np.arange(len(initial))
-    tie = init_pos[ids]
-    tie[ids == q] = -1
-    layout = np.lexsort((ids, tie))
-    (picked,) = _expand(
-        layout, [len(ids)], graph.src, graph.dst, graph.weight, graph.directed, target_len
-    )
-    skip = np.append(tie[picked], init_pos[q])  # the query is never completed either
-    rest = _complete(initial, skip, target_len - len(picked))
-    return RankedList(q, np.concatenate([ids[picked], rest]))
+    # tie order: query, then initial-list position, then absent nodes by id
+    size = max(int(ids.max()), int(initial.max(initial=-1))) + 1
+    tie = np.arange(len(initial) + 1, len(initial) + 1 + size)
+    tie[initial] = np.arange(1, len(initial) + 1)
+    tie[q] = 0
+    return _rank_graphs(
+        np.array([q]), [initial], np.zeros(len(ids), dtype=np.int64), ids, tie[ids],
+        graph.src, graph.dst, graph.weight, graph.directed, target_len,
+    )[0]
 
 
-def _checked_tables(tables, method):
-    """The tables as a list, and whether `method` builds directed graphs."""
+def _checked(tables, queries, method):
+    """The tables as a list, `queries` as int64 ids in [0, n), and whether `method` is directed."""
     tables = list(tables)
     if not tables:
         raise ValueError("need at least one rank table")
@@ -184,7 +207,13 @@ def _checked_tables(tables, method):
         raise ValueError("all rank tables must cover the same corpus")
     if method not in ("directed", "undirected"):
         raise ValueError(f"unknown method {method!r}")
-    return tables, method == "directed"
+    queries = _int_ids(queries)
+    if queries.ndim != 1:
+        raise ValueError("queries must be one-dimensional")
+    bad = (queries < 0) | (queries >= n)
+    if np.count_nonzero(bad):
+        raise ValueError(f"query {queries[bad.argmax()]} out of range")
+    return tables, queries, method == "directed"
 
 
 def _graphs(tables, queries, params, directed):
@@ -195,31 +224,18 @@ def _graphs(tables, queries, params, directed):
 
 def build_graph(tables, query, params, method="directed"):
     """One graph per rank table, fused by per-edge weight sum when several."""
-    tables, directed = _checked_tables(tables, method)
-    query = operator.index(query)
-    return ImageGraph(query, *_graphs(tables, np.array([query]), params, directed), directed)
+    tables, queries, directed = _checked(tables, [operator.index(query)], method)
+    return ImageGraph(queries[0], *_graphs(tables, queries, params, directed), directed)
 
 
 def _rank_chunk(tables, queries, params, directed, target_len):
     """`rerank` for every query of one batch."""
-    n = tables[0].n
     keys, src, dst, weight = _graphs(tables, queries, params, directed)
-    _check_edges(keys, src, dst, weight, directed)
-    slot, ids = np.divmod(keys, n)
+    slot, ids = np.divmod(keys, tables[0].n)
     # tie order: query (its own position is 0), then position in tables[0]'s list
     tie = tables[0].positions[queries[slot], ids]
-    if np.count_nonzero(tie == 0) < len(queries):  # keys are distinct
-        raise ValueError("graph must contain its query node")
-    layout = np.lexsort((tie, slot))
-    sizes = np.bincount(slot, minlength=len(queries)).tolist()
-    picks = _expand(layout, sizes, src, dst, weight, directed, target_len)
-    orders = np.empty((len(queries), target_len), dtype=np.int64)
-    lists = tables[0].lists
-    for order, query, picked in zip(orders, queries.tolist(), picks):
-        order[: len(picked)] = ids[picked]
-        if len(picked) < target_len:
-            order[len(picked):] = _complete(lists[query], tie[picked] - 1, target_len - len(picked))
-    return RankedList._batch(queries, orders)
+    initials = [tables[0].lists[q] for q in queries.tolist()]
+    return _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, target_len)
 
 
 def rerank_batch(tables, queries, params, method="directed", target_len=None):
@@ -227,10 +243,7 @@ def rerank_batch(tables, queries, params, method="directed", target_len=None):
 
     A query may repeat; each result depends only on its own query.
     """
-    tables, directed = _checked_tables(tables, method)
-    queries = _int_ids(queries)
-    if queries.ndim != 1:
-        raise ValueError("queries must be one-dimensional")
+    tables, queries, directed = _checked(tables, queries, method)
     length = tables[0].n - 1
     target_len = length if target_len is None else operator.index(target_len)
     if not 0 <= target_len <= length:

@@ -22,8 +22,8 @@ from graphrerank.corpus_io import (
 from graphrerank.evaluation import average_precision, evaluate, ns_score
 from graphrerank.features import build_rank_table, hsv_histogram, RawImage
 from graphrerank.fusion import fuse
-from graphrerank.graph import GraphParams, build_directed_graph, build_undirected_graph
-from graphrerank.ranking import RankedList, greedy_rank
+from graphrerank.graph import GraphParams
+from graphrerank.ranking import RankedList, build_graph, greedy_rank
 
 from conftest import jaccard_weight, random_rank_table, rank_weight
 from test_fusion import graphs_same, random_graph
@@ -65,8 +65,8 @@ def test_criterion_1_fixture_edge_weights(weight_fixture_table):
 
 def test_criterion_2_fixture_graph_structure(structure_fixture_table):
     params = GraphParams(k=5)
-    und = build_undirected_graph(structure_fixture_table, 1, params)
-    dir_ = build_directed_graph(structure_fixture_table, 1, params)
+    und = build_graph([structure_fixture_table], 1, params, "undirected")
+    dir_ = build_graph([structure_fixture_table], 1, params)
     sub = {1, 2, 3}
     ok = (
         und.nodes & sub == {1, 2}

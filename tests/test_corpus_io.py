@@ -258,6 +258,19 @@ class TestRankTableValidation:
         with pytest.raises(TypeError, match="integers"):
             RankTable(np.array([[1.9], [0.2]]))
 
+    def test_caller_mutation_leaves_table_unchanged(self):
+        # an array or view the caller passed is copied; rows in a list are
+        # copied by their conversion to one array
+        lists = np.array([[1, 2], [0, 2], [0, 1]])
+        wide = np.array([[9, 1, 2], [9, 0, 2], [9, 0, 1]])
+        rows = [row.copy() for row in lists]
+        tables = [RankTable(lists), RankTable(wide[:, 1:]), RankTable(rows)]
+        lists[0] = [2, 1]
+        wide[0, 1:] = [2, 1]
+        rows[0][:] = [2, 1]
+        for table in tables:
+            assert table.lists.tolist() == [[1, 2], [0, 2], [0, 1]]
+
     def test_positions_inverse_of_lists(self):
         table = random_rank_table(np.random.default_rng(0), 9)
         for i in range(9):

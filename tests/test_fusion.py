@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphrerank.fusion import fuse
-from graphrerank.graph import GraphParams, build_directed_graph
+from graphrerank.graph import GraphParams
+from graphrerank.ranking import build_graph
 
 from conftest import graph_of
 
@@ -110,7 +111,7 @@ class TestFuseProperties:
 
     def test_per_graph_decay_not_recomputed(self, structure_fixture_table):
         # fusing a graph with itself doubles every weight; depths stay per-input
-        g = build_directed_graph(structure_fixture_table, 1, GraphParams(k=5))
+        g = build_graph([structure_fixture_table], 1, GraphParams(k=5))
         fused = fuse([g, g])
         for key, w in g.edges.items():
             assert fused.edges[key] == pytest.approx(2 * w)

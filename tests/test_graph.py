@@ -6,13 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from graphrerank.corpus_io import FeatureMatrix, RankTable
 from graphrerank.features import build_rank_table
-from graphrerank.graph import (
-    GraphParams,
-    ImageGraph,
-    build_directed_graph,
-    build_undirected_graph,
-    graph_to_text,
-)
+from graphrerank.graph import GraphParams, ImageGraph, graph_to_text
+from graphrerank.ranking import build_graph
 
 from conftest import (
     _inclusive_neighborhood,
@@ -214,7 +209,7 @@ class TestBuildDirectedGraph:
     def test_structure_fixture_contains_one_way_reachable_node(
         self, structure_fixture_table
     ):
-        g = build_directed_graph(structure_fixture_table, 1, GraphParams(k=5))
+        g = build_graph([structure_fixture_table], 1, GraphParams(k=5))
         assert {1, 2, 3} <= g.nodes
         assert (2, 3) in g.edges
         assert g.edges[(2, 3)] > 0
@@ -224,14 +219,14 @@ class TestBuildDirectedGraph:
         table = RankTable(
             np.array([[1, 2, 3, 4], [2, 0, 3, 4], [3, 1, 0, 4], [4, 2, 1, 0], [3, 2, 1, 0]])
         )
-        g = build_directed_graph(table, 0, GraphParams(k=1, depth=2))
+        g = build_graph([table], 0, GraphParams(k=1, depth=2))
         assert g.nodes == {0, 1, 2}
 
     def test_node_count_bounds(self):
         rng = np.random.default_rng(5)
         table = random_rank_table(rng, 25)
         for k, depth in [(2, 1), (2, 2), (3, 2)]:
-            g = build_directed_graph(table, 0, GraphParams(k=k, depth=depth))
+            g = build_graph([table], 0, GraphParams(k=k, depth=depth))
             bound = sum(k**d for d in range(depth + 1))
             assert len(g.nodes) <= bound
 
@@ -243,7 +238,7 @@ class TestBuildDirectedGraph:
         table = random_rank_table(rng, n)
         params = GraphParams(k=int(rng.integers(1, min(n, 6))), depth=int(rng.integers(1, 4)))
         query = int(rng.integers(n))
-        g = build_directed_graph(table, query, params)
+        g = build_graph([table], query, params)
         depths, edges = brute_force_directed(table, query, params)
         assert g.nodes == set(depths)
         assert g.ids.tolist() == sorted(depths, key=lambda v: (depths[v], v))
@@ -254,7 +249,7 @@ class TestBuildDirectedGraph:
 
 class TestBuildUndirectedGraph:
     def test_structure_fixture_excludes_non_reciprocal(self, structure_fixture_table):
-        g = build_undirected_graph(structure_fixture_table, 1, GraphParams(k=5))
+        g = build_graph([structure_fixture_table], 1, GraphParams(k=5), "undirected")
         assert g.nodes & {1, 2, 3} == {1, 2}
         assert (1, 2) in g.edges
 
@@ -269,7 +264,7 @@ class TestBuildUndirectedGraph:
                 others = [j for j in range(4, 8) if j != i]
                 rows.append(others + group)
         table = RankTable(np.array(rows))
-        g = build_undirected_graph(table, 0, GraphParams(k=3))
+        g = build_graph([table], 0, GraphParams(k=3), "undirected")
         assert {0, 1, 2, 3} <= g.nodes
         for i in group:
             for j in group:
@@ -278,7 +273,7 @@ class TestBuildUndirectedGraph:
 
     def test_canonical_orientation(self):
         table = random_rank_table(np.random.default_rng(7), 15)
-        g = build_undirected_graph(table, 0, GraphParams(k=4))
+        g = build_graph([table], 0, GraphParams(k=4), "undirected")
         for src, dst in g.edges:
             assert src < dst
 
@@ -290,7 +285,7 @@ class TestBuildUndirectedGraph:
         table = random_rank_table(rng, n)
         params = GraphParams(k=int(rng.integers(1, min(n, 6))), depth=int(rng.integers(1, 4)))
         query = int(rng.integers(n))
-        g = build_undirected_graph(table, query, params)
+        g = build_graph([table], query, params, "undirected")
         depths, edges = brute_force_undirected(table, query, params)
         assert g.nodes == set(depths)
         assert g.ids.tolist() == sorted(depths, key=lambda v: (depths[v], v))
@@ -342,7 +337,7 @@ class TestGraphInvariants:
             assert table.truncated(k).size == n * k
 
     def test_export_format(self, structure_fixture_table):
-        g = build_directed_graph(structure_fixture_table, 1, GraphParams(k=5))
+        g = build_graph([structure_fixture_table], 1, GraphParams(k=5))
         text = graph_to_text(g)
         lines = text.splitlines()
         assert lines[0] == "query 1 directed 1"

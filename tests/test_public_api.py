@@ -31,6 +31,9 @@ REMOVED = [
     "decay",
     "load_name_map",
     "save_name_map",
+    # one graph builder: ranking.build_graph([table], query, params, method)
+    "build_directed_graph",
+    "build_undirected_graph",
     # scalar oracles, kept in tests/conftest.py
     "rank_of",
     "reciprocal",

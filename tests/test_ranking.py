@@ -8,11 +8,7 @@ from graphrerank.corpus_io import SynthSpec, synth_generate
 from graphrerank.evaluation import ns_score
 from graphrerank.features import build_rank_table
 from graphrerank.fusion import fuse
-from graphrerank.graph import (
-    GraphParams,
-    build_directed_graph,
-    build_undirected_graph,
-)
+from graphrerank.graph import GraphParams
 from graphrerank import ranking
 from graphrerank.ranking import RankedList, build_graph, greedy_rank, rerank, rerank_batch
 
@@ -163,6 +159,14 @@ class TestGreedyRank:
         with pytest.raises(ValueError, match="non-negative"):
             greedy_rank(g, [2], 1)
 
+    def test_initial_holding_the_query_rejected(self):
+        # completion skipped the query, so this returned (1,), one id short
+        g = graph_of(0, frozenset({0}), {}, True)
+        with pytest.raises(ValueError, match="own query"):
+            greedy_rank(g, [0, 1], 2)
+        with pytest.raises(ValueError, match="own query"):
+            greedy_rank(g, np.array([2, 0, 1]), 1)
+
     def test_completion_from_initial(self):
         g = graph_of(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
         ranked = greedy_rank(g, [4, 3, 2, 1], 4)
@@ -247,24 +251,21 @@ class TestGreedyRank:
         assert a == b
 
 
-BY_METHOD = {"directed": build_directed_graph, "undirected": build_undirected_graph}
-
-
 class TestBuildGraph:
-    @pytest.mark.parametrize("method", sorted(BY_METHOD))
+    @pytest.mark.parametrize("method", ["directed", "undirected"])
     @pytest.mark.parametrize("n_tables", [1, 2])
     def test_equals_hand_written_build_and_fuse(self, method, n_tables):
         tables = [random_rank_table(np.random.default_rng(s), 14) for s in range(n_tables)]
         params = GraphParams(k=4)
         for q in (0, 5, 13):
-            graphs = [BY_METHOD[method](t, q, params) for t in tables]
+            graphs = [build_graph([t], q, params, method) for t in tables]
             want = graphs[0] if n_tables == 1 else fuse(graphs)
             got = build_graph(tables, q, params, method)
             assert (got.query, got.directed, got.nodes, got.edges) == (
                 want.query, want.directed, want.nodes, want.edges
             )
 
-    @pytest.mark.parametrize("method", sorted(BY_METHOD))
+    @pytest.mark.parametrize("method", ["directed", "undirected"])
     @pytest.mark.parametrize("n_tables", [1, 2])
     def test_rerank_is_greedy_rank_of_build_graph(self, method, n_tables):
         tables = [random_rank_table(np.random.default_rng(9 + s), 14) for s in range(n_tables)]
@@ -288,7 +289,7 @@ class TestRerank:
         table = random_rank_table(np.random.default_rng(3), 15)
         params = GraphParams(k=4)
         got = rerank([table], 2, params, method="directed")
-        graph = build_directed_graph(table, 2, params)
+        graph = build_graph([table], 2, params)
         want = greedy_rank(graph, table.lists[2], None)
         assert got.order == want.order
 
@@ -457,6 +458,14 @@ class TestRerankBatch:
             rerank_batch(tables, [0, 8, 1], GraphParams(k=3), method)
         with pytest.raises(ValueError, match="query -1 out of range"):
             rerank_batch(tables, [-1], GraphParams(k=3), method)
+
+    @pytest.mark.parametrize("method", sorted(BRUTE_FORCE))
+    def test_build_graph_query_out_of_range_rejected(self, method):
+        tables = [random_rank_table(np.random.default_rng(3), 8)] * 2
+        with pytest.raises(ValueError, match="query 8 out of range"):
+            build_graph(tables, 8, GraphParams(k=3), method)
+        with pytest.raises(ValueError, match="query -1 out of range"):
+            build_graph(tables[:1], -1, GraphParams(k=3), method)
 
     def test_empty_batch(self):
         tables = [random_rank_table(np.random.default_rng(3), 8)]
