@@ -29,17 +29,24 @@ query. `_graph_arrays` returns `(keys, src, dst, weight)` for a batch, with
 `src`/`dst` indexing `keys`; for a batch of one, as `ranking.build_graph`
 builds, a key is the id itself. `ranking` has range-checked the queries.
 
-The BFS takes one whole level per step for every query of the batch: the
-keys in the frontier's top-k rows (for the undirected graph only the
-mutual top-k entries) that were not seen before. A level is deduplicated
-by a sort and one comparison pass, not by `np.unique`, which on numpy 2.4
-takes a hash path that is slower at these sizes (2.5x at 100 keys, 14x at
-5 000 on one 2-core machine). So each level is in (query, id) order, and a
-batch of one's `ids` are ordered by hop distance from the query, then by
-id. Every edge is then weighted in one vectorised step,
-and the weights equal bit for bit those of the scalar oracles
-`rank_weight` and `jaccard_weight` in `tests/conftest.py`, because each one
-is computed with the same floating-point operations in the same order:
+A batch's graphs are built in one pass over BFS levels, one whole level
+per step for every query of the batch. Each level's top-k rows are
+gathered once, and for the undirected graph each row entry's mutual top-k
+test is made once: it picks both the entries that extend the BFS and
+those that can be edges. The next level is the keys in the level's rows
+(for the undirected graph only the mutual entries) that no earlier level
+holds. A level is deduplicated by a sort and one comparison pass, not by
+`np.unique`, which on numpy 2.4 takes a hash path that is slower at these
+sizes (2.5x at 100 keys, 14x at 5 000 on one 2-core machine). So each
+level is in (query, id) order, and a batch of one's `ids` are ordered by
+hop distance from the query, then by id. The rows of the last level,
+`depth` hops out, are gathered but not expanded. After it, one lookup
+gives every row entry's node, one extraction for both graphs takes the
+edges in BFS order, then list order, and every edge is weighted in one
+vectorised step. The weights equal bit for bit those of the scalar
+oracles `rank_weight` and `jaccard_weight` in `tests/conftest.py`,
+because each one is computed with the same floating-point operations in
+the same order:
 
 - the decay comes from a table of Python `alpha0 ** depth` values (numpy's
   array power rounds some of them differently in the last bit);
@@ -58,6 +65,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .corpus_io import _int_ids
 
 __all__ = ["GraphParams", "ImageGraph", "graph_to_text"]
 
@@ -81,14 +90,18 @@ class ImageGraph:
     """Weighted per-query graph over a local node index.
 
     `ImageGraph(query, ids, src, dst, weight, directed)`: local node a is
-    image `ids[a]`; edge e runs from local node `src[e]` to `dst[e]` with
-    weight `weight[e]`. `nodes` (a frozenset of image ids) and `edges` (a
-    dict from (src id, dst id) to weight) are built from those arrays on
-    first use. Undirected graphs store each edge once under the (min, max)
-    id orientation. Zero-weight edges are never stored. Checked once, when made.
+    image `ids[a]` (distinct integer ids); edge e runs from local node
+    `src[e]` to `dst[e]` with weight `weight[e]`. `nodes` (a frozenset of
+    image ids) and `edges` (a dict from (src id, dst id) to weight) are
+    built from those arrays on first use. Undirected graphs store each edge
+    once under the (min, max) id orientation. Zero-weight edges are never
+    stored. Checked once, when made.
     """
 
     def __init__(self, query, ids, src, dst, weight, directed):
+        ids = _int_ids(ids)
+        if len(_sorted_unique(ids)) < len(ids):
+            raise ValueError("graph node ids must be distinct")
         if not (ids == query).any():
             raise ValueError("graph must contain its query node")
         if not len(src) == len(dst) == len(weight):
@@ -139,78 +152,62 @@ def _sorted_unique(a):
     return a[keep]
 
 
-def _frontier_bfs(table, top, queries, params, reciprocal):
-    """Nodes within `params.depth` hops of each query, one whole BFS level per step.
-
-    Query b of the batch owns the keys `b * n + id`. A level is the keys in
-    the `top` (k-column) rows of the frontier (only the mutual top-k ones
-    when `reciprocal`) that no earlier level holds, in key order.
-
-    Returns (keys, depth, index): `keys`/`depth` ordered by depth, then key,
-    and `index`, of length `len(queries) * n`, maps a key to its node, -1 for
-    a key that is not one.
-    """
-    n, k = table.n, params.k
-    index = np.full(len(queries) * n, -1, dtype=np.int64)
-    level = np.arange(0, len(queries) * n, n) + queries
-    index[level] = np.arange(len(level))
-    levels = [level]
-    count = len(level)
-    for _ in range(params.depth):
-        ids = level % n
-        nbrs = top[ids]
-        keys = nbrs + (level - ids)[:, None]
-        if reciprocal:
-            keys = keys[table.positions[nbrs, ids[:, None]] <= k]
-        level = _sorted_unique(keys[index[keys] < 0])
-        if not level.size:
-            break
-        index[level] = np.arange(count, count + len(level))
-        count += len(level)
-        levels.append(level)
-    keys = np.concatenate(levels)
-    depth = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
-    return keys, depth, index
-
-
-def _decays(params, depth, src, dst):
-    """alpha0 ** max(depth of each endpoint), from Python `**` values."""
-    table = np.array([params.alpha0 ** d for d in range(params.depth + 1)])
-    return table[np.maximum(depth[src], depth[dst])]
-
-
 def _graph_arrays(table, queries, params, directed):
     """One table's graph for each of `queries`, as flat (keys, src, dst, weight).
 
     Directed: an edge i -> i' for every i' in the top-k list of i, both in
     the BFS neighborhood. Undirected: each mutual top-k pair once, from its
     smaller id, with the Jaccard consistency weight.
+
+    Query b of the batch owns the keys `b * n + id`; `keys` holds the BFS levels
+    in turn, each in key order, and each level's top-k rows are gathered once.
     """
-    n, k, pos = table.n, params.k, table.positions
-    top = table.truncated(k)
-    keys, depth, index = _frontier_bfs(table, top, queries, params, reciprocal=not directed)
+    n, k, pos, top = table.n, params.k, table.positions, table.truncated(params.k)
+    # a key's BFS depth until every level is found, then its node; -1 if none
+    index = np.full(len(queries) * n, -1, dtype=np.int64)
+    level = np.arange(0, len(queries) * n, n) + queries
+    levels, mutuals = [], []
+    while True:
+        index[level] = len(levels)
+        ids = level % n
+        nbrs = top[ids]
+        levels.append((level, nbrs))
+        if not directed:
+            # only mutual top-k entries extend the BFS and give edges
+            mutuals.append(pos[nbrs, ids[:, None]] <= k)
+        if len(levels) > params.depth:
+            break
+        cell = nbrs + (level - ids)[:, None]
+        if not directed:
+            cell = cell[mutuals[-1]]
+        level = _sorted_unique(cell[index[cell] < 0])
+        if not level.size:
+            break
+    keys, top = map(np.concatenate, zip(*levels))
+    depth = index[keys]
+    index[keys] = np.arange(len(keys))
     ids = keys % n
-    top = top[ids]
     local = index[top + (keys - ids)[:, None]]
     # (row, column) of each edge in BFS order, then list order; np.nonzero
     # is several times slower on a 2-d mask
+    edges = local >= 0
+    if not directed:
+        # each mutual pair once, from its smaller id
+        edges &= np.concatenate(mutuals) & (top > ids[:, None])
+    src, col = np.divmod(np.flatnonzero(edges), k)
+    dst = local[src, col]
+    # alpha0 ** (larger endpoint depth), from Python `**` values
+    decays = np.array([params.alpha0 ** d for d in range(params.depth + 1)])
+    decay = decays[np.maximum(depth[src], depth[dst])]
     if directed:
-        src, col = np.divmod(np.flatnonzero(local >= 0), k)
-        dst = local[src, col]
         # Rank(i, i') of i' in i's top-k is its column + 1
-        ranks = col + 1 + pos[ids[dst], ids[src]]
-        weight = _decays(params, depth, src, dst) / ranks.astype(np.float64)
+        weight = decay / (col + 1 + pos[ids[dst], ids[src]]).astype(np.float64)
     else:
-        owner = ids[:, None]
-        # each mutual top-k pair once, from its smaller id
-        mutual = (local >= 0) & (top > owner) & (pos[top, owner] <= k)
-        src, col = np.divmod(np.flatnonzero(mutual), k)
-        dst = local[src, col]
-        # y is in j's inclusive neighborhood iff pos[j, y] <= k - 1 (pos[j, j] is
+        # y is in j's inclusive neighborhood iff pos[j, y] < k (pos[j, j] is
         # 0); each neighborhood holds k distinct ids, so union = 2k - inter
-        hoods = np.concatenate([owner, top[:, : k - 1]], axis=1)
-        inter = (pos[ids[dst][:, None], hoods[src]] <= k - 1).sum(axis=1)
-        weight = (_decays(params, depth, src, dst) * inter) / (2 * k - inter)
+        hoods = np.concatenate([ids[:, None], top[:, : k - 1]], axis=1)
+        inter = (pos[ids[dst][:, None], hoods[src]] < k).sum(axis=1)
+        weight = (decay * inter) / (2 * k - inter)
     keep = weight > 0
     if np.count_nonzero(keep) < len(keep):
         src, dst, weight = src[keep], dst[keep], weight[keep]

@@ -189,7 +189,11 @@ def greedy_rank(graph, initial, target_len=None):
     # tie order: query, then initial-list position, then absent nodes by id
     size = max(int(ids.max()), int(initial.max(initial=-1))) + 1
     tie = np.arange(len(initial) + 1, len(initial) + 1 + size)
-    tie[initial] = np.arange(1, len(initial) + 1)
+    listed = np.arange(1, len(initial) + 1)
+    tie[initial] = listed
+    # a repeated id keeps only the position written last
+    if np.count_nonzero(tie[initial] != listed):
+        raise ValueError("initial list contains duplicates")
     tie[q] = 0
     return _rank_graphs(
         np.array([q]), [initial], np.zeros(len(ids), dtype=np.int64), ids, tie[ids],

@@ -314,6 +314,16 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
             ImageGraph(0, ids, np.array([src]), np.array([dst]), weight, directed)
 
+    def test_rejects_non_integer_ids(self):
+        # were accepted: the export wrote "0.0 1.5 0.5" and ranking raised IndexError
+        with pytest.raises(TypeError, match="image ids must be integers, not float64"):
+            ImageGraph(0, np.array([0.0, 1.5]), np.array([0]), np.array([1]), np.array([0.5]), True)
+
+    def test_rejects_repeated_ids(self):
+        # was accepted with nodes=3 in its repr and two ids in .nodes
+        with pytest.raises(ValueError, match="distinct"):
+            ImageGraph(0, np.array([0, 1, 1]), np.array([0]), np.array([1]), np.array([0.5]), True)
+
     @pytest.mark.parametrize("directed", [True, False])
     @pytest.mark.parametrize(
         "dst, weight", [([1], [0.5, 0.25]), ([1, 2], [0.5])], ids=["short-dst", "short-weight"]

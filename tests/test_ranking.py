@@ -167,6 +167,14 @@ class TestGreedyRank:
         with pytest.raises(ValueError, match="own query"):
             greedy_rank(g, np.array([2, 0, 1]), 1)
 
+    def test_repeated_initial_id_rejected(self):
+        # [2, 2, 1] returned (1, 2); [1, 1, 2] blamed the output list
+        g = graph_of(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
+        with pytest.raises(ValueError, match="initial list contains duplicates"):
+            greedy_rank(g, [2, 2, 1], 2)
+        with pytest.raises(ValueError, match="initial list contains duplicates"):
+            greedy_rank(g, [1, 1, 2], 3)
+
     def test_completion_from_initial(self):
         g = graph_of(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
         ranked = greedy_rank(g, [4, 3, 2, 1], 4)
