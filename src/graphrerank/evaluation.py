@@ -8,15 +8,16 @@ protocol).
 The N-S score reads only the first `NS_DEPTH` ids of a list, so
 `evaluate(metric="ns")` scores the baseline on that prefix of tables[0]'s
 lists and reranks with `target_len=NS_DEPTH`; greedy ranking is
-prefix-consistent, so the scores equal those of the full lists. Average
-precision reads the whole list, and `metric="map"` ranks it in full.
+prefix-consistent, so the scores equal those of the full lists. A list
+that short is ranked by lazy expansion (see `ranking`): only the out-edges
+of the query and of its first two picks are built. Average precision reads
+the whole list, and `metric="map"` ranks it in full, from the full graphs.
 
 `evaluate` and `sweep_k` rerank through `ranking.rerank_batch`, greedy
 max-weight expansion; `GraphParams` and `method` are the only ranking
 settings they take. `evaluate` ranks and scores its queries in chunks of
-`ranking.CHUNK`: each chunk's graphs are built, fused and laid out as one
-batch of flat arrays (see `graph`), and only one chunk's ranked lists are
-held at a time.
+`ranking.CHUNK`, each chunk as one batch of flat arrays (see `graph`), and
+holds only one chunk's ranked lists at a time.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ keys `b * n + id` of `graph._graph_arrays` (for one `ImageGraph` the keys
 are its ids): the fused nodes are the sorted distinct keys, and an edge is
 keyed by its (query, src, dst) through its fused endpoints. Both are
 deduplicated by sorting: the nodes by `graph._sorted_unique` (see `graph`
-for why not `np.unique`), the edges by `np.unique` with `return_inverse`,
-which sorts. `fuse` is a batch of one.
+for why not `np.unique`), the edges by `_sum_by_key`, which sums each
+key's weights in input order. `ranking`'s lazy expansion sums its edges
+per key with the same helper. `fuse` is a batch of one.
 """
 
 from __future__ import annotations
@@ -38,12 +39,18 @@ def _fuse_arrays(parts):
     for part_keys, src, dst, _ in parts:
         local = np.searchsorted(keys, part_keys)
         edge_keys.append(local[src] * v + local[dst])
-    # with return_inverse, np.unique sorts rather than hashes
-    edge_keys, which = np.unique(np.concatenate(edge_keys), return_inverse=True)
-    weights = np.concatenate([part[3] for part in parts])
-    # bincount adds each key's weights one at a time in input (table) order
-    weight = np.bincount(which, weights=weights, minlength=len(edge_keys))
+    edge_keys, weight = _sum_by_key(
+        np.concatenate(edge_keys), np.concatenate([part[3] for part in parts])
+    )
     return keys, edge_keys // v, edge_keys % v, weight
+
+
+def _sum_by_key(keys, weights):
+    """Each distinct key, ascending, with the running sum 0.0 + w1 + w2 + ... of its `weights`."""
+    # with return_inverse, np.unique sorts rather than hashes
+    keys, which = np.unique(keys, return_inverse=True)
+    # bincount adds each key's weights one at a time in input order
+    return keys, np.bincount(which, weights=weights, minlength=len(keys))
 
 
 def fuse(graphs):

@@ -25,28 +25,39 @@ Graphs are built for a batch of queries at once (`ranking` ranks each
 chunk of `ranking.CHUNK` queries this way), as one set of flat arrays. The
 query in slot b of the batch owns the node keys `b * n + id`, so one array
 of keys holds every query's nodes, and an edge joins two nodes of one
-query. `_graph_arrays` returns `(keys, src, dst, weight)` for a batch, with
-`src`/`dst` indexing `keys`; for a batch of one, as `ranking.build_graph`
-builds, a key is the id itself. `ranking` has range-checked the queries.
+query. `ranking` has range-checked the queries. A batch is built in two
+steps:
 
-A batch's graphs are built in one pass over BFS levels, one whole level
-per step for every query of the batch. Each level's top-k rows are
-gathered once, and for the undirected graph each row entry's mutual top-k
-test is made once: it picks both the entries that extend the BFS and
-those that can be edges. The next level is the keys in the level's rows
-(for the undirected graph only the mutual entries) that no earlier level
-holds. A level is deduplicated by a sort and one comparison pass, not by
-`np.unique`, which on numpy 2.4 takes a hash path that is slower at these
-sizes (2.5x at 100 keys, 14x at 5 000 on one 2-core machine). So each
-level is in (query, id) order, and a batch of one's `ids` are ordered by
-hop distance from the query, then by id. The rows of the last level,
-`depth` hops out, are gathered but not expanded. After it, one lookup
-gives every row entry's node, one extraction for both graphs takes the
-edges in BFS order, then list order, and every edge is weighted in one
-vectorised step. The weights equal bit for bit those of the scalar
-oracles `rank_weight` and `jaccard_weight` in `tests/conftest.py`,
-because each one is computed with the same floating-point operations in
-the same order:
+- `_depths` gives each key's BFS depth from its query as one flat (B * n)
+  array, -1 for a key more than `depth` hops out, and the reached keys in
+  BFS order. It walks the levels one
+  whole level per step for every query of the batch: the next level is
+  the keys in the level's top-k rows (for the undirected graph only the
+  mutual entries) that no earlier level holds. A level is deduplicated by
+  a sort and one comparison pass, not by `np.unique`, which on numpy 2.4
+  takes a hash path that is slower at these sizes (2.5x at 100 keys, 14x
+  at 5 000 on one 2-core machine). It reads only the rows of levels 0 ..
+  depth - 1, 1 + k rows at depth 2 rather than 1 + k + k^2: a node
+  `depth` hops out is found from the rows of the level before it, and its
+  own row gives only edges. Whether an edge exists, and its decay, depend
+  only on the depths of its ends, so the depths are all that a node's
+  out-edges need.
+- `_out_edges` gives the weighted out-edges of any reached keys: each
+  one's top-k row is gathered, its entries that are reached (for the
+  undirected graph, mutual) are its edges, in list order, and every edge
+  is weighted in one vectorised step. It is the only place the weights
+  are computed. The full build, `_graph_arrays`, asks it for every node's
+  out-edges in BFS order (each undirected pair once, from its smaller id)
+  and returns `(keys, src, dst, weight)` for the batch, with `src`/`dst`
+  indexing `keys`: each BFS level in turn, in key order, so a batch of
+  one's `ids` (its keys are the ids themselves) are ordered by hop
+  distance from the query, then by id, and its edges by source, then list
+  order. `ranking`'s lazy expansion asks it for each query's newest pick
+  only.
+
+The weights equal bit for bit those of the scalar oracles `rank_weight`
+and `jaccard_weight` in `tests/conftest.py`, because each one is computed
+with the same floating-point operations in the same order:
 
 - the decay comes from a table of Python `alpha0 ** depth` values (numpy's
   array power rounds some of them differently in the last bit);
@@ -152,66 +163,90 @@ def _sorted_unique(a):
     return a[keep]
 
 
-def _graph_arrays(table, queries, params, directed):
-    """One table's graph for each of `queries`, as flat (keys, src, dst, weight).
+def _depths(table, queries, params, directed):
+    """Each key's BFS depth from its query as a flat (B * n) array, and the reached keys.
 
-    Directed: an edge i -> i' for every i' in the top-k list of i, both in
-    the BFS neighborhood. Undirected: each mutual top-k pair once, from its
-    smaller id, with the Jaccard consistency weight.
-
-    Query b of the batch owns the keys `b * n + id`; `keys` holds the BFS levels
-    in turn, each in key order, and each level's top-k rows are gathered once.
+    Query b of the batch owns the keys `b * n + id`; a key more than
+    `params.depth` hops out has depth -1. The reached keys come level by
+    level, each level in key order. Only the rows of levels 0 .. depth - 1
+    are read: the last level is found, not expanded.
     """
     n, k, pos, top = table.n, params.k, table.positions, table.truncated(params.k)
-    # a key's BFS depth until every level is found, then its node; -1 if none
-    index = np.full(len(queries) * n, -1, dtype=np.int64)
+    depth = np.full(len(queries) * n, -1, dtype=np.int64)
     level = np.arange(0, len(queries) * n, n) + queries
-    levels, mutuals = [], []
-    while True:
-        index[level] = len(levels)
+    levels = []
+    for d in range(params.depth + 1):
+        depth[level] = d
+        levels.append(level)
+        if d == params.depth:
+            break
         ids = level % n
         nbrs = top[ids]
-        levels.append((level, nbrs))
-        if not directed:
-            # only mutual top-k entries extend the BFS and give edges
-            mutuals.append(pos[nbrs, ids[:, None]] <= k)
-        if len(levels) > params.depth:
-            break
         cell = nbrs + (level - ids)[:, None]
         if not directed:
-            cell = cell[mutuals[-1]]
-        level = _sorted_unique(cell[index[cell] < 0])
+            # only mutual top-k entries extend the BFS
+            cell = cell[pos[nbrs, ids[:, None]] <= k]
+        level = _sorted_unique(cell[depth[cell] < 0])
         if not level.size:
             break
-    keys, top = map(np.concatenate, zip(*levels))
-    depth = index[keys]
-    index[keys] = np.arange(len(keys))
-    ids = keys % n
-    local = index[top + (keys - ids)[:, None]]
-    # (row, column) of each edge in BFS order, then list order; np.nonzero
-    # is several times slower on a 2-d mask
-    edges = local >= 0
+    return depth, np.concatenate(levels)
+
+
+def _out_edges(table, depth, sources, params, directed, once=False):
+    """The weighted out-edges of the keys `sources`, all reached: (src, dst, weight).
+
+    `src` indexes `sources` and `dst` is a key of `depth` (`_depths`'
+    array); edges come in `sources` order, then list order. Directed: an
+    edge s -> i' for every reached i' in the top-k list of s. Undirected:
+    an edge s -> i' for every reached mutual top-k entry i' of s, with the
+    Jaccard consistency weight, so each pair appears from both ends, or
+    with `once` only from its smaller id.
+    """
+    n, k, pos, top = table.n, params.k, table.positions, table.truncated(params.k)
+    ids = sources % n
+    rows = top[ids]
+    cell = rows + (sources - ids)[:, None]
+    ends = depth[cell]
+    edges = ends >= 0
     if not directed:
-        # each mutual pair once, from its smaller id
-        edges &= np.concatenate(mutuals) & (top > ids[:, None])
-    src, col = np.divmod(np.flatnonzero(edges), k)
-    dst = local[src, col]
+        edges &= pos[rows, ids[:, None]] <= k
+        if once:
+            edges &= rows > ids[:, None]
+    # each edge's row and column, in row order; np.nonzero is several
+    # times slower on a 2-d mask
+    flat = np.flatnonzero(edges)
+    src, col = np.divmod(flat, k)
+    dst, dst_id = cell.ravel()[flat], rows.ravel()[flat]
     # alpha0 ** (larger endpoint depth), from Python `**` values
     decays = np.array([params.alpha0 ** d for d in range(params.depth + 1)])
-    decay = decays[np.maximum(depth[src], depth[dst])]
+    decay = decays[np.maximum(depth[sources][src], ends.ravel()[flat])]
     if directed:
         # Rank(i, i') of i' in i's top-k is its column + 1
-        weight = decay / (col + 1 + pos[ids[dst], ids[src]]).astype(np.float64)
+        weight = decay / (col + 1 + pos[dst_id, ids[src]]).astype(np.float64)
     else:
         # y is in j's inclusive neighborhood iff pos[j, y] < k (pos[j, j] is
         # 0); each neighborhood holds k distinct ids, so union = 2k - inter
-        hoods = np.concatenate([ids[:, None], top[:, : k - 1]], axis=1)
-        inter = (pos[ids[dst][:, None], hoods[src]] < k).sum(axis=1)
+        hoods = np.concatenate([ids[:, None], rows[:, : k - 1]], axis=1)
+        inter = (pos[dst_id[:, None], hoods[src]] < k).sum(axis=1)
         weight = (decay * inter) / (2 * k - inter)
     keep = weight > 0
     if np.count_nonzero(keep) < len(keep):
         src, dst, weight = src[keep], dst[keep], weight[keep]
-    return keys, src, dst, weight
+    return src, dst, weight
+
+
+def _graph_arrays(table, queries, params, directed):
+    """One table's graph for each of `queries`, as flat (keys, src, dst, weight).
+
+    `keys` holds the BFS levels in turn, each in key order; `src`/`dst`
+    index it. Directed: every out-edge of every node. Undirected: each
+    mutual top-k pair once, from its smaller id.
+    """
+    depth, keys = _depths(table, queries, params, directed)
+    src, dst, weight = _out_edges(table, depth, keys, params, directed, once=True)
+    index = depth  # reused as the key -> node map
+    index[keys] = np.arange(len(keys))
+    return keys, src, index[dst], weight
 
 
 def graph_to_text(graph, sources=()):

@@ -20,19 +20,59 @@ documented tie-break. Scores are a running `np.maximum`, compared exactly.
 
 Queries are ranked in batches: `rerank_batch` takes `CHUNK` queries at a
 time through one array program over the flat node keys `b * n + id` (see
-`graph`): one BFS, one weighting step and one fusion for the whole batch,
-then one tie-order layout (a sort by query slot, then by position in the
-slot's tables[0] list, where the query's own position is 0) and one
-out-edge index. Only the greedy expansion runs per query, as a scalar loop
-over that query's segment of the layout. Queries are checked once, where
-they enter (`rerank_batch`, `build_graph`), `RankedList`'s rules once per
-batch, and the graphs a batch builds are not re-checked. `rerank` is a
-batch of one; `build_graph` (one graph per table, fused by per-edge weight
-sum when several), the one graph builder, and `fusion.fuse` run the same
-code on one graph, and `greedy_rank` ranks one `ImageGraph` through the
-batch's layout, expansion and completion (`_rank_graphs`).
-`evaluation.evaluate` and the CLI `rerank` command rank through
-`rerank_batch`, and the CLI `graph-dump` command through `build_graph`.
+`graph`). One branch on `target_len` picks how a batch is ranked; both
+ways give the same lists.
+
+- Full graphs, for lists longer than `LAZY_LEN` (`_rank_chunk`): one BFS,
+  one weighting step and one fusion build every query's whole graph, then
+  one tie-order layout (a sort by query slot, then by position in the
+  slot's tables[0] list, where the query's own position is 0) and one
+  out-edge index. Only the greedy expansion runs per query, as a scalar
+  loop over that query's segment of the layout.
+- Lazy expansion, for lists up to `LAZY_LEN` long (`_lazy_chunk`), such as
+  the 3 ids N-S reads. Pick t depends only on the out-edges of the query
+  and of picks 1 .. t-1, and an edge and its decay only on the BFS depths
+  of its ends, which `graph._depths` finds from the rows of the levels
+  below `depth`. So the batch runs `target_len` lockstep steps. Each step
+  gathers, in every table, the out-edges of each query's newest node
+  (`graph._out_edges`, the builders' own weights), sums them per (query,
+  node) in table order with the helper `fusion._fuse_arrays` sums with,
+  so a sum equals the fused edge's bit for bit, and `np.maximum`s them into
+  a dense (batch, n) score array. Its columns are positions in the query's
+  tables[0] list, column 0 the query, so a row's `argmax` is the tie-break.
+  A query whose row holds no candidate is done; its list is completed from
+  its initial list, as from a full graph.
+
+The lazy steps cost numpy calls per step, the full graphs work per node
+and edge, so which is faster depends on the list length, the batch size
+and k. `LAZY_LEN` sits below the crossover of `CHUNK`-query batches at
+k = 10, where the full graphs are smallest and the lazy steps gain least.
+Microseconds per query, full -> lazy, by `target_len` (2 CPUs, n = 2 000,
+k = 10, two tables; each the best of 6 timings, which still vary by about
+20 %):
+
+| batch | graphs | 3 | 16 | 24 | 48 | 1 999 |
+|---|---|---|---|---|---|---|
+| 64 | directed | 146 -> 30 | 195 -> 82 | 224 -> 119 | 367 -> 332 | |
+| 64 | undirected | 98 -> 42 | 149 -> 115 | 168 -> 162 | 224 -> 282 | |
+| 1 | directed | 352 -> 389 | 426 -> 1 544 | | | 739 -> 9 243 |
+| 1 | undirected | 477 -> 474 | 443 -> 2 237 | | | 719 -> 6 263 |
+
+A batch of one shares each step's numpy calls with no other query, so
+lazily its lists cost as much as from the full graph at 3 ids and several
+times as much beyond. `rerank` and the CLI `rerank` command (a batch of
+one, full lists) and `metric="map"` (full lists) therefore rank from the
+full graphs.
+
+Queries are checked once, where they enter (`rerank_batch`,
+`build_graph`), `RankedList`'s rules once per batch, and the graphs a batch
+builds are not re-checked. `rerank` is a batch of one; `build_graph` (one
+graph per table, fused by per-edge weight sum when several), the one graph
+builder, and `fusion.fuse` run the same code on one graph, and
+`greedy_rank` ranks one `ImageGraph` through the full path's layout,
+expansion and completion (`_rank_graphs`). `evaluation.evaluate` and the
+CLI `rerank` command rank through `rerank_batch`, and the CLI `graph-dump`
+command through `build_graph`.
 """
 
 from __future__ import annotations
@@ -43,12 +83,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus_io import _int_ids
-from .fusion import _fuse_arrays
-from .graph import ImageGraph, _graph_arrays
+from .fusion import _fuse_arrays, _sum_by_key
+from .graph import ImageGraph, _depths, _graph_arrays, _out_edges
 
 __all__ = ["CHUNK", "RankedList", "build_graph", "greedy_rank", "rerank", "rerank_batch"]
 
 CHUNK = 64  # queries ranked as one batch; bounds the batch's (CHUNK * n) key index
+LAZY_LEN = 16  # lists up to this long are ranked lazily, longer ones from full graphs
 
 
 def _check_orders(queries, orders):
@@ -242,6 +283,46 @@ def _rank_chunk(tables, queries, params, directed, target_len):
     return _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, target_len)
 
 
+def _lazy_chunk(tables, queries, params, directed, target_len):
+    """`_rank_chunk`, gathering only the out-edges of each query's newest node per step."""
+    n, pos0, lists0 = tables[0].n, tables[0].positions, tables[0].lists
+    depths = [_depths(t, queries, params, directed)[0] for t in tables]
+    # scores[b, c]: the best edge from query b's set into the id at position
+    # c of its tables[0] list, -inf once inserted (column 0 is the query)
+    scores = np.zeros((len(queries), n))
+    scores[:, 0] = -np.inf
+    picks = np.zeros((len(queries), target_len), dtype=np.int64)
+    rows = np.arange(len(queries))
+    newest = rows * n + queries
+    for step in range(target_len):
+        # a node outside one table's graph has no out-edges there
+        parts = [_out_edges(t, depth, newest[depth[newest] >= 0], params, directed)[1:]
+                 for t, depth in zip(tables, depths)]
+        if len(parts) > 1:
+            parts = [_sum_by_key(*map(np.concatenate, zip(*parts)))]
+        dst, weight = parts[0]
+        slot, ids = np.divmod(dst, n)
+        cell = (slot, pos0[queries[slot], ids])
+        best = scores[cell]
+        scores[cell] = np.where(best < 0, best, np.maximum(best, weight))
+        col = scores.argmax(axis=1)
+        # a query with no candidate left gains no edges, so it stays done
+        rows = rows[scores[rows, col[rows]] > 0]
+        if not rows.size:
+            break
+        col = col[rows]
+        scores[rows, col] = -np.inf
+        picks[rows, step] = col
+        newest = rows * n + lists0[queries[rows], col - 1]
+    # each row's picks are a prefix, the rest 0; position c is lists0[q, c - 1]
+    orders = lists0[queries[:, None], picks - 1]
+    count = np.count_nonzero(picks, axis=1)
+    for b in np.flatnonzero(count < target_len).tolist():
+        skip = picks[b, : count[b]] - 1
+        orders[b, count[b]:] = _complete(lists0[queries[b]], skip, target_len - count[b])
+    return RankedList._batch(queries, orders)
+
+
 def rerank_batch(tables, queries, params, method="directed", target_len=None):
     """`rerank` for each of `queries`, ranked `CHUNK` queries at a time.
 
@@ -252,10 +333,11 @@ def rerank_batch(tables, queries, params, method="directed", target_len=None):
     target_len = length if target_len is None else operator.index(target_len)
     if not 0 <= target_len <= length:
         raise ValueError(f"target_len {target_len} out of range [0, {length}]")
+    rank = _lazy_chunk if target_len <= LAZY_LEN else _rank_chunk
     ranked = []
     for start in range(0, len(queries), CHUNK):
         chunk = queries[start:start + CHUNK]
-        ranked += _rank_chunk(tables, chunk, params, directed, target_len)
+        ranked += rank(tables, chunk, params, directed, target_len)
     return ranked
 
 

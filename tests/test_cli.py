@@ -1,3 +1,7 @@
+import runpy
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -268,3 +272,35 @@ class TestErrorPaths:
                 "--gt", synth_dir / "ground_truth.txt",
                 "--out", tmp_path / "o", "--metric", "accuracy",
             )
+
+
+class TestKSweepScript:
+    """`scripts/run_k_sweep.py --ks` follows the CLI's integer rule for `sweep --k`."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_k_sweep.py"
+
+    def run_script(self, monkeypatch, ks):
+        monkeypatch.setattr(sys, "argv", [self.SCRIPT.name, "--ks", ks])
+        runpy.run_path(str(self.SCRIPT), run_name="__main__")
+
+    @pytest.mark.parametrize("ks", ["1_0", "10,1_0", "10,x"])
+    def test_bad_token_is_one_line_error(self, monkeypatch, ks):
+        token = ks.split(",")[-1]
+        with pytest.raises(SystemExit) as exc:
+            self.run_script(monkeypatch, ks)
+        assert exc.value.code == f"error: --ks: not a decimal integer {token!r}"
+
+    def test_empty_tokens_skipped(self, monkeypatch, capsys):
+        self.run_script(monkeypatch, ",5,")
+        rows = capsys.readouterr().out.split("\n")[1:-2]
+        assert [row.split("\t")[2] for row in rows] == ["5", "5"]
+
+    @pytest.mark.parametrize("ks, message", [
+        (",", "--ks must list at least one value"),
+        ("0", "k must be >= 1"),
+        ("5,200", "k=200 exceeds corpus bound 199"),
+    ])
+    def test_bad_value_is_one_line_error(self, monkeypatch, ks, message):
+        with pytest.raises(SystemExit) as exc:
+            self.run_script(monkeypatch, ks)
+        assert exc.value.code == f"error: {message}"

@@ -413,6 +413,31 @@ class TestPrefixConsistency:
             assert rerank(tables, query, params, method, target_len=t).order == full[:t]
 
 
+def corpus_and_target(rng):
+    """Random tables' size n and a target length on a random side of `ranking.LAZY_LEN`.
+
+    Lists up to `LAZY_LEN` long are ranked by lazy expansion and longer ones
+    from the full graphs, so each side is drawn half the time.
+    """
+    split = ranking.LAZY_LEN
+    if rng.integers(2):
+        n = int(rng.integers(2, 26))
+        return n, int(rng.integers(0, min(n, split + 1)))
+    n = int(rng.integers(split + 2, split + 26))
+    return n, int(rng.integers(split + 1, n))
+
+
+@pytest.fixture(scope="module")
+def synth_tables():
+    """Rank tables of two feature spaces of a grouped n = 200 corpus."""
+    spec = SynthSpec(
+        n_groups=50, group_size=4, dims=8, n_spaces=2,
+        intra_spread=0.25, inter_spread=1.0, agreement=0.7, seed=7,
+    )
+    spaces, _ = synth_generate(spec)
+    return [build_rank_table(m) for m in spaces]
+
+
 class TestRerankBatch:
     """`rerank_batch` ranks each query of a batch as if it were alone."""
 
@@ -424,10 +449,9 @@ class TestRerankBatch:
     )
     def test_each_order_equals_reference(self, seed, method, n_tables):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 26))
+        n, target = corpus_and_target(rng)
         tables = [random_rank_table(rng, n) for _ in range(n_tables)]
         params = GraphParams(k=int(rng.integers(1, n)), depth=int(rng.integers(1, 4)))
-        target = int(rng.integers(0, n))
         # repeats allowed; a small chunk size splits the batch into several
         queries = [int(q) for q in rng.integers(0, n, size=int(rng.integers(1, 12)))]
         with pytest.MonkeyPatch.context() as mp:
@@ -447,10 +471,9 @@ class TestRerankBatch:
     )
     def test_result_independent_of_batch_order_and_members(self, seed, method, n_tables):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 26))
+        n, target = corpus_and_target(rng)
         tables = [random_rank_table(rng, n) for _ in range(n_tables)]
         params = GraphParams(k=int(rng.integers(1, n)), depth=int(rng.integers(1, 4)))
-        target = int(rng.integers(0, n))
         queries = [int(q) for q in rng.integers(0, n, size=int(rng.integers(1, 10)))]
         whole = rerank_batch(tables, queries, params, method, target)
         shuffled = [int(i) for i in rng.permutation(len(queries))]
@@ -458,6 +481,44 @@ class TestRerankBatch:
         assert reordered == [whole[i] for i in shuffled]
         for q, ranked in zip(queries, whole):
             assert rerank(tables, q, params, method, target) == ranked
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        method=st.sampled_from(sorted(BRUTE_FORCE)),
+        n_tables=st.integers(1, 2),
+    )
+    def test_lazy_expansion_equals_full_graphs(self, seed, method, n_tables):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 31))
+        tables = [random_rank_table(rng, n) for _ in range(n_tables)]
+        params = GraphParams(
+            k=int(rng.integers(1, n)),
+            alpha0=float(rng.choice([0.5, 0.8, 1.0])),
+            depth=int(rng.integers(1, 4)),
+        )
+        target = int(rng.integers(0, n))
+        queries = [int(q) for q in rng.integers(0, n, size=int(rng.integers(1, 12)))]
+        got = {}
+        for path, split in (("lazy", n), ("full", -1)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ranking, "LAZY_LEN", split)
+                mp.setattr(ranking, "CHUNK", int(rng.integers(1, 5)))
+                got[path] = rerank_batch(tables, queries, params, method, target)
+        assert got["lazy"] == got["full"]
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("method", sorted(BRUTE_FORCE))
+    @pytest.mark.parametrize("n_tables", [1, 2])
+    @pytest.mark.parametrize("k", [10, 60])
+    def test_short_lists_on_synthetic_corpus(self, synth_tables, k, n_tables, method, depth):
+        tables = synth_tables[:n_tables]
+        params = GraphParams(k=k, depth=depth)
+        queries = np.random.default_rng(k * depth).choice(200, size=8, replace=False).tolist()
+        got = rerank_batch(tables, queries, params, method, target_len=3)
+        for q, ranked in zip(queries, got):
+            graph = build_graph(tables, q, params, method)
+            assert ranked.order == greedy_rank(graph, tables[0].lists[q]).order[:3]
 
     @pytest.mark.parametrize("method", sorted(BRUTE_FORCE))
     def test_query_out_of_range_rejected(self, method):
