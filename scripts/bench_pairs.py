@@ -8,7 +8,9 @@ Each `WORKLOAD=FIRST-LAST` gives one pair per seed. A pair runs
 both checkouts, one after the other: the parent first on even pairs, the
 change first on odd ones, so slow spells of the machine fall on both sides.
 The output follows the earlier BENCH files: the command, the parent's git
-SHA, each run's end-to-end metrics with `failed` and `orders_sha256`, and
+SHA and each side's `src_sha256` (the hash of its `src/` that run.py's `meta`
+line prints, so a checkout without `.git` is still named), each run's
+end-to-end metrics with `failed`, `orders_sha256` and `src_sha256`, and
 per workload each side's median and quartiles and the number of pairs the
 change won on each metric. The metrics and which way is better come from
 `BENCHMARK.json` in the change checkout. The file is rewritten after every
@@ -47,6 +49,7 @@ def run_bench(checkout, workload, seed, seconds):
             run["orders_sha256"] = line.split()[1]
         elif line.startswith("meta "):
             meta = json.loads(line[len("meta "):])
+    run["src_sha256"] = meta.get("src_sha256")
     return run, meta
 
 
@@ -91,6 +94,7 @@ def main(argv=None):
         "command": f"python3 perfbench/run.py --workload <name> --seed <seed> "
                    f"--seconds {args.seconds:g} --trace 0",
         "parent": parent_sha or None,
+        "src_sha256": dict.fromkeys(SIDES),
         "hardware": None,
         "pairs": {},
         "workloads": {},
@@ -108,6 +112,7 @@ def main(argv=None):
             pair = {"seed": seed, "first": order[0], "parent": None, "change": None}
             for side in order:
                 pair[side], meta = run_bench(getattr(args, side), workload, seed, args.seconds)
+                doc["src_sha256"][side] = pair[side]["src_sha256"]
                 doc["hardware"] = (f"{meta.get('cores')} cores, Python {meta.get('python')}, "
                                    f"numpy {meta.get('numpy')}")
             sha = pair["parent"]["orders_sha256"]

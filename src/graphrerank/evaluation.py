@@ -8,10 +8,9 @@ protocol).
 The N-S score reads only the first `NS_DEPTH` ids of a list, so
 `evaluate(metric="ns")` scores the baseline on that prefix of tables[0]'s
 lists and reranks with `target_len=NS_DEPTH`; greedy ranking is
-prefix-consistent, so the scores equal those of the full lists. A list
-that short is ranked by lazy expansion (see `ranking`): only the out-edges
-of the query and of its first two picks are built. Average precision reads
-the whole list, and `metric="map"` ranks it in full, from the full graphs.
+prefix-consistent, so the scores equal those of the full lists. Average
+precision reads the whole list, and `metric="map"` ranks it in full.
+`ranking` states which path ranks a prefix and which a whole list.
 
 `evaluate` and `sweep_k` rerank through `ranking.rerank_batch`, greedy
 max-weight expansion; `GraphParams` and `method` are the only ranking

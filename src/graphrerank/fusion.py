@@ -14,8 +14,9 @@ are its ids): the fused nodes are the sorted distinct keys, and an edge is
 keyed by its (query, src, dst) through its fused endpoints. Both are
 deduplicated by sorting: the nodes by `graph._sorted_unique` (see `graph`
 for why not `np.unique`), the edges by `_sum_by_key`, which sums each
-key's weights in input order. `ranking`'s lazy expansion sums its edges
-per key with the same helper. `fuse` is a batch of one.
+key's weights in input order. `ranking`'s lockstep expansion, which ranks
+prefixes (see `ranking`), sums its edges per key with the same helper.
+`fuse` is a batch of one.
 """
 
 from __future__ import annotations

@@ -52,8 +52,8 @@ steps:
   indexing `keys`: each BFS level in turn, in key order, so a batch of
   one's `ids` (its keys are the ids themselves) are ordered by hop
   distance from the query, then by id, and its edges by source, then list
-  order. `ranking`'s lazy expansion asks it for each query's newest pick
-  only.
+  order. `ranking`'s lockstep expansion, which ranks prefixes (see
+  `ranking`), asks it for each query's newest pick only.
 
 The weights equal bit for bit those of the scalar oracles `rank_weight`
 and `jaccard_weight` in `tests/conftest.py`, because each one is computed

@@ -9,70 +9,48 @@ exhausted early, the list is completed from the initial ranking.
 
 Greedy insertion is prefix-consistent: each pick depends only on the picks
 before it, so `greedy_rank(g, init, target_len=t).order` equals the first
-t ids of the full order `greedy_rank(g, init).order`. `target_len` (also
-`rerank`'s and `rerank_batch`'s) therefore stops the expansion where a
-caller stops reading; `evaluation.evaluate` asks for the N-S depth only.
+t ids of the full order `greedy_rank(g, init).order`, and
+`rerank_batch(..., target_len=t)` gives the first t ids of each whole list.
 
 Nodes are laid out in tie order (query first, then by initial-list
 position, nodes absent from the list after all present ones, then by id),
 so `np.argmax`, which returns the first of equal maxima, picks the
 documented tie-break. Scores are a running `np.maximum`, compared exactly.
 
-Queries are ranked in batches: `rerank_batch` takes `CHUNK` queries at a
-time through one array program over the flat node keys `b * n + id` (see
-`graph`). One branch on `target_len` picks how a batch is ranked; both
-ways give the same lists.
+`rerank_batch` ranks `CHUNK` queries at a time as one array program over
+the flat node keys `b * n + id` (see `graph`); `rerank` is a batch of one.
+The shape of the request picks the path, and both give the same lists:
 
-- Full graphs, for lists longer than `LAZY_LEN` (`_rank_chunk`): one BFS,
-  one weighting step and one fusion build every query's whole graph, then
-  one tie-order layout (a sort by query slot, then by position in the
-  slot's tables[0] list, where the query's own position is 0) and one
-  out-edge index. Only the greedy expansion runs per query, as a scalar
-  loop over that query's segment of the layout.
-- Lazy expansion, for lists up to `LAZY_LEN` long (`_lazy_chunk`), such as
-  the 3 ids N-S reads. Pick t depends only on the out-edges of the query
-  and of picks 1 .. t-1, and an edge and its decay only on the BFS depths
-  of its ends, which `graph._depths` finds from the rows of the levels
-  below `depth`. So the batch runs `target_len` lockstep steps. Each step
-  gathers, in every table, the out-edges of each query's newest node
-  (`graph._out_edges`, the builders' own weights), sums them per (query,
-  node) in table order with the helper `fusion._fuse_arrays` sums with,
-  so a sum equals the fused edge's bit for bit, and `np.maximum`s them into
-  a dense (batch, n) score array. Its columns are positions in the query's
-  tables[0] list, column 0 the query, so a row's `argmax` is the tie-break.
-  A query whose row holds no candidate is done; its list is completed from
-  its initial list, as from a full graph.
+- A whole list (`target_len` = n - 1, the default; `rerank`, the CLI
+  `rerank` command and `metric="map"`) is ranked from the full graphs
+  (`_rank_chunk`): one BFS, one weighting step and one fusion build every
+  query's whole graph, then one tie-order layout (a sort by query slot,
+  then by position in the slot's tables[0] list, where the query's own
+  position is 0) and one out-edge index. Only the greedy expansion runs
+  per query, over that query's segment of the layout.
+- A prefix (`target_len` < n - 1, such as the 3 ids N-S reads) is ranked
+  by lockstep expansion (`_lazy_chunk`). Pick t depends only on the
+  out-edges of the query and of picks 1 .. t-1, and an edge and its decay
+  only on the BFS depths of its ends (`graph._depths`). So each of
+  `target_len` steps gathers, in every table, the out-edges of each
+  query's newest node (`graph._out_edges`), sums them per (query, node)
+  in table order with `fusion._sum_by_key`, so a sum equals the fused
+  edge's bit for bit, and `np.maximum`s them into a dense (batch, n) score
+  array. Its columns are positions in the query's tables[0] list, column
+  0 the query, so a row's `argmax` is the tie-break. A query whose row
+  holds no candidate is done; its list is completed from its initial
+  list, as from a full graph.
 
-The lazy steps cost numpy calls per step, the full graphs work per node
-and edge, so which is faster depends on the list length, the batch size
-and k. `LAZY_LEN` sits below the crossover of `CHUNK`-query batches at
-k = 10, where the full graphs are smallest and the lazy steps gain least.
-Microseconds per query, full -> lazy, by `target_len` (2 CPUs, n = 2 000,
-k = 10, two tables; each the best of 6 timings, which still vary by about
-20 %):
-
-| batch | graphs | 3 | 16 | 24 | 48 | 1 999 |
-|---|---|---|---|---|---|---|
-| 64 | directed | 146 -> 30 | 195 -> 82 | 224 -> 119 | 367 -> 332 | |
-| 64 | undirected | 98 -> 42 | 149 -> 115 | 168 -> 162 | 224 -> 282 | |
-| 1 | directed | 352 -> 389 | 426 -> 1 544 | | | 739 -> 9 243 |
-| 1 | undirected | 477 -> 474 | 443 -> 2 237 | | | 719 -> 6 263 |
-
-A batch of one shares each step's numpy calls with no other query, so
-lazily its lists cost as much as from the full graph at 3 ids and several
-times as much beyond. `rerank` and the CLI `rerank` command (a batch of
-one, full lists) and `metric="map"` (full lists) therefore rank from the
-full graphs.
+Why the rule: medians of 6 alternating in-process runs, 2 CPUs, synthetic
+n = 2 000, k = 10, two tables, microseconds per query, full graphs ->
+lockstep. A 3-id prefix in 64-query chunks: 142 -> 39 directed, 102 -> 55
+undirected. Whole lists in 64-query chunks: 346 -> 461 directed (1.33x),
+211 -> 322 undirected (1.53x). One whole list: 645 -> 4 942 directed.
 
 Queries are checked once, where they enter (`rerank_batch`,
-`build_graph`), `RankedList`'s rules once per batch, and the graphs a batch
-builds are not re-checked. `rerank` is a batch of one; `build_graph` (one
-graph per table, fused by per-edge weight sum when several), the one graph
-builder, and `fusion.fuse` run the same code on one graph, and
-`greedy_rank` ranks one `ImageGraph` through the full path's layout,
-expansion and completion (`_rank_graphs`). `evaluation.evaluate` and the
-CLI `rerank` command rank through `rerank_batch`, and the CLI `graph-dump`
-command through `build_graph`.
+`build_graph`), `RankedList`'s rules once per batch, and the graphs a
+batch builds are not re-checked. `greedy_rank` ranks one `ImageGraph`
+through the full path's layout, expansion and completion (`_rank_graphs`).
 """
 
 from __future__ import annotations
@@ -89,7 +67,6 @@ from .graph import ImageGraph, _depths, _graph_arrays, _out_edges
 __all__ = ["CHUNK", "RankedList", "build_graph", "greedy_rank", "rerank", "rerank_batch"]
 
 CHUNK = 64  # queries ranked as one batch; bounds the batch's (CHUNK * n) key index
-LAZY_LEN = 16  # lists up to this long are ranked lazily, longer ones from full graphs
 
 
 def _check_orders(queries, orders):
@@ -273,18 +250,19 @@ def build_graph(tables, query, params, method="directed"):
     return ImageGraph(queries[0], *_graphs(tables, queries, params, directed), directed)
 
 
-def _rank_chunk(tables, queries, params, directed, target_len):
-    """`rerank` for every query of one batch."""
+def _rank_chunk(tables, queries, params, directed):
+    """`rerank` for every query of one batch: whole lists, from the full graphs."""
     keys, src, dst, weight = _graphs(tables, queries, params, directed)
     slot, ids = np.divmod(keys, tables[0].n)
     # tie order: query (its own position is 0), then position in tables[0]'s list
     tie = tables[0].positions[queries[slot], ids]
     initials = [tables[0].lists[q] for q in queries.tolist()]
-    return _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, target_len)
+    length = tables[0].n - 1
+    return _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, length)
 
 
 def _lazy_chunk(tables, queries, params, directed, target_len):
-    """`_rank_chunk`, gathering only the out-edges of each query's newest node per step."""
+    """The first `target_len` ids of `_rank_chunk`'s lists, by lockstep expansion."""
     n, pos0, lists0 = tables[0].n, tables[0].positions, tables[0].lists
     depths = [_depths(t, queries, params, directed)[0] for t in tables]
     # scores[b, c]: the best edge from query b's set into the id at position
@@ -326,25 +304,28 @@ def _lazy_chunk(tables, queries, params, directed, target_len):
 def rerank_batch(tables, queries, params, method="directed", target_len=None):
     """`rerank` for each of `queries`, ranked `CHUNK` queries at a time.
 
-    A query may repeat; each result depends only on its own query.
+    `target_len` (default: the whole list) keeps each list's first ids; a
+    prefix is ranked by lockstep expansion, a whole list from the full
+    graphs. A query may repeat; each result depends only on its own query.
     """
     tables, queries, directed = _checked(tables, queries, method)
     length = tables[0].n - 1
     target_len = length if target_len is None else operator.index(target_len)
     if not 0 <= target_len <= length:
         raise ValueError(f"target_len {target_len} out of range [0, {length}]")
-    rank = _lazy_chunk if target_len <= LAZY_LEN else _rank_chunk
     ranked = []
     for start in range(0, len(queries), CHUNK):
         chunk = queries[start:start + CHUNK]
-        ranked += rank(tables, chunk, params, directed, target_len)
+        if target_len < length:
+            ranked += _lazy_chunk(tables, chunk, params, directed, target_len)
+        else:
+            ranked += _rank_chunk(tables, chunk, params, directed)
     return ranked
 
 
-def rerank(tables, query, params, method="directed", target_len=None):
-    """Greedy-rank `build_graph`'s graph for one query: a batch of one.
+def rerank(tables, query, params, method="directed"):
+    """Greedy-rank `build_graph`'s graph for one query: its whole list, a batch of one.
 
     The completed tail and tie-breaking both come from tables[0]'s list.
-    `target_len` (default: the whole list) stops the expansion early.
     """
-    return rerank_batch(tables, [operator.index(query)], params, method, target_len)[0]
+    return rerank_batch(tables, [operator.index(query)], params, method)[0]

@@ -71,30 +71,7 @@ class TestFuseBasics:
 
 
 class TestFuseProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_commutativity(self, seed):
-        rng = np.random.default_rng(seed)
-        gs = [random_graph(rng) for _ in range(3)]
-        order = list(rng.permutation(3))
-        assert graphs_same(fuse(gs), fuse([gs[i] for i in order]))
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_associativity(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (random_graph(rng) for _ in range(3))
-        assert graphs_same(fuse([fuse([a, b]), c]), fuse([a, fuse([b, c])]))
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_monotonicity(self, seed):
-        rng = np.random.default_rng(seed)
-        gs = [random_graph(rng) for _ in range(int(rng.integers(1, 4)))]
-        fused = fuse(gs)
-        for g in gs:
-            for key, w in g.edges.items():
-                assert fused.edges[key] >= w - 1e-12
+    """Commutativity, associativity and monotonicity are criterion 7's, in test_acceptance.py."""
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**9))

@@ -39,6 +39,8 @@ REMOVED = [
     "reciprocal",
     "rank_weight",
     "jaccard_weight",
+    # the path follows the request: rerank_batch ranks a prefix by lockstep
+    "LAZY_LEN",
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -70,6 +72,11 @@ def test_removed_helpers_stay_removed(module):
 
 def test_fuse_takes_only_graphs():
     assert list(inspect.signature(fuse).parameters) == ["graphs"]
+
+
+def test_rerank_ranks_whole_lists():
+    # prefixes come from rerank_batch(..., target_len) or greedy_rank
+    assert list(inspect.signature(rerank).parameters) == ["tables", "query", "params", "method"]
 
 
 def test_image_graph_has_one_constructor():

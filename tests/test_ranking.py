@@ -410,21 +410,17 @@ class TestPrefixConsistency:
         assert rerank(tables, query, params, method).order == full
         for t in range(len(initial) + 1):
             assert greedy_rank(graph, initial, t).order == full[:t]
-            assert rerank(tables, query, params, method, target_len=t).order == full[:t]
+            assert rerank_batch(tables, [query], params, method, t)[0].order == full[:t]
 
 
 def corpus_and_target(rng):
-    """Random tables' size n and a target length on a random side of `ranking.LAZY_LEN`.
+    """Random tables' size n and a target length: a prefix or the whole list.
 
-    Lists up to `LAZY_LEN` long are ranked by lazy expansion and longer ones
-    from the full graphs, so each side is drawn half the time.
+    A prefix (t < n - 1) is ranked by lockstep expansion and a whole list
+    (t = n - 1) from the full graphs, so each is drawn half the time.
     """
-    split = ranking.LAZY_LEN
-    if rng.integers(2):
-        n = int(rng.integers(2, 26))
-        return n, int(rng.integers(0, min(n, split + 1)))
-    n = int(rng.integers(split + 2, split + 26))
-    return n, int(rng.integers(split + 1, n))
+    n = int(rng.integers(2, 31))
+    return n, int(rng.integers(0, n - 1)) if rng.integers(2) else n - 1
 
 
 @pytest.fixture(scope="module")
@@ -480,7 +476,7 @@ class TestRerankBatch:
         reordered = rerank_batch(tables, [queries[i] for i in shuffled], params, method, target)
         assert reordered == [whole[i] for i in shuffled]
         for q, ranked in zip(queries, whole):
-            assert rerank(tables, q, params, method, target) == ranked
+            assert rerank_batch(tables, [q], params, method, target)[0] == ranked
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -497,15 +493,13 @@ class TestRerankBatch:
             alpha0=float(rng.choice([0.5, 0.8, 1.0])),
             depth=int(rng.integers(1, 4)),
         )
-        target = int(rng.integers(0, n))
+        target = int(rng.integers(0, n - 1))  # a prefix: t < n - 1
         queries = [int(q) for q in rng.integers(0, n, size=int(rng.integers(1, 12)))]
-        got = {}
-        for path, split in (("lazy", n), ("full", -1)):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ranking, "LAZY_LEN", split)
-                mp.setattr(ranking, "CHUNK", int(rng.integers(1, 5)))
-                got[path] = rerank_batch(tables, queries, params, method, target)
-        assert got["lazy"] == got["full"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ranking, "CHUNK", int(rng.integers(1, 5)))
+            lazy = rerank_batch(tables, queries, params, method, target)
+            full = rerank_batch(tables, queries, params, method)
+        assert [r.order for r in lazy] == [r.order[:target] for r in full]
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("method", sorted(BRUTE_FORCE))
