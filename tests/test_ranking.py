@@ -534,6 +534,20 @@ class TestRerankBatch:
         tables = [random_rank_table(np.random.default_rng(3), 8)]
         assert rerank_batch(tables, [], GraphParams(k=3)) == []
 
+    @pytest.mark.parametrize(
+        "target, path",
+        [(0, "_lazy_chunk"), (6, "_lazy_chunk"), (7, "_rank_chunk"), (None, "_rank_chunk")],
+    )
+    def test_prefix_by_lockstep_whole_list_from_full_graphs(self, target, path):
+        # both paths give the same lists, so only the call shows which one ran
+        tables = [random_rank_table(np.random.default_rng(3), 8)]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_lazy_chunk", "_rank_chunk"):
+                mp.setattr(ranking, name, lambda *args, name=name: calls.append(name) or [])
+            rerank_batch(tables, [0, 1], GraphParams(k=3), target_len=target)
+        assert calls == [path]
+
     def test_bad_target_len_rejected(self):
         tables = [random_rank_table(np.random.default_rng(3), 8)]
         with pytest.raises(ValueError, match=r"target_len 8 out of range \[0, 7\]"):
