@@ -1,9 +1,9 @@
 """Core corpus data model, on-disk text formats, and synthetic corpus generation.
 
 Image ids are dense integers in [0, n). A rank table stores, for every image
-used as a query, its full retrieval ordering over the rest of the corpus;
-truncation to the k nearest neighbors happens later, at graph-construction
-time, so a single table supports any k sweep.
+used as a query, its full retrieval ordering over the rest of the corpus, as
+int32; truncation to the k nearest neighbors happens later, at
+graph-construction time, so a single table supports any k sweep.
 
 Rank-table, ground-truth and ranked-list files share one line format,
 `owner: id id ...`, written by `id_lines_text`. Rank-table and ground-truth
@@ -68,12 +68,17 @@ def _names_file(load):
     return named
 
 
-def _int_ids(ids):
-    """`ids` as int64; a non-empty array of another dtype raises TypeError (no pass over it)."""
+def _int_array(ids):
+    """`ids` as an array of its own dtype; a non-empty array of a non-integer dtype raises TypeError."""
     arr = np.asarray(ids)
     if arr.dtype.kind not in "iu" and arr.size:
         raise TypeError(f"image ids must be integers, not {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    return arr
+
+
+def _int_ids(ids):
+    """`ids` as int64; a non-empty array of another dtype raises TypeError (no pass over it)."""
+    return _int_array(ids).astype(np.int64, copy=False)
 
 
 def atomic_write_text(path, text):
@@ -103,20 +108,64 @@ def id_lines_text(rows, header=None):
     return "".join(line + "\n" for line in lines)
 
 
-def _all_permutations(lists):
-    """Whether each row i of the (n, n - 1) `lists` holds every id in [0, n) but i.
+_SCATTER = 1 << 18  # list entries per row block of a scatter: 2 MB as an intp index
 
-    In range, an (n, n) scatter marks n * (n - 1) distinct (row, id) pairs
-    exactly when no row repeats an id, and then a row that holds its owner
-    misses another id. No sort is needed: `RankTable` sorts only to name
-    the first bad list.
+
+def _row_blocks(n, width):
+    """Slices of an n-row table, each of about `_SCATTER` entries of `width` per row.
+
+    Fancy indexing with an int32 array first makes an intp copy of it; a
+    scatter over one block at a time keeps that copy to one block's size.
     """
-    n = len(lists)
-    if lists.min() < 0 or lists.max() >= n:
-        return False
-    seen = np.zeros((n, n), dtype=bool)
-    seen[np.arange(n)[:, None], lists] = True
-    return np.count_nonzero(seen) == n * (n - 1) and not seen.diagonal().any()
+    step = max(1, _SCATTER // max(width, 1))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _list_fault(row, owner, n):
+    """Why `row` is not a permutation of the ids [0, n) but `owner`, or None."""
+    row = np.sort(row)
+    if row.size and (row[0] < 0 or row[-1] >= n):
+        return f"id {row[0] if row[0] < 0 else row[-1]} out of range [0, {n})"
+    if np.count_nonzero(row == owner):
+        return f"contains its owner {owner}"
+    dup = row[1:][row[1:] == row[:-1]]
+    return f"duplicate id {dup[0]}" if dup.size else None
+
+
+def _check_lists(lists, n):
+    """Raise `rank list i: <fault>` for the first row i of `lists` that is
+    not a permutation of the ids [0, n) but i.
+
+    Each block of rows is range-checked in its own dtype first. In range, a
+    (rows, n) scatter marks rows * (n - 1) distinct (row, id) pairs exactly
+    when no row repeats an id, and then a row that holds its owner misses
+    another id. No sort is needed: only a block that fails is read again,
+    row by row, to name its first bad list.
+    """
+    for rows in _row_blocks(len(lists), n - 1):
+        block = lists[rows]
+        local = np.arange(len(block))
+        owners = local + rows.start
+        if block.min() >= 0 and block.max() < n:
+            seen = np.zeros((len(block), n), dtype=bool)
+            seen[local[:, None], block] = True
+            if np.count_nonzero(seen) == block.size and not seen[local, owners].any():
+                continue
+        for owner, row in zip(owners.tolist(), block):
+            fault = _list_fault(row, owner, n)
+            if fault:
+                raise ValueError(f"rank list {owner}: {fault}")
+
+
+def _check_table(arr):
+    """`RankTable`'s checks of an integer array, in its own dtype."""
+    if arr.ndim != 2:
+        raise ValueError("rank lists must form a 2-d array")
+    n = arr.shape[0]
+    if arr.shape[1] != max(n - 1, 0):
+        raise ValueError(f"each rank list must have length {max(n - 1, 0)}")
+    if n > 1:
+        _check_lists(arr, n)
 
 
 @dataclass(frozen=True)
@@ -125,38 +174,29 @@ class RankTable:
 
     `lists[i]` is a permutation of all ids except i itself, closest first;
     a rejection names the first list that is not, and why (TypeError for a
-    non-integer dtype). Immutable: a caller's ndarray is copied; other
-    input, such as `load_rank_table`'s list of rows, is converted once.
+    non-integer dtype). The ids are checked in the dtype they come in and
+    only then stored as read-only int32, so an id beyond int32 cannot wrap
+    into range. Immutable: the input, a caller's int32 array too, is
+    copied once.
     """
 
     lists: np.ndarray
 
     def __post_init__(self):
-        arr = _int_ids(self.lists)
-        if isinstance(self.lists, np.ndarray) and np.may_share_memory(arr, self.lists):
-            arr = arr.copy()
-        if arr.ndim != 2:
-            raise ValueError("rank lists must form a 2-d array")
-        n = arr.shape[0]
-        if arr.shape[1] != max(n - 1, 0):
-            raise ValueError(f"each rank list must have length {max(n - 1, 0)}")
-        if n > 1 and not _all_permutations(arr):
-            j = np.arange(n - 1)
-            # sorted row i minus [0..n-1] with i removed: all 0 iff a permutation
-            off = np.sort(arr, axis=1)
-            off -= j
-            off -= j >= np.arange(n)[:, None]
-            i = int(off.any(axis=1).argmax())
-            row = np.sort(arr[i])
-            if row[0] < 0 or row[-1] >= n:
-                fault = f"id {row[0] if row[0] < 0 else row[-1]} out of range [0, {n})"
-            elif (row == i).any():
-                fault = f"contains its owner {i}"
-            else:
-                fault = f"duplicate id {row[1:][row[1:] == row[:-1]][0]}"
-            raise ValueError(f"rank list {i}: {fault}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "lists", arr)
+        arr = _int_array(self.lists)
+        _check_table(arr)
+        lists = arr.astype(np.int32)
+        lists.setflags(write=False)
+        object.__setattr__(self, "lists", lists)
+
+    @classmethod
+    def _adopt(cls, lists):
+        """`RankTable(lists)` for an int32 array that only its maker holds: checked, not copied."""
+        _check_table(lists)
+        lists.setflags(write=False)
+        table = object.__new__(cls)
+        object.__setattr__(table, "lists", lists)
+        return table
 
     @property
     def n(self):
@@ -164,10 +204,16 @@ class RankTable:
 
     @cached_property
     def positions(self):
-        """(n, n) matrix of 1-based list positions; positions[i, i] = 0."""
+        """(n, n) read-only int32 matrix of 1-based list positions; positions[i, i] = 0.
+
+        Scattered one block of rows at a time (`_row_blocks`).
+        """
         n = self.n
-        pos = np.zeros((n, n), dtype=np.int64)
-        pos[np.arange(n)[:, None], self.lists] = np.arange(1, n)
+        pos = np.zeros((n, n), dtype=np.int32)
+        ranks = np.arange(1, n, dtype=np.int32)
+        for rows in _row_blocks(n, n - 1):
+            block = self.lists[rows]
+            pos[rows][np.arange(len(block))[:, None], block] = ranks
         pos.setflags(write=False)
         return pos
 
@@ -225,21 +271,31 @@ def _id_line(line, lineno):
 def load_rank_table(path):
     """Parse a rank-table file: line i is `i:` and then the n - 1 other ids.
 
-    Owner order and the id count are checked line by line, the lists by
-    `RankTable`.
+    Owner order and the id count are checked line by line. Each line's ids
+    are range-checked as int64 and written straight into the int32 table,
+    whose lists `RankTable` then checks.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     n = len(lines)
-    rows = []
+    lists = np.empty((n, max(n - 1, 0)), dtype=np.int32)
+    wide = None  # the first line with an id outside [0, n), kept in int64 to name it
     for lineno, line in enumerate(lines):
         owner, ids = _id_line(line, lineno)
         if owner != lineno:
             raise FormatError(f"line {lineno + 1}: owner id {owner} out of order")
         if len(ids) != n - 1:
             raise FormatError(f"line {lineno + 1}: expected {n - 1} ids, got {len(ids)}")
-        rows.append(ids)
-    # an empty file is the 0-image table; `np.asarray([])` would be 1-d
-    return RankTable(rows if rows else np.empty((0, 0), dtype=np.int64))
+        if wide is None:
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                wide = lineno, ids
+            else:
+                lists[lineno] = ids
+    if wide is not None:
+        # as `RankTable` would: a bad list before it is named first
+        owner, ids = wide
+        _check_lists(lists[:owner], n)
+        raise FormatError(f"rank list {owner}: {_list_fault(ids, owner, n)}")
+    return RankTable._adopt(lists)
 
 
 def save_rank_table(table, path):

@@ -8,11 +8,13 @@ channel. These conventions are fixed for reproducibility.
 A rank table lists every other image by squared Euclidean distance, closest
 first; equal distances break by ascending id, and the owner is always left
 out, even when overflowed distances are `inf` like its own diagonal entry.
-The order comes from a fast unstable argsort of each distance row; only rows
-that hold two equal distances are sorted again with a stable sort, since a
-row of distinct values has exactly one sorted order. Distances are computed
-in blocks of `_BLOCK` = 32 rows, so that a block's (32, n, dims) difference
-array stays in cache; every distance is bit-equal at any block size.
+`build_rank_table` works through the rows in blocks of `_BLOCK` = 32, so
+that a block's (32, n, dims) difference array stays in cache and no n x n
+array is ever made; every distance is bit-equal at any block size. A block's
+(32, n) distances get an unstable argsort; only rows that hold two equal
+distances are sorted again with a stable sort, since a row of distinct
+values has exactly one sorted order. The order is written straight into the
+table's int32 lists, which the table then checks and keeps without a copy.
 
 A P6 header is `P6`, then width, height and maxval, each the next
 non-whitespace run not starting with `#` (a `#` there opens a comment to the
@@ -39,7 +41,7 @@ __all__ = [
     "features_from_manifest",
 ]
 
-_BLOCK = 32  # rows per distance block; keeps the (block, n, dims) difference array in cache
+_BLOCK = 32  # rows per block; keeps the (block, n, dims) difference array in cache
 
 
 @dataclass(frozen=True)
@@ -136,44 +138,38 @@ def normalize_histogram(v, exponent=0.5):
     return (v / total) ** exponent
 
 
-def _pairwise_sq_dists(rows):
-    n = rows.shape[0]
-    d2 = np.empty((n, n))
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        diff = rows[start:stop, None, :] - rows[None, :, :]
-        d2[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
-    return d2
-
-
-def _neighbor_order(rows):
-    """Each row's other ids by (distance, id); the n x n distances die on return."""
-    d2 = _pairwise_sq_dists(rows)
-    # inf, not NaN: a NaN row sends numpy's unstable argsort to a slow path
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1)
-    dist = np.sort(d2, axis=1)
-    # an owner whose inf equals overflowed distances makes its row tied too
-    tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
-    if tied.size:
-        # NaN sorts after every distance, so the owner is last even among infs
-        d2[tied, tied] = np.nan
-        order[tied] = np.argsort(d2[tied], axis=1, kind="stable")
-    return order[:, :-1]
-
-
 def build_rank_table(features):
     """Exact Euclidean nearest-neighbor orderings; distance ties break by ascending id.
 
-    The owner is never in its own list. Rows are ordered by an unstable
-    argsort, and a sort of the distance values finds the rows that hold
-    equal distances; only those are re-sorted stably, so the result equals
-    a stable argsort with the owner placed last. The worst case, every row tied, costs one unstable
-    argsort and the tie check on top of that stable argsort.
+    The owner is never in its own list. Each block of rows is ordered by an
+    unstable argsort, and a sort of the distance values finds the rows that
+    hold equal distances; only those are re-sorted stably, so the result
+    equals a stable argsort with the owner placed last. The worst case,
+    every row tied, costs one unstable argsort and the tie check on top of
+    that stable argsort.
     """
     if features.n < 2:
         raise ValueError("need at least 2 images to build a rank table")
-    return RankTable(_neighbor_order(features.rows))
+    rows = features.rows
+    n = len(rows)
+    lists = np.empty((n, n - 1), dtype=np.int32)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        diff = rows[start:stop, None, :] - rows[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        local = np.arange(stop - start)
+        # inf, not NaN: a NaN row sends numpy's unstable argsort to a slow path
+        d2[local, local + start] = np.inf
+        order = np.argsort(d2, axis=1)
+        dist = np.sort(d2, axis=1)
+        # an owner whose inf equals overflowed distances makes its row tied too
+        tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
+        if tied.size:
+            # NaN sorts after every distance, so the owner is last even among infs
+            d2[tied, tied + start] = np.nan
+            order[tied] = np.argsort(d2[tied], axis=1, kind="stable")
+        lists[start:stop] = order[:, :-1]
+    return RankTable._adopt(lists)
 
 
 def features_from_manifest(paths, bins_per_channel=10, exponent=0.5):

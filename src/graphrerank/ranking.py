@@ -95,7 +95,7 @@ class RankedList:
 
     @classmethod
     def _batch(cls, queries, orders):
-        """One RankedList per row of the int64 (B, L) `orders`, checked once for all rows."""
+        """One RankedList per row of the integer (B, L) `orders`, checked once for all rows."""
         _check_orders(queries, orders)
         ranked = []
         for query, order in zip(queries.tolist(), orders.tolist()):

@@ -86,6 +86,30 @@ class TestRankTableFormat:
         with pytest.raises(FormatError, match="line 2: .*out of range"):
             load_rank_table(path)
 
+    def test_id_beyond_int32_rejected_before_narrowing(self, tmp_path):
+        # stored as int32 unchecked, 2**32 + 1 would wrap to 1 and load
+        path = tmp_path / "t.txt"
+        path.write_text("0: 4294967297\n1: 0\n")
+        want = f"{path}: rank list 0: id 4294967297 out of range [0, 2)"
+        with pytest.raises(FormatError, match=f"^{re.escape(want)}$"):
+            load_rank_table(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # an earlier bad list is named before a list with an id out of range
+            ("0: 1 1 3\n1: 0 2 9\n2: 0 1 3\n3: 0 1 2\n", "rank list 0: duplicate id 1"),
+            ("0: 1 2 3\n1: 0 2 -4\n2: 0 1 1\n3: 0 1 2\n", "rank list 1: id -4 out of range"),
+            # and every line is parsed before any list is named
+            ("0: 1 2 3\n1: 0 2 9\n2: 0 1\n3: 0 1 2\n", "line 3: expected 3 ids, got 2"),
+        ],
+    )
+    def test_out_of_range_id_keeps_error_order(self, tmp_path, text, message):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            load_rank_table(path)
+
     def test_empty_corpus_round_trip(self, tmp_path):
         path = tmp_path / "t.txt"
         save_rank_table(RankTable(np.empty((0, 0), dtype=np.int64)), path)
@@ -259,17 +283,41 @@ class TestRankTableValidation:
             RankTable(np.array([[1.9], [0.2]]))
 
     def test_caller_mutation_leaves_table_unchanged(self):
-        # an array or view the caller passed is copied; rows in a list are
-        # copied by their conversion to one array
+        # an array or view the caller passed is copied, an int32 one (the
+        # stored dtype) too; rows in a list are copied by their conversion
         lists = np.array([[1, 2], [0, 2], [0, 1]])
+        narrow = lists.astype(np.int32)
         wide = np.array([[9, 1, 2], [9, 0, 2], [9, 0, 1]])
         rows = [row.copy() for row in lists]
-        tables = [RankTable(lists), RankTable(wide[:, 1:]), RankTable(rows)]
+        tables = [RankTable(lists), RankTable(narrow), RankTable(wide[:, 1:]), RankTable(rows)]
         lists[0] = [2, 1]
+        narrow[0] = [2, 1]
         wide[0, 1:] = [2, 1]
         rows[0][:] = [2, 1]
         for table in tables:
             assert table.lists.tolist() == [[1, 2], [0, 2], [0, 1]]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_ids_checked_before_narrowing(self, dtype):
+        # cast to int32 first, 2**32 + 1 would wrap to 1 and pass
+        with pytest.raises(ValueError, match=re.escape("rank list 0: id 4294967297 out of range [0, 2)")):
+            RankTable(np.array([[2**32 + 1], [0]], dtype=dtype))
+
+    def test_stored_as_read_only_int32(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("0: 1 2\n1: 0 2\n2: 0 1\n")
+        given = np.array([[1, 2], [0, 2], [0, 1]])
+        tables = [
+            RankTable(given),
+            RankTable(given.astype(np.uint8)),
+            load_rank_table(path),
+            build_rank_table(FeatureMatrix([[0.0], [1.0], [-1.0]])),
+        ]
+        for table in tables:
+            for arr in (table.lists, table.positions):
+                assert arr.dtype == np.int32
+                assert not arr.flags.writeable
+            assert table.lists.tolist() == given.tolist()
 
     def test_positions_inverse_of_lists(self):
         table = random_rank_table(np.random.default_rng(0), 9)

@@ -1,5 +1,6 @@
 import colorsys
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,18 @@ class TestBuildRankTable:
         table = build_rank_table(FeatureMatrix(rng.normal(size=(n, 3))))
         # RankTable validates the permutation property on construction
         assert table.n == n
+
+    def test_build_holds_no_n_by_n_temporaries(self):
+        # one (1000, 1000) float64 array alone is 7.6 MiB, and the int32
+        # table the build returns is 3.8 MiB
+        matrix = FeatureMatrix(np.random.default_rng(4).normal(size=(1000, 8)))
+        tracemalloc.start()
+        try:
+            build_rank_table(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
     def test_chunked_blocks_match_single_block(self):
         assert 300 > features._BLOCK  # several distance blocks; the reference is one argsort
