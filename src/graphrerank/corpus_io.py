@@ -112,7 +112,8 @@ _SCATTER = 1 << 18  # list entries per row block of a scatter: 2 MB as an intp i
 
 
 def _row_blocks(n, width):
-    """Slices of an n-row table, each of about `_SCATTER` entries of `width` per row.
+    """Row slices of an n-row table with `width` entries a row, each of at
+    most `_SCATTER` entries (or one row).
 
     Fancy indexing with an int32 array first makes an intp copy of it; a
     scatter over one block at a time keeps that copy to one block's size.
