@@ -20,6 +20,15 @@ feature value is an ASCII decimal float (`_FLOAT_TOKEN`: optional sign,
 digits with an optional point, optional exponent) or an infinity or NaN,
 which is then rejected as non-finite; any other token, `1_0` or a non-ASCII
 digit among them, is a `non-numeric value`.
+
+A rank table's permutation check and its `positions` scatter run their row
+blocks on one thread per core (`_on_cores`; `_WORKERS` is the number of
+cores this process may run on), as `features.build_rank_table` does. Their
+numpy scatters, reductions and sorts release the GIL, so the blocks run in
+parallel; the blocks the workers hold at once total `_SCATTER` entries.
+Graph building, fusion, ranking and scoring stay serial: their per-query
+Python loops hold the GIL, and a thread pool made `evaluate` slower (21.5 s
+against 17.3 s serial, directed k = 60).
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import operator
 import os
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -108,17 +118,31 @@ def id_lines_text(rows, header=None):
     return "".join(line + "\n" for line in lines)
 
 
-_SCATTER = 1 << 18  # list entries per row block of a scatter: 2 MB as an intp index
+_SCATTER = 1 << 18  # list entries in flight in a scatter: 2 MB as an intp index
+# one worker per core this process may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _on_cores(fn, items):
+    """`[fn(item) for item in items]`, run on `_WORKERS` threads.
+
+    The pool is opened per call, so no thread outlives it (and a forked
+    child inherits none). Only numpy kernels that release the GIL pay for
+    running here.
+    """
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        return list(pool.map(fn, items))
 
 
 def _row_blocks(n, width):
     """Row slices of an n-row table with `width` entries a row, each of at
-    most `_SCATTER` entries (or one row).
+    most `_SCATTER // _WORKERS` entries (or one row).
 
     Fancy indexing with an int32 array first makes an intp copy of it; a
-    scatter over one block at a time keeps that copy to one block's size.
+    scatter over one block at a time keeps that copy to one block's size,
+    and the blocks the workers hold at once to `_SCATTER` entries.
     """
-    step = max(1, _SCATTER // max(width, 1))
+    step = max(1, _SCATTER // _WORKERS // max(width, 1))
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
@@ -141,9 +165,10 @@ def _check_lists(lists, n):
     (rows, n) scatter marks rows * (n - 1) distinct (row, id) pairs exactly
     when no row repeats an id, and then a row that holds its owner misses
     another id. No sort is needed: only a block that fails is read again,
-    row by row, to name its first bad list.
+    row by row, to name its first bad list. The blocks are checked on the
+    workers (`_on_cores`), and the first fault in row order is raised.
     """
-    for rows in _row_blocks(len(lists), n - 1):
+    def block_fault(rows):
         block = lists[rows]
         local = np.arange(len(block))
         owners = local + rows.start
@@ -151,11 +176,16 @@ def _check_lists(lists, n):
             seen = np.zeros((len(block), n), dtype=bool)
             seen[local[:, None], block] = True
             if np.count_nonzero(seen) == block.size and not seen[local, owners].any():
-                continue
+                return None
         for owner, row in zip(owners.tolist(), block):
             fault = _list_fault(row, owner, n)
             if fault:
-                raise ValueError(f"rank list {owner}: {fault}")
+                return f"rank list {owner}: {fault}"
+        return None
+
+    for fault in _on_cores(block_fault, _row_blocks(len(lists), n - 1)):
+        if fault:
+            raise ValueError(fault)
 
 
 def _check_table(arr):
@@ -207,14 +237,18 @@ class RankTable:
     def positions(self):
         """(n, n) read-only int32 matrix of 1-based list positions; positions[i, i] = 0.
 
-        Scattered one block of rows at a time (`_row_blocks`).
+        Scattered one block of rows at a time (`_row_blocks`), the blocks
+        on the workers (`_on_cores`); each writes only its own rows.
         """
         n = self.n
         pos = np.zeros((n, n), dtype=np.int32)
         ranks = np.arange(1, n, dtype=np.int32)
-        for rows in _row_blocks(n, n - 1):
+
+        def scatter(rows):
             block = self.lists[rows]
             pos[rows][np.arange(len(block))[:, None], block] = ranks
+
+        _on_cores(scatter, _row_blocks(n, n - 1))
         pos.setflags(write=False)
         return pos
 

@@ -93,6 +93,14 @@ class TestFeaturesCommand:
         assert err.startswith("error:")
         assert "absent.ppm" in err
 
+    def test_empty_manifest_is_one_error_line(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("\n", encoding="utf-8")
+        code = run("features", "--manifest", manifest, "--out", tmp_path / "f.txt")
+        assert code == 1
+        assert capsys.readouterr().err == "error: the manifest lists no images\n"
+        assert not (tmp_path / "f.txt").exists()
+
     def test_feature_to_ranks_pipeline(self, tmp_path):
         manifest = self.make_manifest(tmp_path)
         feat, ranks = tmp_path / "feat.txt", tmp_path / "ranks.txt"

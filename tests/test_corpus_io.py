@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphrerank import corpus_io
 from graphrerank.corpus_io import (
     FeatureMatrix,
     FormatError,
@@ -264,6 +265,25 @@ class TestRankTableValidation:
     def test_first_bad_list_named_when_a_later_one_is_out_of_range(self):
         with pytest.raises(ValueError, match="rank list 0: duplicate id 2"):
             RankTable(np.array([[2, 2], [0, 5], [0, 1]]))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_bad_list_named_across_row_blocks(self, monkeypatch, tmp_path, workers):
+        # blocks of 2 rows (1 for more workers) are checked on the pool; a
+        # later block may fail first, but the earliest bad list is named
+        monkeypatch.setattr(corpus_io, "_WORKERS", workers)
+        monkeypatch.setattr(corpus_io, "_SCATTER", 2 * 9)
+        lists = random_rank_table(np.random.default_rng(5), 10).lists.astype(np.int64)
+        assert len(corpus_io._row_blocks(10, 9)) >= 3
+        lists[2, :2] = lists[2, 0]
+        lists[7, 0] = -1
+        with pytest.raises(ValueError, match=f"^rank list 2: duplicate id {lists[2, 0]}$"):
+            RankTable(lists)
+        # an id beyond int32 on a later line: the loader checks the lists before it
+        lists[8, 0] = 2**32 + 1
+        path = tmp_path / "t.txt"
+        path.write_text(corpus_io.id_lines_text(enumerate(lists.tolist())))
+        with pytest.raises(FormatError, match=f"rank list 2: duplicate id {lists[2, 0]}$"):
+            load_rank_table(path)
 
     def test_rejection_names_list_and_reason(self):
         with pytest.raises(ValueError, match="rank list 1: id -1 out of range"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphrerank import features
+from graphrerank import corpus_io, features
 from graphrerank.corpus_io import FeatureMatrix, FormatError
 from graphrerank.features import (
     RawImage,
@@ -282,9 +282,12 @@ class TestBuildRankTable:
         # RankTable validates the permutation property on construction
         assert table.n == n
 
-    def test_build_holds_no_n_by_n_temporaries(self):
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_build_holds_no_n_by_n_temporaries(self, monkeypatch, workers):
         # one (1000, 1000) float64 array alone is 7.6 MiB, and the int32
-        # table the build returns is 3.8 MiB
+        # table the build returns is 3.8 MiB; the rows in flight stay
+        # `_BLOCK` however many workers build them
+        monkeypatch.setattr(corpus_io, "_WORKERS", workers)
         matrix = FeatureMatrix(np.random.default_rng(4).normal(size=(1000, 8)))
         tracemalloc.start()
         try:
@@ -294,7 +297,9 @@ class TestBuildRankTable:
             tracemalloc.stop()
         assert peak <= 10 * 2**20
 
-    def test_chunked_blocks_match_single_block(self):
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_chunked_blocks_match_single_block(self, monkeypatch, workers):
+        monkeypatch.setattr(corpus_io, "_WORKERS", workers)
         assert 300 > features._BLOCK  # several distance blocks; the reference is one argsort
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(300, 4))
