@@ -3,7 +3,10 @@
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR \\
         fused-k10-n2000=81-90 cold-jaccard-n2000=81-84 --seconds 45 --out BENCH_7.json
 
-Each `WORKLOAD=FIRST-LAST` gives one pair per seed. A pair runs
+Each `WORKLOAD=FIRST-LAST` (or `WORKLOAD=SEED`) gives one pair per seed. The
+seeds follow the input files' integer rule (`1_0` is an error, not 10), so
+the script imports `graphrerank`, as the other scripts do; a missing, bad or
+empty range is one `error: ...` line before any run. A pair runs
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0` in
 both checkouts, one after the other: the parent first on even pairs, the
 change first on odd ones, so slow spells of the machine fall on both sides.
@@ -25,6 +28,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from graphrerank.corpus_io import _parse_int
 
 SIDES = ("parent", "change")
 
@@ -71,9 +76,18 @@ def summary(runs, metrics):
     return out
 
 
-def seed_range(text):
-    first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+def parse_pairs(items):
+    """(workload, seeds) for each `WORKLOAD=FIRST-LAST` item; a bad one raises ValueError."""
+    pairs = []
+    for item in items:
+        workload, _, text = item.partition("=")
+        first, _, last = text.partition("-")
+        fault = f"{item!r}: give the seeds as WORKLOAD=FIRST-LAST or WORKLOAD=SEED"
+        seeds = range(_parse_int(first, fault), _parse_int(last or first, fault) + 1)
+        if not seeds:
+            raise ValueError(f"{item!r}: the seed range {text} is empty")
+        pairs.append((workload, seeds))
+    return pairs
 
 
 def main(argv=None):
@@ -85,6 +99,10 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=45.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    try:
+        pairs = parse_pairs(args.pairs)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -100,9 +118,7 @@ def main(argv=None):
         "workloads": {},
     }
     index = 0
-    for item in args.pairs:
-        workload, _, seeds = item.partition("=")
-        seeds = seed_range(seeds)
+    for workload, seeds in pairs:
         doc["pairs"][workload] = (f"{len(seeds)}, seeds {seeds[0]}-{seeds[-1]}, "
                                   "alternating which side runs first")
         runs = []

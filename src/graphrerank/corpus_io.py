@@ -6,8 +6,13 @@ int32; truncation to the k nearest neighbors happens later, at
 graph-construction time, so a single table supports any k sweep.
 
 Rank-table, ground-truth and ranked-list files share one line format,
-`owner: id id ...`, written by `id_lines_text`. Rank-table and ground-truth
-files are read by `_id_line`: each line is parsed once. Every loader (and
+`owner: id id ...`, written a line at a time by `id_lines`. A rank-table
+file in the canonical form it writes (line i is `i: id id ... id` and a
+newline: ASCII digits, single spaces, a final newline) is decoded in blocks
+of whole lines on the workers. Any other rank-table text, and canonical
+text that fails any of that decoder's checks, is parsed as a whole, line by
+line, as are ground-truth files: `_id_line` parses each line once. Both
+paths give the same table and the same errors. Every loader (and
 `features.load_ppm`) runs under `_names_file`, so a `FormatError` names its
 file and, in a text file, the first bad line (1-based): `<path>: line N: ...`,
 or `<path>: ...` for a P6 pixmap. Every integer an input file holds (an
@@ -21,11 +26,12 @@ digits with an optional point, optional exponent) or an infinity or NaN,
 which is then rejected as non-finite; any other token, `1_0` or a non-ASCII
 digit among them, is a `non-numeric value`.
 
-A rank table's permutation check and its `positions` scatter run their row
-blocks on one thread per core (`_on_cores`; `_WORKERS` is the number of
-cores this process may run on), as `features.build_rank_table` does. Their
-numpy scatters, reductions and sorts release the GIL, so the blocks run in
-parallel; the blocks the workers hold at once total `_SCATTER` entries.
+The block decode of canonical rank-table text, a rank table's permutation
+check and its `positions` scatter run their blocks on one thread per core
+(`_on_cores`; `_WORKERS` is the number of cores this process may run on),
+as `features.build_rank_table` does. Their numpy kernels release the GIL,
+so the blocks run in parallel; the blocks the workers hold at once total
+`_SCATTER` entries, or about `_SCATTER` bytes of text.
 Graph building, fusion, ranking and scoring stay serial: their per-query
 Python loops hold the GIL, and a thread pool made `evaluate` slower (21.5 s
 against 17.3 s serial, directed k = 60).
@@ -59,6 +65,7 @@ __all__ = [
     "save_feature_matrix",
     "synth_generate",
     "atomic_write_text",
+    "id_lines",
     "id_lines_text",
 ]
 
@@ -92,7 +99,8 @@ def _int_ids(ids):
 
 
 def atomic_write_text(path, text):
-    """Write `text` to `path` atomically (write to a sibling temp file, rename).
+    """Write `text`, a str or an iterable of str written in turn, to `path`
+    atomically (write to a sibling temp file, rename).
 
     On failure the temp file is removed and the error re-raised.
     """
@@ -100,22 +108,31 @@ def atomic_write_text(path, text):
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def id_lines_text(rows, header=None):
-    """An `owner: id id ...` line per (owner, ids) pair after an optional `# header`.
+def id_lines(rows, header=None):
+    """Yield an `owner: id id ...` line per (owner, ids) pair after an optional `# header`.
 
     Rank-table, ground-truth and ranked-list files all use it; an empty list
     is written as `owner:`.
     """
-    lines = [f"# {header}"] if header else []
-    lines += [" ".join([f"{owner}:", *map(str, ids)]) for owner, ids in rows]
-    return "".join(line + "\n" for line in lines)
+    if header:
+        yield f"# {header}\n"
+    for owner, ids in rows:
+        yield " ".join([f"{owner}:", *map(str, ids)]) + "\n"
+
+
+def id_lines_text(rows, header=None):
+    """`id_lines` joined into one str."""
+    return "".join(id_lines(rows, header))
 
 
 _SCATTER = 1 << 18  # list entries in flight in a scatter: 2 MB as an intp index
@@ -302,15 +319,76 @@ def _id_line(line, lineno):
     raise FormatError(f"line {lineno + 1}: non-integer id")
 
 
-@_names_file
-def load_rank_table(path):
-    """Parse a rank-table file: line i is `i:` and then the n - 1 other ids.
+def _canonical_lists(data):
+    """The int32 lists of canonical rank-table bytes, or None for any other bytes.
+
+    Canonical text is what `id_lines` writes for n >= 2 images: line i is
+    `i: ` and then n - 1 ids, each 1 to 9 ASCII digits, one space apart, and
+    a newline. The bytes are cut into blocks of whole lines of about
+    `_SCATTER // _WORKERS` bytes. Each block's count of lines places its
+    rows. The workers (`_on_cores`) decode the blocks with numpy alone: each
+    checks its separators and token widths, reads the tokens by Horner's
+    rule, checks that each owner is its line index and each id below n, and
+    writes its rows of the lists. `RankTable` checks that they are
+    permutations. Any deviation gives None, and the caller then parses the
+    whole file line by line.
+    """
+    if not data.endswith(b"\n"):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    budget = max(1, _SCATTER // _WORKERS)
+    cuts = [0]
+    while cuts[-1] < len(data):
+        cuts.append(data.find(b"\n", cuts[-1] + budget - 1) + 1 or len(data))
+    blocks = list(zip(cuts, cuts[1:]))
+    # counted here: on the pool, blocks this small cost more to hand out than to count
+    counts = [int(np.count_nonzero(buf[start:stop] == 10)) for start, stop in blocks]
+    n = sum(counts)
+    if n < 2 or len(data) < n * (2 * n + 1):  # a canonical line holds at least 2n + 1 bytes
+        return None
+    lists = np.empty((n, n - 1), dtype=np.int32)
+    # the separators of one line: ':' and ' ' after the owner, ' ' between ids, '\n'
+    line_seps = np.frombuffer(b": " + b" " * (n - 2) + b"\n", dtype=np.uint8)
+
+    def decode(job):
+        (start, stop), first, m = job
+        text = buf[start:stop]
+        digit = text - 48  # uint8: any byte but an ASCII digit lands above 9
+        sep = np.flatnonzero(digit > 9)
+        if sep.size != m * (n + 1) or (text[sep].reshape(m, n + 1) != line_seps).any():
+            return False
+        width = np.diff(sep, prepend=-1).reshape(m, n + 1) - 1  # digits before each separator
+        if width[:, 1].any():  # the space right after the ':'
+            return False
+        width = np.delete(width, 1, axis=1)  # (m, n): the owner, then the ids
+        if width.min() < 1 or width.max() > 9:
+            return False
+        end = np.delete(sep.reshape(m, n + 1), 1, axis=1)  # the separator after each token
+        lead = end - width - 1  # the separator before it (the block's last '\n' for its first)
+        digit[sep] = 0
+        # Horner's rule over each token's last `width.max()` digits; a digit
+        # index before the token is clamped onto the zeroed separator
+        value = np.zeros((m, n), dtype=np.int32)
+        at = np.empty_like(end)
+        for k in range(width.max(), 0, -1):
+            np.maximum(np.subtract(end, k, out=at), lead, out=at)
+            value *= 10
+            value += digit[at]
+        if (value[:, 0] != np.arange(first, first + m)).any() or value[:, 1:].max() >= n:
+            return False
+        lists[first:first + m] = value[:, 1:]
+        return True
+
+    firsts = np.cumsum([0, *counts[:-1]]).tolist()
+    return lists if all(_on_cores(decode, zip(blocks, firsts, counts))) else None
+
+
+def _parsed_lists(lines):
+    """The int32 lists of rank-table lines, parsed line by line.
 
     Owner order and the id count are checked line by line. Each line's ids
-    are range-checked as int64 and written straight into the int32 table,
-    whose lists `RankTable` then checks.
+    are range-checked as int64 and written straight into the int32 lists.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
     n = len(lines)
     lists = np.empty((n, max(n - 1, 0)), dtype=np.int32)
     wide = None  # the first line with an id outside [0, n), kept in int64 to name it
@@ -330,12 +408,30 @@ def load_rank_table(path):
         owner, ids = wide
         _check_lists(lists[:owner], n)
         raise FormatError(f"rank list {owner}: {_list_fault(ids, owner, n)}")
+    return lists
+
+
+@_names_file
+def load_rank_table(path):
+    """Parse a rank-table file: line i is `i:` and then the n - 1 other ids.
+
+    The file is read once, as bytes. Text in canonical form, which every
+    writer here emits, is decoded in blocks of lines on the workers
+    (`_canonical_lists`). Any other text, and canonical text with a bad
+    owner, count or id anywhere, is decoded as UTF-8 and parsed line by
+    line (`_parsed_lists`). Both give the same table and the same errors.
+    `RankTable` then checks the lists.
+    """
+    data = Path(path).read_bytes()
+    lists = _canonical_lists(data)
+    if lists is None:
+        lists = _parsed_lists(data.decode("utf-8").splitlines())
     return RankTable._adopt(lists)
 
 
 def save_rank_table(table, path):
-    rows = ((i, row.tolist()) for i, row in enumerate(table.lists))
-    atomic_write_text(path, id_lines_text(rows))
+    """Write `table` a line at a time, so the whole text is never held at once."""
+    atomic_write_text(path, id_lines((i, row.tolist()) for i, row in enumerate(table.lists)))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ import pytest
 from graphrerank import corpus_io
 from graphrerank.cli import main
 from graphrerank.evaluation import evaluate
+from graphrerank.features import build_rank_table
 from graphrerank.graph import GraphParams
 from graphrerank.ranking import rerank
 
+from conftest import random_rank_table
 from test_features import write_ppm
 
 
@@ -57,11 +59,31 @@ class TestSynth:
         ).read_bytes()
 
     def test_ranks_consistent_with_features(self, synth_dir):
-        from graphrerank.features import build_rank_table
-
         matrix = corpus_io.load_feature_matrix(synth_dir / "space0_features.txt")
         table = corpus_io.load_rank_table(synth_dir / "space0_ranks.txt")
         assert np.array_equal(build_rank_table(matrix).lists, table.lists)
+
+
+    def test_written_tables_skip_the_line_parser(self, synth_dir, tmp_path, monkeypatch):
+        # every writer emits canonical text, which is decoded in blocks: with
+        # the line parser broken, `synth`'s and `save_rank_table`'s tables load
+        saved = tmp_path / "saved.txt"
+        table = random_rank_table(np.random.default_rng(4), 200)
+        corpus_io.save_rank_table(table, saved)
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(saved.read_bytes().replace(b"\n", b"\r\n"))
+        assert np.array_equal(corpus_io.load_rank_table(crlf).lists, table.lists)
+        matrix = corpus_io.load_feature_matrix(synth_dir / "space0_features.txt")
+
+        def line_parser(line, lineno):
+            raise AssertionError("parsed line by line")
+
+        monkeypatch.setattr(corpus_io, "_id_line", line_parser)
+        assert np.array_equal(corpus_io.load_rank_table(saved).lists, table.lists)
+        assert np.array_equal(corpus_io.load_rank_table(synth_dir / "space0_ranks.txt").lists,
+                              build_rank_table(matrix).lists)
+        with pytest.raises(AssertionError, match="parsed line by line"):
+            corpus_io.load_rank_table(crlf)
 
 
 class TestFeaturesCommand:
@@ -312,3 +334,29 @@ class TestKSweepScript:
         with pytest.raises(SystemExit) as exc:
             self.run_script(monkeypatch, ks)
         assert exc.value.code == f"error: {message}"
+
+
+class TestBenchPairsScript:
+    """`scripts/bench_pairs.py` reads its seed ranges by the input files' integer rule."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+    @pytest.mark.parametrize("pair, message", [
+        ("fused-k10-n2000", "give the seeds as WORKLOAD=FIRST-LAST or WORKLOAD=SEED"),
+        ("fused-k10-n2000=", "give the seeds as WORKLOAD=FIRST-LAST or WORKLOAD=SEED"),
+        ("fused-k10-n2000=1_0", "give the seeds as WORKLOAD=FIRST-LAST or WORKLOAD=SEED"),
+        ("fused-k10-n2000=5-3", "the seed range 5-3 is empty"),
+    ])
+    def test_bad_seed_range_is_one_line_error(self, monkeypatch, tmp_path, pair, message):
+        # rejected before any run: the checkouts need not exist
+        out = tmp_path / "pairs.json"
+        monkeypatch.setattr(sys, "argv", [self.SCRIPT.name, str(tmp_path / "parent"),
+                                          str(tmp_path / "change"), pair, "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        assert exc.value.code == f"error: {pair!r}: {message}"
+        assert not out.exists()
+
+    def test_seed_ranges(self):
+        script = runpy.run_path(str(self.SCRIPT))
+        assert script["parse_pairs"](["a=3", "b=+4-6"]) == [("a", range(3, 4)), ("b", range(4, 7))]

@@ -203,6 +203,60 @@ def load_scalar(path):
         raise FormatError(f"{path}: {exc}") from None
 
 
+# byte-level changes to canonical rank-table text, and whether the text is
+# still decoded in blocks afterwards
+MUTATIONS = {
+    None: True,
+    "id n": False,
+    "swapped owners": False,
+    "duplicate id": True,
+    "10-digit id": False,
+    "leading zeros": True,
+    "double space": False,
+    "tab": False,
+    "crlf": False,
+    "trailing space": False,
+    "no final newline": False,
+    "digit after ':'": False,
+}
+
+
+@st.composite
+def canonical_table_texts(draw):
+    """Canonical rank-table text for n in 2-40 with at most one byte-level
+    mutation, and whether the block decoder should still take it."""
+    n = draw(st.integers(2, 40))
+    table = random_rank_table(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    lines = [[str(i), *map(str, ids)] for i, ids in enumerate(table.lists.tolist())]
+    mutation = draw(st.sampled_from(list(MUTATIONS)))
+    row, col = draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
+    if mutation == "id n":
+        lines[row][col] = str(n)
+    elif mutation == "swapped owners":
+        other = (row + draw(st.integers(1, n - 1))) % n
+        lines[row][0], lines[other][0] = lines[other][0], lines[row][0]
+    elif mutation == "duplicate id":
+        lines[row][col] = lines[row][col % (n - 1) + 1]
+    elif mutation == "10-digit id":
+        lines[row][col] = lines[row][col].zfill(10)
+    elif mutation == "leading zeros":
+        col = draw(st.integers(0, n - 1))  # the owner too
+        lines[row][col] = "00" + lines[row][col]
+    text = "".join(f"{head}: {' '.join(ids)}\n" for head, *ids in lines)
+    if mutation in ("double space", "tab"):
+        at = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == " "]))
+        text = text[:at] + ("  " if mutation == "double space" else "\t") + text[at + 1:]
+    elif mutation in ("crlf", "trailing space"):
+        at = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == "\n"]))
+        text = text[:at] + ("\r" if mutation == "crlf" else " ") + text[at:]
+    elif mutation == "no final newline":
+        text = text[:-1]
+    elif mutation == "digit after ':'":
+        at = text.index(":", text.index(f"\n{row}:") + 1 if row else 0) + 1
+        text = text[:at] + "7" + text[at:]
+    return text, MUTATIONS[mutation]
+
+
 class TestRankTableParse:
     @settings(max_examples=300, deadline=None)
     @given(text=rank_table_texts())
@@ -211,6 +265,21 @@ class TestRankTableParse:
         path.write_bytes(text.encode("utf-8"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            got = load_outcome(load_rank_table, path)
+        assert got == load_outcome(load_scalar, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=canonical_table_texts(), workers=st.sampled_from([1, 2, 8]),
+           lines=st.integers(1, 3))
+    def test_block_decoder_equals_scalar_oracle(self, case, workers, lines, tmp_path_factory):
+        text, decoded_in_blocks = case
+        path = tmp_path_factory.mktemp("blocks") / "t.txt"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_io, "_WORKERS", workers)
+            # a byte budget (`_SCATTER // _WORKERS`) of about `lines` lines a block
+            mp.setattr(corpus_io, "_SCATTER", workers * lines * (len(text) // text.count("\n")))
+            assert (corpus_io._canonical_lists(path.read_bytes()) is not None) == decoded_in_blocks
             got = load_outcome(load_rank_table, path)
         assert got == load_outcome(load_scalar, path)
 
