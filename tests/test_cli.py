@@ -63,7 +63,6 @@ class TestSynth:
         table = corpus_io.load_rank_table(synth_dir / "space0_ranks.txt")
         assert np.array_equal(build_rank_table(matrix).lists, table.lists)
 
-
     def test_written_tables_skip_the_line_parser(self, synth_dir, tmp_path, monkeypatch):
         # every writer emits canonical text, which is decoded in blocks: with
         # the line parser broken, `synth`'s and `save_rank_table`'s tables load
