@@ -43,7 +43,6 @@ import functools
 import operator
 import os
 import re
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -299,42 +298,52 @@ def _parse_int(token, fault="not a decimal integer"):
 
 
 def _id_line(line, lineno):
-    """One `owner: id id ...` line as (owner, int64 ids); a bad line raises its `FormatError`."""
+    """One `owner: id id ...` line as (owner, a list of int ids); a bad line raises its `FormatError`."""
     head, sep, tail = line.partition(":")
     if not sep:
         raise FormatError(f"line {lineno + 1}: missing ':' separator")
     owner = _parse_int(head.strip(), f"line {lineno + 1}: bad owner id {head!r}")
-    if not tail or tail.isspace():
-        return owner, np.empty(0, dtype=np.int64)
-    # numpy reads some non-ASCII letters as digits, and older numpy reads a
-    # token it cannot parse as an int through float, with only a warning
-    if tail.isascii():
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                return owner, np.loadtxt([tail], dtype=np.int64, comments=None, ndmin=1)
-        except (ValueError, Warning):
-            if all(_INT_TOKEN.fullmatch(tok) for tok in tail.split()):
-                raise FormatError(f"line {lineno + 1}: id out of range") from None
-    raise FormatError(f"line {lineno + 1}: non-integer id")
+    tokens = tail.split()
+    if not tail.isascii() or not all(map(_INT_TOKEN.fullmatch, tokens)):
+        raise FormatError(f"line {lineno + 1}: non-integer id")
+    ids = list(map(int, tokens))
+    if ids and (min(ids) < -(2**63) or max(ids) >= 2**63):
+        raise FormatError(f"line {lineno + 1}: id out of range")
+    return owner, ids
 
 
-def _canonical_lists(data):
-    """The int32 lists of canonical rank-table bytes, or None for any other bytes.
+# the bytes a rank-table line may hold besides ASCII digits: the whitespace
+# `str.split` takes within a line ('\t', '\x1f', ' '), signs, ':', '\n',
+# and '\r' right before a '\n'
+_LINE_BYTES = np.zeros(256, dtype=bool)
+_LINE_BYTES[list(b"\t\n\r\x1f +-:")] = True
+# two zero digits for the unclamped reads below, then a '\n' before a block's first line
+_BLOCK_LEAD = np.frombuffer(b"00\n", dtype=np.uint8)
 
-    Canonical text is what `id_lines` writes for n >= 2 images: line i is
-    `i: ` and then n - 1 ids, each 1 to 9 ASCII digits, one space apart, and
-    a newline. The bytes are cut into blocks of whole lines of about
-    `_SCATTER // _WORKERS` bytes. Each block's count of lines places its
-    rows. The workers (`_on_cores`) decode the blocks with numpy alone: each
-    checks its separators and token widths, reads the tokens by Horner's
-    rule, checks that each owner is its line index and each id below n, and
-    writes its rows of the lists. `RankTable` checks that they are
-    permutations. Any deviation gives None, and the caller then parses the
-    whole file line by line.
+
+def _decoded_lists(data):
+    """The int32 lists of rank-table bytes, or None for bytes that break a
+    rule below; `_checked_lines` then names the fault.
+
+    Line i, ended by '\n' (or '\r\n', or the end of the text), is `i:`
+    and then n - 1 ids. Each owner and id is ASCII digits with an optional
+    sign, any number of them: `+1`, `-0` and `0000000001` are valid, and a
+    '-' before a non-zero value is rejected. Runs of '\t', '\x1f' or ' '
+    separate the ids and may stand around the owner and the ':'. Any other
+    byte, a lone '\r' or a non-ASCII byte among them, is rejected.
+
+    Text too short to hold n lines of n tokens (2n bytes each) is rejected
+    before anything is allocated. The bytes are cut into blocks of whole
+    lines of about `_SCATTER // _WORKERS` bytes. Each block's count of lines
+    places its rows. The workers (`_on_cores`) decode the blocks with numpy
+    alone: each finds its non-digit bytes, checks their classes, counts one
+    token before each line's ':' and n - 1 after it, reads the tokens by
+    Horner's rule, checks that each owner is its line index and each id
+    below n, and writes its rows of the lists. `RankTable` checks that they
+    are permutations.
     """
-    if not data.endswith(b"\n"):
-        return None
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
     budget = max(1, _SCATTER // _WORKERS)
     cuts = [0]
@@ -344,37 +353,59 @@ def _canonical_lists(data):
     # counted here: on the pool, blocks this small cost more to hand out than to count
     counts = [int(np.count_nonzero(buf[start:stop] == 10)) for start, stop in blocks]
     n = sum(counts)
-    if n < 2 or len(data) < n * (2 * n + 1):  # a canonical line holds at least 2n + 1 bytes
+    if len(data) < 2 * n * n:
         return None
-    lists = np.empty((n, n - 1), dtype=np.int32)
-    # the separators of one line: ':' and ' ' after the owner, ' ' between ids, '\n'
-    line_seps = np.frombuffer(b": " + b" " * (n - 2) + b"\n", dtype=np.uint8)
+    lists = np.empty((n, max(n - 1, 0)), dtype=np.int32)
 
     def decode(job):
         (start, stop), first, m = job
-        text = buf[start:stop]
+        text = np.concatenate((_BLOCK_LEAD, buf[start:stop]))
         digit = text - 48  # uint8: any byte but an ASCII digit lands above 9
-        sep = np.flatnonzero(digit > 9)
-        if sep.size != m * (n + 1) or (text[sep].reshape(m, n + 1) != line_seps).any():
+        other = digit[2:] > 9
+        sep = np.flatnonzero(other)  # the non-digit bytes after the lead; sep[0] is its '\n'
+        byte = text[2:][sep]
+        colon = np.flatnonzero(byte == 58)
+        newline = np.flatnonzero(byte == 10)  # m + 1 of them, the lead's first
+        if colon.size != m or (colon <= newline[:-1]).any() or (colon >= newline[1:]).any():
             return False
-        width = np.diff(sep, prepend=-1).reshape(m, n + 1) - 1  # digits before each separator
-        if width[:, 1].any():  # the space right after the ':'
+        end, prev = sep[1:], sep[:-1]  # each non-digit byte, and the one before it
+        span = end - prev  # 1 + the digits between them
+        token = span > 1  # a token ends at `end`
+        # tokens between each line's start and its ':', and between the ':' and the '\n'
+        tokens = np.add.reduceat(token, np.stack((newline[:-1], colon), axis=1).ravel(), dtype=np.intp)
+        if (tokens[0::2] != 1).any() or (tokens[1::2] != n - 1).any():
             return False
-        width = np.delete(width, 1, axis=1)  # (m, n): the owner, then the ids
-        if width.min() < 1 or width.max() > 9:
-            return False
-        end = np.delete(sep.reshape(m, n + 1), 1, axis=1)  # the separator after each token
-        lead = end - width - 1  # the separator before it (the block's last '\n' for its first)
-        digit[sep] = 0
-        # Horner's rule over each token's last `width.max()` digits; a digit
-        # index before the token is clamped onto the zeroed separator
-        value = np.zeros((m, n), dtype=np.int32)
+        signs = None
+        if np.count_nonzero(byte == 32) != byte.size - 2 * m - 1:  # not all ' ', ':' and '\n'
+            cr = np.flatnonzero(byte == 13)
+            if not _LINE_BYTES[byte].all() or (byte[cr + 1] != 10).any():
+                return False
+            signs = np.flatnonzero((byte == 43) | (byte == 45))
+            # a sign stands right before a token's digits, after a non-digit
+            if not token[signs].all() or token[signs - 1].any():
+                return False
+        width = int(span.max()) - 1
+        np.multiply(digit[2:], ~other, out=digit[2:])  # non-digit bytes read as 0
+        # Horner's rule over each token's last (at most 9) digits: the digit
+        # k places before `end` is read at `end - k`, clamped onto `prev` (a
+        # zero) before the token starts. For k <= 2 it never starts earlier
+        # (only non-tokens, whose values are dropped, span one byte), so
+        # those reads take the zero-digit lead instead of a clamp
+        value = np.zeros(end.size, dtype=np.int32)
         at = np.empty_like(end)
-        for k in range(width.max(), 0, -1):
-            np.maximum(np.subtract(end, k, out=at), lead, out=at)
+        for k in range(min(width, 9), 0, -1):
             value *= 10
-            value += digit[at]
-        if (value[:, 0] != np.arange(first, first + m)).any() or value[:, 1:].max() >= n:
+            if k > 2:
+                value += digit[2:][np.maximum(np.subtract(end, k, out=at), prev, out=at)]
+            else:
+                value += digit[2 - k:][end]
+        for k in range(width, 9, -1):  # digits before a token's last 9 must be zeros
+            if digit[2:][np.maximum(np.subtract(end, k, out=at), prev, out=at)].any():
+                return False
+        if signs is not None and value[signs[byte[signs] == 45]].any():
+            return False
+        value = value[token].reshape(m, n)
+        if (value[:, 0] != np.arange(first, first + m)).any() or value[:, 1:].max(initial=0) >= n:
             return False
         lists[first:first + m] = value[:, 1:]
         return True
@@ -383,49 +414,45 @@ def _canonical_lists(data):
     return lists if all(_on_cores(decode, zip(blocks, firsts, counts))) else None
 
 
-def _parsed_lists(lines):
-    """The int32 lists of rank-table lines, parsed line by line.
-
-    Owner order and the id count are checked line by line. Each line's ids
-    are range-checked as int64 and written straight into the int32 lists.
+def _checked_lines(lines):
+    """Raise the first fault of rank-table lines: a line's format, its
+    owner or its count of ids, line by line; then, once every line parses,
+    the first list in row order that is not a permutation, as `RankTable`
+    names it. Lines are parsed one at a time and not kept.
     """
     n = len(lines)
-    lists = np.empty((n, max(n - 1, 0)), dtype=np.int32)
-    wide = None  # the first line with an id outside [0, n), kept in int64 to name it
+    fault = None
     for lineno, line in enumerate(lines):
         owner, ids = _id_line(line, lineno)
         if owner != lineno:
             raise FormatError(f"line {lineno + 1}: owner id {owner} out of order")
         if len(ids) != n - 1:
             raise FormatError(f"line {lineno + 1}: expected {n - 1} ids, got {len(ids)}")
-        if wide is None:
-            if ids.size and (ids.min() < 0 or ids.max() >= n):
-                wide = lineno, ids
-            else:
-                lists[lineno] = ids
-    if wide is not None:
-        # as `RankTable` would: a bad list before it is named first
-        owner, ids = wide
-        _check_lists(lists[:owner], n)
-        raise FormatError(f"rank list {owner}: {_list_fault(ids, owner, n)}")
-    return lists
+        if fault is None and (reason := _list_fault(ids, owner, n)):
+            fault = f"rank list {owner}: {reason}"
+    raise FormatError(fault or "no fault in rank-table text the decoder rejected")
 
 
 @_names_file
 def load_rank_table(path):
     """Parse a rank-table file: line i is `i:` and then the n - 1 other ids.
 
-    The file is read once, as bytes. Text in canonical form, which every
-    writer here emits, is decoded in blocks of lines on the workers
-    (`_canonical_lists`). Any other text, and canonical text with a bad
-    owner, count or id anywhere, is decoded as UTF-8 and parsed line by
-    line (`_parsed_lists`). Both give the same table and the same errors.
-    `RankTable` then checks the lists.
+    The file is read once, as bytes, and decoded in blocks of lines on the
+    workers (`_decoded_lists`). Text with another line break (a lone '\r',
+    '\v', '\f', '\x1c'-'\x1e', U+2028 ...) or non-ASCII bytes is first
+    rewritten as '\n'-ended lines with each owner stripped (U+00A0 around
+    it, say), and decoded again. Text that still fails is checked line by
+    line (`_checked_lines`), which raises its first fault. `RankTable` then
+    checks the lists.
     """
     data = Path(path).read_bytes()
-    lists = _canonical_lists(data)
+    lists = _decoded_lists(data)
     if lists is None:
-        lists = _parsed_lists(data.decode("utf-8").splitlines())
+        lines = data.decode("utf-8").splitlines()
+        parts = (line.partition(":") for line in lines)
+        lists = _decoded_lists("".join(f"{head.strip()}{sep}{tail}\n" for head, sep, tail in parts).encode())
+        if lists is None:
+            _checked_lines(lines)
     return RankTable._adopt(lists)
 
 
@@ -463,11 +490,11 @@ def load_ground_truth(path, n):
     rel = {}
     for lineno, line in enumerate(lines):
         query, ids = _id_line(line, lineno)
-        if not ids.size:
+        if not ids:
             raise FormatError(f"line {lineno + 1}: empty relevant set for query {query}")
         if query in rel:
             raise FormatError(f"line {lineno + 1}: duplicate query {query}")
-        for i in [query, *ids[(ids < 0) | (ids >= n)]]:
+        for i in [query, *ids]:
             if not 0 <= i < n:
                 raise FormatError(f"line {lineno + 1}: id {i} out of range [0, {n})")
         rel[query] = ids

@@ -64,25 +64,28 @@ class TestSynth:
         assert np.array_equal(build_rank_table(matrix).lists, table.lists)
 
     def test_written_tables_skip_the_line_parser(self, synth_dir, tmp_path, monkeypatch):
-        # every writer emits canonical text, which is decoded in blocks: with
-        # the line parser broken, `synth`'s and `save_rank_table`'s tables load
+        # valid text is decoded in blocks: with the line parser broken,
+        # `synth`'s and `save_rank_table`'s tables load, and so do CRLF and
+        # tab-separated copies; a bad table still reaches the line parser
         saved = tmp_path / "saved.txt"
         table = random_rank_table(np.random.default_rng(4), 200)
         corpus_io.save_rank_table(table, saved)
-        crlf = tmp_path / "crlf.txt"
+        crlf, tab, bad = tmp_path / "crlf.txt", tmp_path / "tab.txt", tmp_path / "bad.txt"
         crlf.write_bytes(saved.read_bytes().replace(b"\n", b"\r\n"))
-        assert np.array_equal(corpus_io.load_rank_table(crlf).lists, table.lists)
+        tab.write_bytes(saved.read_bytes().replace(b" ", b"\t"))
+        bad.write_bytes(saved.read_bytes().replace(b" ", b" x", 1))
         matrix = corpus_io.load_feature_matrix(synth_dir / "space0_features.txt")
 
         def line_parser(line, lineno):
             raise AssertionError("parsed line by line")
 
         monkeypatch.setattr(corpus_io, "_id_line", line_parser)
-        assert np.array_equal(corpus_io.load_rank_table(saved).lists, table.lists)
+        for path in (saved, crlf, tab):
+            assert np.array_equal(corpus_io.load_rank_table(path).lists, table.lists)
         assert np.array_equal(corpus_io.load_rank_table(synth_dir / "space0_ranks.txt").lists,
                               build_rank_table(matrix).lists)
         with pytest.raises(AssertionError, match="parsed line by line"):
-            corpus_io.load_rank_table(crlf)
+            corpus_io.load_rank_table(bad)
 
 
 class TestFeaturesCommand:

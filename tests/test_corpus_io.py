@@ -210,13 +210,15 @@ MUTATIONS = {
     "id n": False,
     "swapped owners": False,
     "duplicate id": True,
-    "10-digit id": False,
+    "10-digit id": True,
     "leading zeros": True,
-    "double space": False,
-    "tab": False,
-    "crlf": False,
-    "trailing space": False,
-    "no final newline": False,
+    "plus": True,
+    "minus zero": True,
+    "double space": True,
+    "tab": True,
+    "crlf": True,
+    "trailing space": True,
+    "no final newline": True,
     "digit after ':'": False,
 }
 
@@ -242,6 +244,11 @@ def canonical_table_texts(draw):
     elif mutation == "leading zeros":
         col = draw(st.integers(0, n - 1))  # the owner too
         lines[row][col] = "00" + lines[row][col]
+    elif mutation == "plus":
+        col = draw(st.integers(0, n - 1))  # the owner too
+        lines[row][col] = "+" + lines[row][col]
+    elif mutation == "minus zero":
+        lines[row][lines[row].index("0")] = "-0"  # the owner of line 0
     text = "".join(f"{head}: {' '.join(ids)}\n" for head, *ids in lines)
     if mutation in ("double space", "tab"):
         at = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == " "]))
@@ -279,7 +286,7 @@ class TestRankTableParse:
             mp.setattr(corpus_io, "_WORKERS", workers)
             # a byte budget (`_SCATTER // _WORKERS`) of about `lines` lines a block
             mp.setattr(corpus_io, "_SCATTER", workers * lines * (len(text) // text.count("\n")))
-            assert (corpus_io._canonical_lists(path.read_bytes()) is not None) == decoded_in_blocks
+            assert (corpus_io._decoded_lists(path.read_bytes()) is not None) == decoded_in_blocks
             got = load_outcome(load_rank_table, path)
         assert got == load_outcome(load_scalar, path)
 
@@ -320,6 +327,49 @@ class TestRankTableParse:
         path.write_text("0: 1 2\n1: 0 2 # note\n2: 0 1\n")
         with pytest.raises(FormatError, match="line 2: non-integer id"):
             load_rank_table(path)
+
+    # the less common grammar: each case loads, or fails, as the oracle does
+    @pytest.mark.parametrize("text, where", [
+        ("0: 1 2\r1: 0 2\r2: 0 1\r", None),
+        ("0: 1 2\v1: 0 2\v2: 0 1\n", None),
+        ("0: 1\x1f2\n1: 0 2\n2: 0 1\n", None),
+        ("0: 1 2\u20281: 0 2\u20282: 0 1\n", None),
+        ("0: 1 2\n\u00a01: 0 2\n2: 0 1\n", None),
+        ("0: 1 2\n1: 0\u00a02\n2: 0 1\n", "line 2: non-integer id"),
+        ("0:1 2\n1:0 2\n2:0 1\n", None),
+        ("0 : 1 2\n1 : 0 2\n2 : 0 1\n", None),
+        ("-0: 1 2\n1: -0 2\n+2: +0 1\n", None),
+        ("0: 1 2\n1: 0 00000000000000000002\n2: 0 1\n", None),
+        ("0: 1 2\n1: 0 2\n2: 0 1\n\n", "line 1: expected 3 ids, got 2"),
+        ("0:\n", None),
+        ("", None),
+        ("0: 1 2\n1: 0 2\n2: 0 1", None),
+    ])
+    def test_uncommon_grammar_equals_scalar_oracle(self, tmp_path, text, where):
+        path = tmp_path / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
+        got = load_outcome(load_rank_table, path)
+        assert got == load_outcome(load_scalar, path)
+        assert got[1] == (where and f"{path}: {where}")
+
+    def test_crlf_and_tab_copies_load_the_same_table(self, tmp_path):
+        table = random_rank_table(np.random.default_rng(6), 50)
+        path = tmp_path / "t.txt"
+        save_rank_table(table, path)
+        crlf, tab = tmp_path / "crlf.txt", tmp_path / "tab.txt"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        tab.write_bytes(path.read_bytes().replace(b" ", b"\t"))
+        for copy in (crlf, tab):
+            assert np.array_equal(load_rank_table(copy).lists, table.lists)
+
+    def test_short_lines_fail_before_any_table_is_allocated(self, tmp_path):
+        # 100 000 lines would need a 100 000 x 99 999 table: text too short
+        # to hold it fails on its first line instead
+        path = tmp_path / "t.txt"
+        path.write_text("\n" * 100_000)
+        with pytest.raises(FormatError) as err:
+            load_rank_table(path)
+        assert str(err.value) == f"{path}: line 1: missing ':' separator"
 
 
 class TestRankTableValidation:
@@ -461,6 +511,17 @@ class TestGroundTruthFormat:
         path.write_text(f"1: 2\n{line}\n")
         with pytest.raises(FormatError, match=rf"line 2: id {bad} out of range \[0, 4\)"):
             load_ground_truth(path, n=4)
+
+    @pytest.mark.parametrize("line, where", [
+        (f"1: 0 {2**63}", "line 1: id out of range"),
+        ("1: 0 1.0", "line 1: non-integer id"),
+    ])
+    def test_id_beyond_int64_or_not_an_integer_rejected(self, tmp_path, line, where):
+        path = tmp_path / "gt.txt"
+        path.write_text(f"{line}\n")
+        with pytest.raises(FormatError) as err:
+            load_ground_truth(path, n=4)
+        assert str(err.value) == f"{path}: {where}"
 
     def test_ukbench_style_groups(self, tmp_path):
         spec = SynthSpec(n_groups=3, group_size=4, dims=3, n_spaces=1, seed=1)
