@@ -6,13 +6,13 @@ int32; truncation to the k nearest neighbors happens later, at
 graph-construction time, so a single table supports any k sweep.
 
 Rank-table, ground-truth and ranked-list files share one line format,
-`owner: id id ...`, written a line at a time by `id_lines`. A rank-table
-file in the canonical form it writes (line i is `i: id id ... id` and a
-newline: ASCII digits, single spaces, a final newline) is decoded in blocks
-of whole lines on the workers. Any other rank-table text, and canonical
-text that fails any of that decoder's checks, is parsed as a whole, line by
-line, as are ground-truth files: `_id_line` parses each line once. Both
-paths give the same table and the same errors. Every loader (and
+`owner: id id ...`, written a line at a time by `id_lines`. One function
+turns rank-table text into a table: `_decoded_lists` decodes it in blocks
+of whole lines on the workers, whatever whitespace, signs, zero padding
+and line breaks the format allows. Text it rejects is not parsed into a
+table: `_checked_lines` walks its lines through `_id_line`, which also
+parses each ground-truth line, and raises the first fault, so the errors
+are those of a parse line by line. Every loader (and
 `features.load_ppm`) runs under `_names_file`, so a `FormatError` names its
 file and, in a text file, the first bad line (1-based): `<path>: line N: ...`,
 or `<path>: ...` for a P6 pixmap. Every integer an input file holds (an
@@ -26,7 +26,7 @@ digits with an optional point, optional exponent) or an infinity or NaN,
 which is then rejected as non-finite; any other token, `1_0` or a non-ASCII
 digit among them, is a `non-numeric value`.
 
-The block decode of canonical rank-table text, a rank table's permutation
+The block decode of rank-table text, a rank table's permutation
 check and its `positions` scatter run their blocks on one thread per core
 (`_on_cores`; `_WORKERS` is the number of cores this process may run on),
 as `features.build_rank_table` does. Their numpy kernels release the GIL,
@@ -317,12 +317,10 @@ def _id_line(line, lineno):
 # and '\r' right before a '\n'
 _LINE_BYTES = np.zeros(256, dtype=bool)
 _LINE_BYTES[list(b"\t\n\r\x1f +-:")] = True
-# two zero digits for the unclamped reads below, then a '\n' before a block's first line
-_BLOCK_LEAD = np.frombuffer(b"00\n", dtype=np.uint8)
 
 
 def _decoded_lists(data):
-    """The int32 lists of rank-table bytes, or None for bytes that break a
+    r"""The int32 lists of rank-table bytes, or None for bytes that break a
     rule below; `_checked_lines` then names the fault.
 
     Line i, ended by '\n' (or '\r\n', or the end of the text), is `i:`
@@ -359,18 +357,22 @@ def _decoded_lists(data):
 
     def decode(job):
         (start, stop), first, m = job
-        text = np.concatenate((_BLOCK_LEAD, buf[start:stop]))
-        digit = text - 48  # uint8: any byte but an ASCII digit lands above 9
+        # the block's bytes less 48, so that only ASCII digits read 0-9,
+        # after two zero digits and a '\n' before its first line
+        digit = np.empty(stop - start + 3, dtype=np.uint8)
+        digit[:3] = np.frombuffer(b"00\n", dtype=np.uint8) - 48
+        np.subtract(buf[start:stop], 48, out=digit[3:])
         other = digit[2:] > 9
-        sep = np.flatnonzero(other)  # the non-digit bytes after the lead; sep[0] is its '\n'
-        byte = text[2:][sep]
+        sep = np.flatnonzero(other)  # the non-digit bytes from the lead's '\n' on
+        byte = digit[2:][sep] + 48
         colon = np.flatnonzero(byte == 58)
         newline = np.flatnonzero(byte == 10)  # m + 1 of them, the lead's first
         if colon.size != m or (colon <= newline[:-1]).any() or (colon >= newline[1:]).any():
             return False
         end, prev = sep[1:], sep[:-1]  # each non-digit byte, and the one before it
-        span = end - prev  # 1 + the digits between them
-        token = span > 1  # a token ends at `end`
+        at = end - prev  # 1 + the digits between them
+        width = int(at.max()) - 1
+        token = at > 1  # a token ends at `end`
         # tokens between each line's start and its ':', and between the ':' and the '\n'
         tokens = np.add.reduceat(token, np.stack((newline[:-1], colon), axis=1).ravel(), dtype=np.intp)
         if (tokens[0::2] != 1).any() or (tokens[1::2] != n - 1).any():
@@ -384,15 +386,13 @@ def _decoded_lists(data):
             # a sign stands right before a token's digits, after a non-digit
             if not token[signs].all() or token[signs - 1].any():
                 return False
-        width = int(span.max()) - 1
-        np.multiply(digit[2:], ~other, out=digit[2:])  # non-digit bytes read as 0
+        np.multiply(digit[2:], np.logical_not(other, out=other), out=digit[2:])  # non-digits read 0
         # Horner's rule over each token's last (at most 9) digits: the digit
         # k places before `end` is read at `end - k`, clamped onto `prev` (a
         # zero) before the token starts. For k <= 2 it never starts earlier
         # (only non-tokens, whose values are dropped, span one byte), so
         # those reads take the zero-digit lead instead of a clamp
         value = np.zeros(end.size, dtype=np.int32)
-        at = np.empty_like(end)
         for k in range(min(width, 9), 0, -1):
             value *= 10
             if k > 2:
@@ -435,7 +435,7 @@ def _checked_lines(lines):
 
 @_names_file
 def load_rank_table(path):
-    """Parse a rank-table file: line i is `i:` and then the n - 1 other ids.
+    r"""Parse a rank-table file: line i is `i:` and then the n - 1 other ids.
 
     The file is read once, as bytes, and decoded in blocks of lines on the
     workers (`_decoded_lists`). Text with another line break (a lone '\r',
