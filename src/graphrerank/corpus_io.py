@@ -6,13 +6,10 @@ int32; truncation to the k nearest neighbors happens later, at
 graph-construction time, so a single table supports any k sweep.
 
 Rank-table, ground-truth and ranked-list files share one line format,
-`owner: id id ...`, written a line at a time by `id_lines`. One function
-turns rank-table text into a table: `_decoded_lists` decodes it in blocks
-of whole lines on the workers, whatever whitespace, signs, zero padding
-and line breaks the format allows. Text it rejects is not parsed into a
-table: `_checked_lines` walks its lines through `_id_line`, which also
-parses each ground-truth line, and raises the first fault, so the errors
-are those of a parse line by line. Every loader (and
+`owner: id id ...`, written a line at a time by `id_lines`. Rank-table text
+is decoded in blocks of lines by `_decoded_lists` alone; text it rejects is
+walked line by line, through the `_id_line` that parses ground-truth lines,
+only to raise its first fault. Every loader (and
 `features.load_ppm`) runs under `_names_file`, so a `FormatError` names its
 file and, in a text file, the first bad line (1-based): `<path>: line N: ...`,
 or `<path>: ...` for a P6 pixmap. Every integer an input file holds (an
@@ -312,33 +309,19 @@ def _id_line(line, lineno):
     return owner, ids
 
 
-# the bytes a rank-table line may hold besides ASCII digits: the whitespace
-# `str.split` takes within a line ('\t', '\x1f', ' '), signs, ':', '\n',
-# and '\r' right before a '\n'
-_LINE_BYTES = np.zeros(256, dtype=bool)
-_LINE_BYTES[list(b"\t\n\r\x1f +-:")] = True
-
-
 def _decoded_lists(data):
-    r"""The int32 lists of rank-table bytes, or None for bytes that break a
-    rule below; `_checked_lines` then names the fault.
+    r"""The int32 lists of rank-table bytes, or None for bytes that break a rule.
 
-    Line i, ended by '\n' (or '\r\n', or the end of the text), is `i:`
-    and then n - 1 ids. Each owner and id is ASCII digits with an optional
-    sign, any number of them: `+1`, `-0` and `0000000001` are valid, and a
-    '-' before a non-zero value is rejected. Runs of '\t', '\x1f' or ' '
-    separate the ids and may stand around the owner and the ':'. Any other
-    byte, a lone '\r' or a non-ASCII byte among them, is rejected.
+    Line i, ended by '\n', '\r\n' or the end of the text, is `i:` and then
+    n - 1 ids. An owner or id is ASCII digits after an optional sign (`+1`,
+    `-0`, `0000000001`), and '-' stands only before 0. Runs of '\t', '\x1f'
+    or ' ' separate the ids and may stand around the owner and the ':'.
 
-    Text too short to hold n lines of n tokens (2n bytes each) is rejected
-    before anything is allocated. The bytes are cut into blocks of whole
-    lines of about `_SCATTER // _WORKERS` bytes. Each block's count of lines
-    places its rows. The workers (`_on_cores`) decode the blocks with numpy
-    alone: each finds its non-digit bytes, checks their classes, counts one
-    token before each line's ':' and n - 1 after it, reads the tokens by
-    Horner's rule, checks that each owner is its line index and each id
-    below n, and writes its rows of the lists. `RankTable` checks that they
-    are permutations.
+    The workers (`_on_cores`) decode blocks of whole lines of about
+    `_SCATTER // _WORKERS` bytes with numpy alone: each classes its
+    non-digit bytes, counts one token before each line's ':' and n - 1
+    after it, reads the tokens by Horner's rule, checks each owner and id,
+    and writes its rows. `RankTable` checks the permutations.
     """
     if data and not data.endswith(b"\n"):
         data += b"\n"
@@ -351,47 +334,43 @@ def _decoded_lists(data):
     # counted here: on the pool, blocks this small cost more to hand out than to count
     counts = [int(np.count_nonzero(buf[start:stop] == 10)) for start, stop in blocks]
     n = sum(counts)
-    if len(data) < 2 * n * n:
+    if len(data) < 2 * n * n:  # too short for n lines of n tokens: allocate nothing
         return None
     lists = np.empty((n, max(n - 1, 0)), dtype=np.int32)
 
     def decode(job):
         (start, stop), first, m = job
-        # the block's bytes less 48, so that only ASCII digits read 0-9,
-        # after two zero digits and a '\n' before its first line
+        # the bytes less 48 (only ASCII digits read 0-9) after "00\n": two
+        # zero digits, and a '\n' before the first line
         digit = np.empty(stop - start + 3, dtype=np.uint8)
         digit[:3] = np.frombuffer(b"00\n", dtype=np.uint8) - 48
         np.subtract(buf[start:stop], 48, out=digit[3:])
         other = digit[2:] > 9
-        sep = np.flatnonzero(other)  # the non-digit bytes from the lead's '\n' on
+        sep = np.flatnonzero(other)  # the non-digit bytes, the lead's '\n' first
         byte = digit[2:][sep] + 48
-        colon = np.flatnonzero(byte == 58)
-        newline = np.flatnonzero(byte == 10)  # m + 1 of them, the lead's first
+        colon, newline = np.flatnonzero(byte == 58), np.flatnonzero(byte == 10)
         if colon.size != m or (colon <= newline[:-1]).any() or (colon >= newline[1:]).any():
             return False
         end, prev = sep[1:], sep[:-1]  # each non-digit byte, and the one before it
-        at = end - prev  # 1 + the digits between them
+        at = end - prev
         width = int(at.max()) - 1
         token = at > 1  # a token ends at `end`
-        # tokens between each line's start and its ':', and between the ':' and the '\n'
+        # tokens from each line's start to its ':', and from the ':' to the '\n'
         tokens = np.add.reduceat(token, np.stack((newline[:-1], colon), axis=1).ravel(), dtype=np.intp)
         if (tokens[0::2] != 1).any() or (tokens[1::2] != n - 1).any():
             return False
-        signs = None
-        if np.count_nonzero(byte == 32) != byte.size - 2 * m - 1:  # not all ' ', ':' and '\n'
-            cr = np.flatnonzero(byte == 13)
-            if not _LINE_BYTES[byte].all() or (byte[cr + 1] != 10).any():
+        minus = np.empty(0, dtype=np.intp)
+        if np.count_nonzero(byte == 32) != byte.size - 2 * m - 1:  # not only ' ', ':', '\n'
+            sign, cr = np.flatnonzero((byte == 43) | (byte == 45)), np.flatnonzero(byte == 13)
+            # a sign stands after a non-digit and before a token's digits
+            if (not np.isin(byte, list(b"\t\n\r\x1f +-:")).all() or (byte[cr + 1] != 10).any()
+                    or not token[sign].all() or token[sign - 1].any()):
                 return False
-            signs = np.flatnonzero((byte == 43) | (byte == 45))
-            # a sign stands right before a token's digits, after a non-digit
-            if not token[signs].all() or token[signs - 1].any():
-                return False
+            minus = sign[byte[sign] == 45]
         np.multiply(digit[2:], np.logical_not(other, out=other), out=digit[2:])  # non-digits read 0
-        # Horner's rule over each token's last (at most 9) digits: the digit
-        # k places before `end` is read at `end - k`, clamped onto `prev` (a
-        # zero) before the token starts. For k <= 2 it never starts earlier
-        # (only non-tokens, whose values are dropped, span one byte), so
-        # those reads take the zero-digit lead instead of a clamp
+        # Horner's rule over each token's last (at most 9) digits: the one k
+        # places before `end` is read at `end - k`, clamped onto `prev` (a 0).
+        # For k <= 2 only non-tokens, whose values are dropped, need a clamp
         value = np.zeros(end.size, dtype=np.int32)
         for k in range(min(width, 9), 0, -1):
             value *= 10
@@ -402,7 +381,7 @@ def _decoded_lists(data):
         for k in range(width, 9, -1):  # digits before a token's last 9 must be zeros
             if digit[2:][np.maximum(np.subtract(end, k, out=at), prev, out=at)].any():
                 return False
-        if signs is not None and value[signs[byte[signs] == 45]].any():
+        if value[minus].any():
             return False
         value = value[token].reshape(m, n)
         if (value[:, 0] != np.arange(first, first + m)).any() or value[:, 1:].max(initial=0) >= n:
@@ -415,20 +394,15 @@ def _decoded_lists(data):
 
 
 def _checked_lines(lines):
-    """Raise the first fault of rank-table lines: a line's format, its
-    owner or its count of ids, line by line; then, once every line parses,
-    the first list in row order that is not a permutation, as `RankTable`
-    names it. Lines are parsed one at a time and not kept.
-    """
-    n = len(lines)
+    """Raise the first fault of rank-table lines: a bad line first, then a bad list."""
     fault = None
     for lineno, line in enumerate(lines):
         owner, ids = _id_line(line, lineno)
         if owner != lineno:
             raise FormatError(f"line {lineno + 1}: owner id {owner} out of order")
-        if len(ids) != n - 1:
-            raise FormatError(f"line {lineno + 1}: expected {n - 1} ids, got {len(ids)}")
-        if fault is None and (reason := _list_fault(ids, owner, n)):
+        if len(ids) != len(lines) - 1:
+            raise FormatError(f"line {lineno + 1}: expected {len(lines) - 1} ids, got {len(ids)}")
+        if fault is None and (reason := _list_fault(ids, owner, len(lines))):
             fault = f"rank list {owner}: {reason}"
     raise FormatError(fault or "no fault in rank-table text the decoder rejected")
 
@@ -437,20 +411,18 @@ def _checked_lines(lines):
 def load_rank_table(path):
     r"""Parse a rank-table file: line i is `i:` and then the n - 1 other ids.
 
-    The file is read once, as bytes, and decoded in blocks of lines on the
-    workers (`_decoded_lists`). Text with another line break (a lone '\r',
-    '\v', '\f', '\x1c'-'\x1e', U+2028 ...) or non-ASCII bytes is first
-    rewritten as '\n'-ended lines with each owner stripped (U+00A0 around
-    it, say), and decoded again. Text that still fails is checked line by
-    line (`_checked_lines`), which raises its first fault. `RankTable` then
-    checks the lists.
+    The bytes are decoded in blocks (`_decoded_lists`). Text with another
+    line break (a lone '\r', '\v', U+2028 ...) or non-ASCII bytes (U+00A0
+    around an owner, say) is decoded again as '\n'-ended lines with their
+    owners stripped; text that still fails raises its first fault.
     """
     data = Path(path).read_bytes()
     lists = _decoded_lists(data)
     if lists is None:
         lines = data.decode("utf-8").splitlines()
         parts = (line.partition(":") for line in lines)
-        lists = _decoded_lists("".join(f"{head.strip()}{sep}{tail}\n" for head, sep, tail in parts).encode())
+        text = "".join(f"{head.strip()}{sep}{tail}\n" for head, sep, tail in parts)
+        lists = _decoded_lists(text.encode())
         if lists is None:
             _checked_lines(lines)
     return RankTable._adopt(lists)

@@ -352,16 +352,6 @@ class TestRankTableParse:
         assert got == load_outcome(load_scalar, path)
         assert got[1] == (where and f"{path}: {where}")
 
-    def test_crlf_and_tab_copies_load_the_same_table(self, tmp_path):
-        table = random_rank_table(np.random.default_rng(6), 50)
-        path = tmp_path / "t.txt"
-        save_rank_table(table, path)
-        crlf, tab = tmp_path / "crlf.txt", tmp_path / "tab.txt"
-        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        tab.write_bytes(path.read_bytes().replace(b" ", b"\t"))
-        for copy in (crlf, tab):
-            assert np.array_equal(load_rank_table(copy).lists, table.lists)
-
     def test_short_lines_fail_before_any_table_is_allocated(self, tmp_path):
         # 100 000 lines would need a 100 000 x 99 999 table: text too short
         # to hold it fails on its first line instead
