@@ -317,11 +317,10 @@ def _decoded_lists(data):
     `-0`, `0000000001`), and '-' stands only before 0. Runs of '\t', '\x1f'
     or ' ' separate the ids and may stand around the owner and the ':'.
 
-    The workers (`_on_cores`) decode blocks of whole lines of about
-    `_SCATTER // _WORKERS` bytes with numpy alone: each classes its
-    non-digit bytes, counts one token before each line's ':' and n - 1
-    after it, reads the tokens by Horner's rule, checks each owner and id,
-    and writes its rows. `RankTable` checks the permutations.
+    The workers (`_on_cores`) decode blocks of whole lines, about
+    `_SCATTER // _WORKERS` bytes each, with numpy alone: each classes its
+    non-digit bytes, counts the tokens around each ':', reads them by Horner's
+    rule, checks owners and ids (not permutations) and writes its rows.
     """
     if data and not data.endswith(b"\n"):
         data += b"\n"
@@ -356,15 +355,15 @@ def _decoded_lists(data):
         width = int(at.max()) - 1
         token = at > 1  # a token ends at `end`
         # tokens from each line's start to its ':', and from the ':' to the '\n'
-        tokens = np.add.reduceat(token, np.stack((newline[:-1], colon), axis=1).ravel(), dtype=np.intp)
-        if (tokens[0::2] != 1).any() or (tokens[1::2] != n - 1).any():
+        n_tokens = np.add.reduceat(token, np.stack((newline[:-1], colon), axis=1).ravel(), dtype=np.intp)
+        if (n_tokens[0::2] != 1).any() or (n_tokens[1::2] != n - 1).any():
             return False
         minus = np.empty(0, dtype=np.intp)
         if np.count_nonzero(byte == 32) != byte.size - 2 * m - 1:  # not only ' ', ':', '\n'
             sign, cr = np.flatnonzero((byte == 43) | (byte == 45)), np.flatnonzero(byte == 13)
-            # a sign stands after a non-digit and before a token's digits
+            # '\r' stands right before '\n', a sign after a non-digit and before a token's digits
             if (not np.isin(byte, list(b"\t\n\r\x1f +-:")).all() or (byte[cr + 1] != 10).any()
-                    or not token[sign].all() or token[sign - 1].any()):
+                    or token[cr].any() or not token[sign].all() or token[sign - 1].any()):
                 return False
             minus = sign[byte[sign] == 45]
         np.multiply(digit[2:], np.logical_not(other, out=other), out=digit[2:])  # non-digits read 0
@@ -411,10 +410,11 @@ def _checked_lines(lines):
 def load_rank_table(path):
     r"""Parse a rank-table file: line i is `i:` and then the n - 1 other ids.
 
-    The bytes are decoded in blocks (`_decoded_lists`). Text with another
-    line break (a lone '\r', '\v', U+2028 ...) or non-ASCII bytes (U+00A0
-    around an owner, say) is decoded again as '\n'-ended lines with their
-    owners stripped; text that still fails raises its first fault.
+    The bytes are decoded in blocks (`_decoded_lists`). Text it rejects is
+    decoded again as its `str.splitlines()` lines, '\n'-ended and with their
+    owners stripped, which takes any other line break (a lone '\r', '\v',
+    U+2028 ...) and U+00A0 around an owner; text that still fails raises its
+    first fault (`_checked_lines`).
     """
     data = Path(path).read_bytes()
     lists = _decoded_lists(data)

@@ -331,6 +331,7 @@ class TestRankTableParse:
     # the less common grammar: each case loads, or fails, as the oracle does
     @pytest.mark.parametrize("text, where", [
         ("0: 1 2\r1: 0 2\r2: 0 1\r", None),
+        ("0: 1 2\n1: 0 2\n2: 0 \r1\n", "line 1: expected 3 ids, got 2"),
         ("0: 1 2\v1: 0 2\v2: 0 1\n", None),
         ("0: 1\x1f2\n1: 0 2\n2: 0 1\n", None),
         ("0: 1 2\u20281: 0 2\u20282: 0 1\n", None),
