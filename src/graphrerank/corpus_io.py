@@ -1,8 +1,8 @@
 """Core corpus data model, on-disk text formats, and synthetic corpus generation.
 
 Image ids are dense integers in [0, n). A rank table stores, for every image
-used as a query, its full retrieval ordering over the rest of the corpus, as
-int32; truncation to the k nearest neighbors happens later, at
+used as a query, its full retrieval ordering over the rest of the corpus
+(int16 up to n = 32 768, int32 beyond); k-nearest truncation comes later, at
 graph-construction time, so a single table supports any k sweep.
 
 Rank-table, ground-truth and ranked-list files share one line format,
@@ -151,12 +151,18 @@ def _row_blocks(n, width):
     """Row slices of an n-row table with `width` entries a row, each of at
     most `_SCATTER // _WORKERS` entries (or one row).
 
-    Fancy indexing with an int32 array first makes an intp copy of it; a
-    scatter over one block at a time keeps that copy to one block's size,
-    and the blocks the workers hold at once to `_SCATTER` entries.
+    Fancy indexing with the stored ids (int16 up to n = 32 768, int32
+    beyond) first makes an intp copy of them; a scatter over one block at a
+    time keeps that copy to one block's size, and the blocks the workers
+    hold at once to `_SCATTER` entries.
     """
     step = max(1, _SCATTER // _WORKERS // max(width, 1))
     return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _id_dtype(n):
+    """The narrowest signed dtype of the ids [0, n): int16 up to n = 32 768, int32 beyond."""
+    return np.int16 if n <= 1 << 15 else np.int32
 
 
 def _list_fault(row, owner, n):
@@ -219,8 +225,9 @@ class RankTable:
     `lists[i]` is a permutation of all ids except i itself, closest first;
     a rejection names the first list that is not, and why (TypeError for a
     non-integer dtype). The ids are checked in the dtype they come in and
-    only then stored as read-only int32, so an id beyond int32 cannot wrap
-    into range. Immutable: the input, a caller's int32 array too, is
+    only then stored as read-only `_id_dtype(n)` (int16 up to n = 32 768,
+    int32 beyond), so an id beyond that dtype cannot wrap into range.
+    Immutable: the input, a caller's array of the stored dtype too, is
     copied once.
     """
 
@@ -229,13 +236,14 @@ class RankTable:
     def __post_init__(self):
         arr = _int_array(self.lists)
         _check_table(arr)
-        lists = arr.astype(np.int32)
+        lists = arr.astype(_id_dtype(len(arr)))
         lists.setflags(write=False)
         object.__setattr__(self, "lists", lists)
 
     @classmethod
     def _adopt(cls, lists):
-        """`RankTable(lists)` for an int32 array that only its maker holds: checked, not copied."""
+        """`RankTable(lists)` for an `_id_dtype(n)` array (int16 up to n = 32 768,
+        int32 beyond) that only its maker holds: checked, not copied."""
         _check_table(lists)
         lists.setflags(write=False)
         table = object.__new__(cls)
@@ -248,14 +256,15 @@ class RankTable:
 
     @cached_property
     def positions(self):
-        """(n, n) read-only int32 matrix of 1-based list positions; positions[i, i] = 0.
+        """(n, n) read-only matrix of 1-based list positions; positions[i, i] = 0.
 
-        Scattered one block of rows at a time (`_row_blocks`), the blocks
+        Stored as the lists are (int16 up to n = 32 768, int32 beyond) and
+        scattered one block of rows at a time (`_row_blocks`), the blocks
         on the workers (`_on_cores`); each writes only its own rows.
         """
         n = self.n
-        pos = np.zeros((n, n), dtype=np.int32)
-        ranks = np.arange(1, n, dtype=np.int32)
+        pos = np.zeros((n, n), dtype=_id_dtype(n))
+        ranks = np.arange(1, n, dtype=pos.dtype)
 
         def scatter(rows):
             block = self.lists[rows]
@@ -310,7 +319,8 @@ def _id_line(line, lineno):
 
 
 def _decoded_lists(data):
-    r"""The int32 lists of rank-table bytes, or None for bytes that break a rule.
+    r"""The `_id_dtype(n)` lists of rank-table bytes (int16 up to n = 32 768,
+    int32 beyond), or None for bytes that break a rule.
 
     Line i, ended by '\n', '\r\n' or the end of the text, is `i:` and then
     n - 1 ids. An owner or id is ASCII digits after an optional sign (`+1`,
@@ -335,7 +345,7 @@ def _decoded_lists(data):
     n = sum(counts)
     if len(data) < 2 * n * n:  # too short for n lines of n tokens: allocate nothing
         return None
-    lists = np.empty((n, max(n - 1, 0)), dtype=np.int32)
+    lists = np.empty((n, max(n - 1, 0)), dtype=_id_dtype(n))
 
     def decode(job):
         (start, stop), first, m = job

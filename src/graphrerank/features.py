@@ -20,8 +20,8 @@ thread's malloc arena, and blocks that made their own raised the peak RSS of
 two n = 2 000 builds by 10 %. A block's distances get an unstable argsort;
 only rows that hold two equal distances are sorted again with a stable sort,
 since a row of distinct values has exactly one sorted order. Each block's
-order is written straight into its own rows of the table's int32 lists,
-which the table then checks and keeps without a copy.
+order is written straight into its own rows of the table's lists (int16 up
+to n = 32 768, int32 beyond), which the table checks and keeps uncopied.
 
 A P6 header is `P6`, then width, height and maxval, each the next
 non-whitespace run not starting with `#` (a `#` there opens a comment to the
@@ -183,7 +183,7 @@ def build_rank_table(features):
         raise ValueError("need at least 2 images to build a rank table")
     rows = features.rows
     n, dims = rows.shape
-    lists = np.empty((n, n - 1), dtype=np.int32)
+    lists = np.empty((n, n - 1), dtype=corpus_io._id_dtype(n))
     workers = corpus_io._WORKERS
     step = max(1, _BLOCK // workers)
     # made here, not in the workers, whose malloc arenas would keep them

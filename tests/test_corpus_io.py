@@ -88,12 +88,17 @@ class TestRankTableFormat:
             load_rank_table(path)
 
     def test_id_beyond_int32_rejected_before_narrowing(self, tmp_path):
-        # stored as int32 unchecked, 2**32 + 1 would wrap to 1 and load
+        # stored unchecked, 2**32 + 1 would wrap to 1 in int32 and 65537 to 1
+        # in int16 (the stored dtype up to n = 32 768), and both would load
         path = tmp_path / "t.txt"
-        path.write_text("0: 4294967297\n1: 0\n")
-        want = f"{path}: rank list 0: id 4294967297 out of range [0, 2)"
-        with pytest.raises(FormatError, match=f"^{re.escape(want)}$"):
-            load_rank_table(path)
+        for text, fault in [
+            ("0: 4294967297\n1: 0\n", "id 4294967297 out of range [0, 2)"),
+            ("0: 1 65537\n1: 0 2\n2: 0 1\n", "id 65537 out of range [0, 3)"),
+        ]:
+            path.write_text(text)
+            want = f"{path}: rank list 0: {fault}"
+            with pytest.raises(FormatError, match=f"^{re.escape(want)}$"):
+                load_rank_table(path)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -185,7 +190,7 @@ def load_scalar(path):
             raise FormatError(f"{where}: missing ':' separator")
         if not INT_TOKEN.fullmatch(head.strip()):
             raise FormatError(f"{where}: bad owner id {head!r}")
-        owner = int(head)
+        owner = int(head.strip())
         tokens = tail.split()
         if not tail.isascii() or not all(INT_TOKEN.fullmatch(tok) for tok in tokens):
             raise FormatError(f"{where}: non-integer id")
@@ -334,6 +339,7 @@ class TestRankTableParse:
         ("0: 1 2\n1: 0 2\n2: 0 \r1\n", "line 1: expected 3 ids, got 2"),
         ("0: 1 2\v1: 0 2\v2: 0 1\n", None),
         ("0: 1\x1f2\n1: 0 2\n2: 0 1\n", None),
+        ("0\x1f: 1\n1: 0\n", None),
         ("0: 1 2\u20281: 0 2\u20282: 0 1\n", None),
         ("0: 1 2\n\u00a01: 0 2\n2: 0 1\n", None),
         ("0: 1 2\n1: 0\u00a02\n2: 0 1\n", "line 2: non-integer id"),
@@ -413,10 +419,10 @@ class TestRankTableValidation:
             RankTable(np.array([[1.9], [0.2]]))
 
     def test_caller_mutation_leaves_table_unchanged(self):
-        # an array or view the caller passed is copied, an int32 one (the
+        # an array or view the caller passed is copied, an int16 one (the
         # stored dtype) too; rows in a list are copied by their conversion
         lists = np.array([[1, 2], [0, 2], [0, 1]])
-        narrow = lists.astype(np.int32)
+        narrow = lists.astype(np.int16)
         wide = np.array([[9, 1, 2], [9, 0, 2], [9, 0, 1]])
         rows = [row.copy() for row in lists]
         tables = [RankTable(lists), RankTable(narrow), RankTable(wide[:, 1:]), RankTable(rows)]
@@ -429,11 +435,18 @@ class TestRankTableValidation:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
     def test_ids_checked_before_narrowing(self, dtype):
-        # cast to int32 first, 2**32 + 1 would wrap to 1 and pass
-        with pytest.raises(ValueError, match=re.escape("rank list 0: id 4294967297 out of range [0, 2)")):
-            RankTable(np.array([[2**32 + 1], [0]], dtype=dtype))
+        # cast to int16 first, 2**16 + 1 would wrap to 1 and pass, and so
+        # would 2**32 + 1 cast to int32
+        for bad in (2**16 + 1, 2**32 + 1):
+            with pytest.raises(ValueError, match=re.escape(f"rank list 0: id {bad} out of range [0, 2)")):
+                RankTable(np.array([[bad], [0]], dtype=dtype))
 
-    def test_stored_as_read_only_int32(self, tmp_path):
+    def test_id_dtype_holds_n_minus_1(self):
+        assert corpus_io._id_dtype(0) is np.int16
+        assert corpus_io._id_dtype(2**15) is np.int16
+        assert corpus_io._id_dtype(2**15 + 1) is np.int32
+
+    def test_stored_as_read_only_int16(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("0: 1 2\n1: 0 2\n2: 0 1\n")
         given = np.array([[1, 2], [0, 2], [0, 1]])
@@ -445,7 +458,7 @@ class TestRankTableValidation:
         ]
         for table in tables:
             for arr in (table.lists, table.positions):
-                assert arr.dtype == np.int32
+                assert arr.dtype == np.int16
                 assert not arr.flags.writeable
             assert table.lists.tolist() == given.tolist()
 

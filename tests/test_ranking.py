@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphrerank.corpus_io import SynthSpec, synth_generate
+from graphrerank import corpus_io
+from graphrerank.corpus_io import (
+    FeatureMatrix, SynthSpec, load_rank_table, save_rank_table, synth_generate,
+)
 from graphrerank.evaluation import ns_score
 from graphrerank.features import build_rank_table
 from graphrerank.fusion import fuse
@@ -552,3 +555,43 @@ class TestRerankBatch:
         tables = [random_rank_table(np.random.default_rng(3), 8)]
         with pytest.raises(ValueError, match=r"target_len 8 out of range \[0, 7\]"):
             rerank_batch(tables, [0], GraphParams(k=3), target_len=8)
+
+
+class TestInt32Storage:
+    """Tables stored as int32, as beyond n = 32 768, give what int16 tables give.
+
+    No test corpus is that large, so `corpus_io._id_dtype` is forced to
+    int32; int16 tables are pinned to the oracles by the tests above.
+    """
+
+    @staticmethod
+    def outcome(seed, method, n_tables, tmp_path):
+        """Whole lists, 3-id prefixes, graph edges and saved text of one random corpus."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 41))
+        built = build_rank_table(FeatureMatrix(rng.normal(size=(n, 3))))
+        tables = [built, random_rank_table(rng, n)][:n_tables]
+        paths = [tmp_path / f"{i}.txt" for i in range(n_tables)]
+        for table, path in zip(tables, paths):
+            save_rank_table(table, path)
+        texts = [path.read_bytes() for path in paths]
+        loaded = [load_rank_table(path) for path in paths]
+        assert all(np.array_equal(a.lists, b.lists) for a, b in zip(loaded, tables))
+        dtypes = {arr.dtype for t in tables + loaded for arr in (t.lists, t.positions)}
+        params = GraphParams(k=int(rng.integers(1, n)), depth=int(rng.integers(1, 4)))
+        queries = list(range(n))
+        whole = [r.order for r in rerank_batch(tables, queries, params, method)]
+        prefix = [r.order for r in rerank_batch(tables, queries, params, method, target_len=3)]
+        edges = [build_graph(tables, q, params, method).edges for q in queries]
+        return dtypes, (whole, prefix, edges, texts)
+
+    @pytest.mark.parametrize("method", sorted(BRUTE_FORCE))
+    @pytest.mark.parametrize("n_tables", [1, 2])
+    def test_int32_tables_equal_int16_tables(self, method, n_tables, tmp_path):
+        for seed in range(4):
+            narrow, want = self.outcome(seed, method, n_tables, tmp_path)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(corpus_io, "_id_dtype", lambda n: np.int32)
+                wide, got = self.outcome(seed, method, n_tables, tmp_path)
+            assert (narrow, wide) == ({np.dtype(np.int16)}, {np.dtype(np.int32)})
+            assert got == want
