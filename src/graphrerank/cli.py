@@ -107,7 +107,7 @@ def cmd_rerank(args):
     queries = _queries(args, tables)
     ranked = ranking.rerank_batch(tables, queries, params, method=args.method)
     rows = [(q, r.order) for q, r in zip(queries, ranked)]
-    corpus_io.atomic_write_text(args.out, corpus_io.id_lines_text(rows, header))
+    corpus_io.atomic_write_text(args.out, corpus_io.id_lines(rows, header))
 
 
 def cmd_eval(args):

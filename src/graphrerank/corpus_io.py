@@ -23,12 +23,13 @@ digits with an optional point, optional exponent) or an infinity or NaN,
 which is then rejected as non-finite; any other token, `1_0` or a non-ASCII
 digit among them, is a `non-numeric value`.
 
-The block decode of rank-table text, a rank table's permutation
-check and its `positions` scatter run their blocks on one thread per core
-(`_on_cores`; `_WORKERS` is the number of cores this process may run on),
-as `features.build_rank_table` does. Their numpy kernels release the GIL,
-so the blocks run in parallel; the blocks the workers hold at once total
-`_SCATTER` entries, or about `_SCATTER` bytes of text.
+The block decode of rank-table text, and the one pass that checks a rank
+table's lists and scatters them into its `positions` (`_positions`), run
+their blocks on one thread per core (`_on_cores`; `_WORKERS` is the number
+of cores this process may run on), as `features.build_rank_table` does.
+Their numpy kernels release the GIL, so the blocks run in parallel; the
+blocks the workers hold at once total `_SCATTER` entries, or about
+`_SCATTER` bytes of text.
 Graph building, fusion, ranking and scoring stay serial: their per-query
 Python loops hold the GIL, and a thread pool made `evaluate` slower (21.5 s
 against 17.3 s serial, directed k = 60).
@@ -42,7 +43,6 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,6 @@ __all__ = [
     "synth_generate",
     "atomic_write_text",
     "id_lines",
-    "id_lines_text",
 ]
 
 
@@ -126,11 +125,6 @@ def id_lines(rows, header=None):
         yield " ".join([f"{owner}:", *map(str, ids)]) + "\n"
 
 
-def id_lines_text(rows, header=None):
-    """`id_lines` joined into one str."""
-    return "".join(id_lines(rows, header))
-
-
 _SCATTER = 1 << 18  # list entries in flight in a scatter: 2 MB as an intp index
 # one worker per core this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -151,10 +145,10 @@ def _row_blocks(n, width):
     """Row slices of an n-row table with `width` entries a row, each of at
     most `_SCATTER // _WORKERS` entries (or one row).
 
-    Fancy indexing with the stored ids (int16 up to n = 32 768, int32
-    beyond) first makes an intp copy of them; a scatter over one block at a
-    time keeps that copy to one block's size, and the blocks the workers
-    hold at once to `_SCATTER` entries.
+    Fancy indexing with ids of any dtype but intp (the stored int16 or
+    int32 among them) first makes an intp copy of them; checking and
+    scattering one block at a time keeps that copy to one block's size, and
+    the blocks the workers hold at once to `_SCATTER` entries.
     """
     step = max(1, _SCATTER // _WORKERS // max(width, 1))
     return [slice(start, start + step) for start in range(0, n, step)]
@@ -176,25 +170,34 @@ def _list_fault(row, owner, n):
     return f"duplicate id {dup[0]}" if dup.size else None
 
 
-def _check_lists(lists, n):
-    """Raise `rank list i: <fault>` for the first row i of `lists` that is
-    not a permutation of the ids [0, n) but i.
+def _positions(arr):
+    """The read-only `_id_dtype(n)` positions of the rank lists `arr`, an
+    integer array checked in its own dtype; raise `rank list i: <fault>`
+    for the first row i that is not a permutation of the ids [0, n) but i.
 
-    Each block of rows is range-checked in its own dtype first. In range, a
-    (rows, n) scatter marks rows * (n - 1) distinct (row, id) pairs exactly
-    when no row repeats an id, and then a row that holds its owner misses
-    another id. No sort is needed: only a block that fails is read again,
-    row by row, to name its first bad list. The blocks are checked on the
-    workers (`_on_cores`), and the first fault in row order is raised.
+    Each block of rows is range-checked, then its ranks 1 .. n - 1 are
+    scattered into its own rows of the positions (`_row_blocks`, on the
+    workers by `_on_cores`). Ranks are >= 1, so the block holds
+    rows * (n - 1) nonzeros exactly when no row repeats an id, and then a
+    row that holds its owner has a nonzero diagonal. No sort is needed: only
+    a block that fails is read again, row by row, to name its first bad
+    list, and the first fault in row order is raised.
     """
+    if arr.ndim != 2:
+        raise ValueError("rank lists must form a 2-d array")
+    n = arr.shape[0]
+    if arr.shape[1] != max(n - 1, 0):
+        raise ValueError(f"each rank list must have length {max(n - 1, 0)}")
+    pos = np.zeros((n, n), dtype=_id_dtype(n))
+    ranks = np.arange(1, n, dtype=pos.dtype)
+
     def block_fault(rows):
-        block = lists[rows]
+        block, out = arr[rows], pos[rows]
         local = np.arange(len(block))
         owners = local + rows.start
         if block.min() >= 0 and block.max() < n:
-            seen = np.zeros((len(block), n), dtype=bool)
-            seen[local[:, None], block] = True
-            if np.count_nonzero(seen) == block.size and not seen[local, owners].any():
+            out[local[:, None], block] = ranks
+            if np.count_nonzero(out) == block.size and not out[local, owners].any():
                 return None
         for owner, row in zip(owners.tolist(), block):
             fault = _list_fault(row, owner, n)
@@ -202,20 +205,11 @@ def _check_lists(lists, n):
                 return f"rank list {owner}: {fault}"
         return None
 
-    for fault in _on_cores(block_fault, _row_blocks(len(lists), n - 1)):
+    for fault in _on_cores(block_fault, _row_blocks(n, n - 1) if n > 1 else []):
         if fault:
             raise ValueError(fault)
-
-
-def _check_table(arr):
-    """`RankTable`'s checks of an integer array, in its own dtype."""
-    if arr.ndim != 2:
-        raise ValueError("rank lists must form a 2-d array")
-    n = arr.shape[0]
-    if arr.shape[1] != max(n - 1, 0):
-        raise ValueError(f"each rank list must have length {max(n - 1, 0)}")
-    if n > 1:
-        _check_lists(arr, n)
+    pos.setflags(write=False)
+    return pos
 
 
 @dataclass(frozen=True)
@@ -224,18 +218,20 @@ class RankTable:
 
     `lists[i]` is a permutation of all ids except i itself, closest first;
     a rejection names the first list that is not, and why (TypeError for a
-    non-integer dtype). The ids are checked in the dtype they come in and
-    only then stored as read-only `_id_dtype(n)` (int16 up to n = 32 768,
-    int32 beyond), so an id beyond that dtype cannot wrap into range.
-    Immutable: the input, a caller's array of the stored dtype too, is
-    copied once.
+    non-integer dtype). `positions` is the (n, n) matrix of 1-based list
+    positions, `positions[i, lists[i, c]] = c + 1` and `positions[i, i] = 0`.
+    Both are made by one pass over the lists (`_positions`), which checks
+    the ids in the dtype they come in, so an id beyond the stored dtype
+    cannot wrap into range, and both are stored read-only as `_id_dtype(n)`
+    (int16 up to n = 32 768, int32 beyond). Immutable: the input, a
+    caller's array of the stored dtype too, is copied once.
     """
 
     lists: np.ndarray
 
     def __post_init__(self):
         arr = _int_array(self.lists)
-        _check_table(arr)
+        object.__setattr__(self, "positions", _positions(arr))
         lists = arr.astype(_id_dtype(len(arr)))
         lists.setflags(write=False)
         object.__setattr__(self, "lists", lists)
@@ -244,35 +240,15 @@ class RankTable:
     def _adopt(cls, lists):
         """`RankTable(lists)` for an `_id_dtype(n)` array (int16 up to n = 32 768,
         int32 beyond) that only its maker holds: checked, not copied."""
-        _check_table(lists)
-        lists.setflags(write=False)
         table = object.__new__(cls)
+        object.__setattr__(table, "positions", _positions(lists))
+        lists.setflags(write=False)
         object.__setattr__(table, "lists", lists)
         return table
 
     @property
     def n(self):
         return self.lists.shape[0]
-
-    @cached_property
-    def positions(self):
-        """(n, n) read-only matrix of 1-based list positions; positions[i, i] = 0.
-
-        Stored as the lists are (int16 up to n = 32 768, int32 beyond) and
-        scattered one block of rows at a time (`_row_blocks`), the blocks
-        on the workers (`_on_cores`); each writes only its own rows.
-        """
-        n = self.n
-        pos = np.zeros((n, n), dtype=_id_dtype(n))
-        ranks = np.arange(1, n, dtype=pos.dtype)
-
-        def scatter(rows):
-            block = self.lists[rows]
-            pos[rows][np.arange(len(block))[:, None], block] = ranks
-
-        _on_cores(scatter, _row_blocks(n, n - 1))
-        pos.setflags(write=False)
-        return pos
 
     def truncated(self, k):
         """The first k columns: exactly n*k stored ids.
@@ -288,6 +264,8 @@ class RankTable:
 
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+# a line's ids: integer tokens separated by whitespace (ASCII, once the line is)
+_ID_TAIL = re.compile(rf"\s*(?:{_INT_TOKEN.pattern}(?:\s+{_INT_TOKEN.pattern})*)?\s*")
 # a feature value: an ASCII decimal float, or an infinity or NaN (rejected
 # later as non-finite); `float()` alone would also take `1_0` and non-ASCII digits
 _FLOAT_TOKEN = re.compile(
@@ -309,10 +287,9 @@ def _id_line(line, lineno):
     if not sep:
         raise FormatError(f"line {lineno + 1}: missing ':' separator")
     owner = _parse_int(head.strip(), f"line {lineno + 1}: bad owner id {head!r}")
-    tokens = tail.split()
-    if not tail.isascii() or not all(map(_INT_TOKEN.fullmatch, tokens)):
+    if not tail.isascii() or not _ID_TAIL.fullmatch(tail):
         raise FormatError(f"line {lineno + 1}: non-integer id")
-    ids = list(map(int, tokens))
+    ids = list(map(int, tail.split()))
     if ids and (min(ids) < -(2**63) or max(ids) >= 2**63):
         raise FormatError(f"line {lineno + 1}: id out of range")
     return owner, ids
@@ -484,7 +461,7 @@ def load_ground_truth(path, n):
 
 
 def save_ground_truth(gt, path):
-    atomic_write_text(path, id_lines_text((q, sorted(gt.relevant[q])) for q in gt.queries))
+    atomic_write_text(path, id_lines((q, sorted(gt.relevant[q])) for q in gt.queries))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ two n = 2 000 builds by 10 %. A block's distances get an unstable argsort;
 only rows that hold two equal distances are sorted again with a stable sort,
 since a row of distinct values has exactly one sorted order. Each block's
 order is written straight into its own rows of the table's lists (int16 up
-to n = 32 768, int32 beyond), which the table checks and keeps uncopied.
+to n = 32 768, int32 beyond), which the table keeps uncopied; one pass over
+them checks them and makes the table's `positions`.
 
 A P6 header is `P6`, then width, height and maxval, each the next
 non-whitespace run not starting with `#` (a `#` there opens a comment to the
@@ -199,6 +200,7 @@ def build_rank_table(features):
             buffers.put(bufs)
 
     _on_cores(fill, range(0, n, step))
+    del buffers  # freed before the table makes its positions
     return RankTable._adopt(lists)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 from pathlib import Path
@@ -397,7 +398,7 @@ class TestRankTableValidation:
         # an id beyond int32 on a later line: the loader checks the lists before it
         lists[8, 0] = 2**32 + 1
         path = tmp_path / "t.txt"
-        path.write_text(corpus_io.id_lines_text(enumerate(lists.tolist())))
+        path.write_text("".join(corpus_io.id_lines(enumerate(lists.tolist()))))
         with pytest.raises(FormatError, match=f"rank list 2: duplicate id {lists[2, 0]}$"):
             load_rank_table(path)
 
@@ -462,11 +463,26 @@ class TestRankTableValidation:
                 assert not arr.flags.writeable
             assert table.lists.tolist() == given.tolist()
 
-    def test_positions_inverse_of_lists(self):
-        table = random_rank_table(np.random.default_rng(0), 9)
-        for i in range(9):
-            for rank, j in enumerate(table.lists[i], start=1):
-                assert table.positions[i, j] == rank
+    def test_positions_inverse_of_lists(self, monkeypatch, tmp_path):
+        # the lists are checked and scattered into `positions` in one pass of
+        # row blocks: every constructor, at any block size and worker count
+        lists = random_rank_table(np.random.default_rng(0), 9).lists
+        path = tmp_path / "t.txt"
+        path.write_text("".join(corpus_io.id_lines(enumerate(lists.tolist()))))
+        features = FeatureMatrix(np.random.default_rng(1).normal(size=(9, 3)))
+        for workers, rows in itertools.product([1, 2, 8], [1, 2, 3]):
+            monkeypatch.setattr(corpus_io, "_WORKERS", workers)
+            monkeypatch.setattr(corpus_io, "_SCATTER", workers * rows * 8)
+            assert len(corpus_io._row_blocks(9, 8)) == -(-9 // rows)
+            tables = [RankTable(lists.astype(dtype)) for dtype in (np.int64, np.uint64, np.int16)]
+            tables.append(load_rank_table(path))
+            for table in tables:
+                assert table.lists.tolist() == lists.tolist()
+            for table in [*tables, build_rank_table(features)]:
+                assert not table.positions.diagonal().any()
+                for i in range(9):
+                    for rank, j in enumerate(table.lists[i], start=1):
+                        assert table.positions[i, j] == rank
 
     def test_truncated_bounds(self):
         table = random_rank_table(np.random.default_rng(0), 6)

@@ -285,8 +285,9 @@ class TestBuildRankTable:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_build_holds_no_n_by_n_temporaries(self, monkeypatch, workers):
         # one (1000, 1000) float64 array alone is 7.6 MiB, and the table the
-        # build returns (int16 up to n = 32 768, int32 beyond) is 1.9 MiB;
-        # the rows in flight stay `_BLOCK` however many workers build them
+        # build returns, lists plus positions (int16 up to n = 32 768, int32
+        # beyond), is 3.8 MiB; the rows in flight stay `_BLOCK` however many
+        # workers build them
         monkeypatch.setattr(corpus_io, "_WORKERS", workers)
         matrix = FeatureMatrix(np.random.default_rng(4).normal(size=(1000, 8)))
         tracemalloc.start()

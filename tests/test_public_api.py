@@ -41,6 +41,8 @@ REMOVED = [
     "jaccard_weight",
     # the path follows the request: rerank_batch ranks a prefix by lockstep
     "LAZY_LEN",
+    # atomic_write_text takes the lines of id_lines as they are
+    "id_lines_text",
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"
