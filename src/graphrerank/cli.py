@@ -105,8 +105,8 @@ def cmd_rerank(args):
         f"depth={args.depth} score=max"
     )
     queries = _queries(args, tables)
-    ranked = ranking.rerank_batch(tables, queries, params, method=args.method)
-    rows = [(q, r.order) for q, r in zip(queries, ranked)]
+    chunks = ranking._ranked_chunks(tables, queries, params, args.method, None)
+    rows = ((r.query, r.order) for _, ranked in chunks for r in ranked)
     corpus_io.atomic_write_text(args.out, corpus_io.id_lines(rows, header))
 
 

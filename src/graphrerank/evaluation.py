@@ -12,20 +12,17 @@ prefix-consistent, so the scores equal those of the full lists. Average
 precision reads the whole list, and `metric="map"` ranks it in full.
 `ranking` states which path ranks a prefix and which a whole list.
 
-`evaluate` and `sweep_k` rerank through `ranking.rerank_batch`, greedy
-max-weight expansion; `GraphParams` and `method` are the only ranking
-settings they take. `evaluate` ranks and scores its queries in chunks of
-`ranking.CHUNK`, each chunk as one batch of flat arrays (see `graph`), and
-holds only one chunk's ranked lists at a time.
+`evaluate` and `sweep_k` rerank by greedy max-weight expansion through
+`ranking`'s one chunk loop; `GraphParams` and `method` are the only ranking
+settings they take. `evaluate` scores each chunk of ranked lists the loop
+yields, and holds only one chunk's lists at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .ranking import CHUNK, RankedList, rerank_batch
+from .ranking import RankedList, _ranked_chunks
 
 NS_DEPTH = 3  # results after the query that the N-S score reads
 
@@ -89,20 +86,16 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns"):
     queries = ground_truth.queries
     length = min(NS_DEPTH, tables[0].n - 1) if metric == "ns" else None
 
-    def value(ranked, q):
-        rel = ground_truth.relevant[q]
+    def value(ranked):
+        rel = ground_truth.relevant[ranked.query]
         if metric == "ns":
-            return ns_score(ranked, q, rel)
+            return ns_score(ranked, ranked.query, rel)
         return average_precision(ranked, rel)
 
     rr_vals, base_vals = [], []
-    for start in range(0, len(queries), CHUNK):
-        chunk = queries[start:start + CHUNK]
-        # rerank first: a query outside [0, n) fails the builders' check, not an index
-        ranked = rerank_batch(tables, chunk, params, method=method, target_len=length)
-        rr_vals += map(value, ranked, chunk)
-        rows = np.array(chunk, dtype=np.int64)
-        base_vals += map(value, RankedList._batch(rows, tables[0].lists[rows, :length]), chunk)
+    for chunk, ranked in _ranked_chunks(tables, queries, params, method, length):
+        rr_vals += map(value, ranked)
+        base_vals += map(value, RankedList._batch(chunk, tables[0].lists[chunk, :length]))
     fused = "-fused" if len(tables) > 1 else ""
     common = dict(metric=metric, k=params.k, alpha0=params.alpha0, depth=params.depth)
     baseline = MetricReport(method="baseline", per_query=dict(zip(queries, base_vals)), **common)

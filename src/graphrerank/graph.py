@@ -10,7 +10,8 @@ Two constructions are provided, both built through `ranking.build_graph`:
 Both discount edges by alpha0 ** (larger hop distance of the endpoints from
 the query). Hop distances are computed on the unweighted adjacency before
 weights are assigned; an unreachable endpoint gives decay 0 and the edge is
-dropped.
+dropped. No hop distance exceeds n - 1, so a depth beyond n - 1 reaches
+what n - 1 reaches, and the decay table stops there.
 
 Neighborhood sets used by the Jaccard weight include the owner image itself
 (the image is rank 1 of its own retrieval), i.e. {i} plus the top k-1
@@ -105,8 +106,8 @@ class ImageGraph:
     `src[e]` to `dst[e]` with weight `weight[e]`. `nodes` (a frozenset of
     image ids) and `edges` (a dict from (src id, dst id) to weight) are
     built from those arrays on first use. Undirected graphs store each edge
-    once under the (min, max) id orientation. Zero-weight edges are never
-    stored. Checked once, when made.
+    once under the (min, max) id orientation. Zero-weight edges, self-loops
+    and repeated edges are never stored. Checked once, when made.
     """
 
     def __init__(self, query, ids, src, dst, weight, directed):
@@ -131,6 +132,15 @@ class ImageGraph:
             )
         if not directed and np.count_nonzero(ids[src] > ids[dst]):
             raise ValueError("undirected edges must use (min, max) orientation")
+        loop = src == dst
+        if np.count_nonzero(loop):
+            i = ids[src[loop.argmax()]]
+            raise ValueError(f"edge ({i}, {i}) is a self-loop")
+        pairs = np.sort(src.astype(np.int64) * len(ids) + dst)
+        twice = pairs[1:] == pairs[:-1]
+        if np.count_nonzero(twice):
+            a, b = divmod(int(pairs[1:][twice.argmax()]), len(ids))
+            raise ValueError(f"edge ({ids[a]}, {ids[b]}) appears more than once")
         self.query = int(query)
         self.ids = ids
         self.src = src
@@ -217,8 +227,8 @@ def _out_edges(table, depth, sources, params, directed, once=False):
     flat = np.flatnonzero(edges)
     src, col = np.divmod(flat, k)
     dst, dst_id = cell.ravel()[flat], rows.ravel()[flat]
-    # alpha0 ** (larger endpoint depth), from Python `**` values
-    decays = np.array([params.alpha0 ** d for d in range(params.depth + 1)])
+    # alpha0 ** (larger endpoint depth), from Python `**` values; no depth exceeds n - 1
+    decays = np.array([params.alpha0 ** d for d in range(min(params.depth, n - 1) + 1)])
     decay = decays[np.maximum(depth[sources][src], ends.ravel()[flat])]
     if directed:
         # Rank(i, i') of i' in i's top-k is its column + 1

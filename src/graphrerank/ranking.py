@@ -17,9 +17,11 @@ position, nodes absent from the list after all present ones, then by id),
 so `np.argmax`, which returns the first of equal maxima, picks the
 documented tie-break. Scores are a running `np.maximum`, compared exactly.
 
-`rerank_batch` ranks `CHUNK` queries at a time as one array program over
-the flat node keys `b * n + id` (see `graph`); `rerank` is a batch of one.
-The shape of the request picks the path, and both give the same lists:
+One chunk loop, `_ranked_chunks`, ranks `CHUNK` queries at a time as one
+array program over the flat node keys `b * n + id` (see `graph`) and yields
+each chunk's lists. `rerank_batch` collects them (`rerank` is a batch of
+one); `evaluation.evaluate` and the CLI `rerank` command hold one chunk at
+a time. The shape of the request picks the path; both give the same lists:
 
 - A whole list (`target_len` = n - 1, the default; `rerank`, the CLI
   `rerank` command and `metric="map"`) is ranked from the full graphs
@@ -47,10 +49,11 @@ lockstep. A 3-id prefix in 64-query chunks: 142 -> 39 directed, 102 -> 55
 undirected. Whole lists in 64-query chunks: 346 -> 461 directed (1.33x),
 211 -> 322 undirected (1.53x). One whole list: 645 -> 4 942 directed.
 
-Queries are checked once, where they enter (`rerank_batch`,
-`build_graph`), `RankedList`'s rules once per batch, and the graphs a
-batch builds are not re-checked. `greedy_rank` ranks one `ImageGraph`
-through the full path's layout, expansion and completion (`_rank_graphs`).
+Queries, method, `target_len` and k are checked once, where they enter
+(`_ranked_chunks`, before its first chunk is ranked, and `build_graph`),
+`RankedList`'s rules once per batch, and the graphs a batch builds are
+not re-checked. `greedy_rank` ranks one `ImageGraph` through the full
+path's layout, expansion and completion (`_rank_graphs`).
 """
 
 from __future__ import annotations
@@ -203,18 +206,19 @@ def greedy_rank(graph, initial, target_len=None):
         raise ValueError("image ids must be non-negative")
     if np.count_nonzero(initial == q):
         raise ValueError("initial list must not contain its own query")
-
-    # tie order: query, then initial-list position, then absent nodes by id
-    size = max(int(ids.max()), int(initial.max(initial=-1))) + 1
-    tie = np.arange(len(initial) + 1, len(initial) + 1 + size)
-    listed = np.arange(1, len(initial) + 1)
-    tie[initial] = listed
-    # a repeated id keeps only the position written last
-    if np.count_nonzero(tie[initial] != listed):
+    by_id = np.argsort(initial, kind="stable")
+    listed = initial[by_id]
+    if np.count_nonzero(listed[1:] == listed[:-1]):
         raise ValueError("initial list contains duplicates")
-    tie[q] = 0
+
+    # tie order: query, then initial-list position, then absent nodes by id;
+    # a sentinel -1 past the sorted list matches no id
+    at = np.searchsorted(listed, ids)
+    found = np.append(listed, -1)[at] == ids
+    tie = np.where(found, np.append(by_id, 0)[at] + 1, len(initial) + 1 + ids)
+    tie[ids == q] = 0
     return _rank_graphs(
-        np.array([q]), [initial], np.zeros(len(ids), dtype=np.int64), ids, tie[ids],
+        np.array([q]), [initial], np.zeros(len(ids), dtype=np.int64), ids, tie,
         graph.src, graph.dst, graph.weight, graph.directed, target_len,
     )[0]
 
@@ -301,6 +305,20 @@ def _lazy_chunk(tables, queries, params, directed, target_len):
     return RankedList._batch(queries, orders)
 
 
+def _ranked_chunks(tables, queries, params, method, target_len):
+    """Each `CHUNK` of `queries` with its RankedLists; every input is checked before one is ranked."""
+    tables, queries, directed = _checked(tables, queries, method)
+    length = tables[0].n - 1
+    target_len = length if target_len is None else operator.index(target_len)
+    if not 0 <= target_len <= length:
+        raise ValueError(f"target_len {target_len} out of range [0, {length}]")
+    tables[0].truncated(params.k)  # every table covers the same n
+    chunks = (queries[start:start + CHUNK] for start in range(0, len(queries), CHUNK))
+    if target_len < length:
+        return ((c, _lazy_chunk(tables, c, params, directed, target_len)) for c in chunks)
+    return ((c, _rank_chunk(tables, c, params, directed)) for c in chunks)
+
+
 def rerank_batch(tables, queries, params, method="directed", target_len=None):
     """`rerank` for each of `queries`, ranked `CHUNK` queries at a time.
 
@@ -308,19 +326,8 @@ def rerank_batch(tables, queries, params, method="directed", target_len=None):
     prefix is ranked by lockstep expansion, a whole list from the full
     graphs. A query may repeat; each result depends only on its own query.
     """
-    tables, queries, directed = _checked(tables, queries, method)
-    length = tables[0].n - 1
-    target_len = length if target_len is None else operator.index(target_len)
-    if not 0 <= target_len <= length:
-        raise ValueError(f"target_len {target_len} out of range [0, {length}]")
-    ranked = []
-    for start in range(0, len(queries), CHUNK):
-        chunk = queries[start:start + CHUNK]
-        if target_len < length:
-            ranked += _lazy_chunk(tables, chunk, params, directed, target_len)
-        else:
-            ranked += _rank_chunk(tables, chunk, params, directed)
-    return ranked
+    chunks = _ranked_chunks(tables, queries, params, method, target_len)
+    return [r for _, ranked in chunks for r in ranked]
 
 
 def rerank(tables, query, params, method="directed"):

@@ -1,5 +1,6 @@
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,27 @@ class TestRerankCommand:
         assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 24
 
 
+    def test_holds_one_chunk_of_ranked_lists(self, tmp_path):
+        # all 800 whole lists at once, 800 * 799 ids as Python ints in
+        # tuples, traced 23.7 MiB; one 64-query chunk of them is 1.8 MiB,
+        # beside the two tables' lists and positions (4.9 MiB): 8.9 MiB
+        corpus = tmp_path / "corpus"
+        assert run(
+            "synth", "--out-dir", corpus, "--groups", 200, "--dims", 4,
+            "--agreement", "0.8", "--seed", 7,
+        ) == 0
+        tables = [corpus / f"space{i}_ranks.txt" for i in range(2)]
+        out = tmp_path / "ranked.txt"
+        tracemalloc.start()
+        try:
+            assert run("rerank", "--tables", *tables, "--k", 5, "--out", out) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 800
+        assert peak <= 12 * 2**20
+
+
 class TestEvalCommand:
     def test_tsv_matches_library(self, synth_dir, tmp_path):
         out, perq = tmp_path / "report.tsv", tmp_path / "perq.tsv"
@@ -249,6 +271,23 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err == "error: k=24 exceeds corpus bound 23\n"
         assert not out.exists()
+
+    def test_rerank_k_beyond_corpus_fails_before_writing(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        # the lists are ranked while the output is written, so the checks
+        # must run before its temporary file is opened
+        writes = []
+        real = corpus_io.atomic_write_text
+        monkeypatch.setattr(
+            corpus_io, "atomic_write_text", lambda *args: writes.append(args) or real(*args)
+        )
+        out = tmp_path / "ranked.txt"
+        code = run("rerank", "--tables", synth_dir / "space0_ranks.txt", "--out", out, "--k", 24)
+        assert code == 1
+        assert capsys.readouterr().err == "error: k=24 exceeds corpus bound 23\n"
+        assert writes == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
 
     def test_bad_second_table_is_named(self, synth_dir, tmp_path, capsys):
         bad = tmp_path / "bad_ranks.txt"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphrerank import evaluation, ranking
+from graphrerank import ranking
 from graphrerank.corpus_io import GroundTruth, SynthSpec, synth_generate
 from graphrerank.evaluation import (
     MetricReport,
@@ -196,8 +196,7 @@ class TestEvaluate:
         tables, gt = synth_tables(spec)
         want = evaluate(tables, gt, GraphParams(k=5), metric=metric)
         with pytest.MonkeyPatch.context() as mp:
-            for module in (evaluation, ranking):
-                mp.setattr(module, "CHUNK", 5)
+            mp.setattr(ranking, "CHUNK", 5)
             got = evaluate(tables, gt, GraphParams(k=5), metric=metric)
         assert [r.per_query for r in got] == [r.per_query for r in want]
 

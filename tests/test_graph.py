@@ -333,6 +333,21 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="one entry per edge"):
             ImageGraph(0, ids, src, np.array(dst), np.array(weight), directed)
 
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_rejects_repeated_edge(self, directed):
+        # was accepted: `.edges` kept the last copy's weight, `greedy_rank`
+        # read the larger one and `fuse` summed them into one edge
+        ids, src, dst = np.array([5, 7, 9]), np.array([0, 1, 0]), np.array([1, 2, 1])
+        with pytest.raises(ValueError, match=r"^edge \(5, 7\) appears more than once$"):
+            ImageGraph(5, ids, src, dst, np.array([0.9, 0.5, 0.1]), directed)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_rejects_self_loop(self, directed):
+        # was accepted: `graph_to_text` wrote an undirected (7, 7) as "7 7 0.9"
+        ids, src, dst = np.array([5, 7, 9]), np.array([0, 1]), np.array([1, 1])
+        with pytest.raises(ValueError, match=r"^edge \(7, 7\) is a self-loop$"):
+            ImageGraph(5, ids, src, dst, np.array([0.5, 0.9]), directed)
+
     def test_validation_rejects_zero_weight(self):
         with pytest.raises(ValueError):
             graph_of(0, frozenset({0, 1}), {(0, 1): 0.0}, directed=True)

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -177,6 +178,16 @@ class TestGreedyRank:
             greedy_rank(g, [2, 2, 1], 2)
         with pytest.raises(ValueError, match="initial list contains duplicates"):
             greedy_rank(g, [1, 1, 2], 3)
+
+    def test_tie_order_not_sized_by_largest_id(self):
+        # an array indexed by id made this raise MemoryError (7.28 TiB)
+        big = 10**12
+        g = graph_of(0, frozenset({0, 1, big}), {(0, 1): 0.5, (0, big): 0.5}, True)
+        assert greedy_rank(g, [big, 1]).order == (big, 1)
+        assert greedy_rank(g, [1, big]).order == (1, big)
+        # unlisted nodes tie by id, after every listed one
+        assert greedy_rank(g, [2, 3], 1).order == (1,)
+        assert greedy_rank(g, [big + 1, big]).order == (big, 1)
 
     def test_completion_from_initial(self):
         g = graph_of(0, frozenset({0, 1}), {(0, 1): 0.5}, True)
@@ -555,6 +566,24 @@ class TestRerankBatch:
         tables = [random_rank_table(np.random.default_rng(3), 8)]
         with pytest.raises(ValueError, match=r"target_len 8 out of range \[0, 7\]"):
             rerank_batch(tables, [0], GraphParams(k=3), target_len=8)
+
+    @pytest.mark.parametrize("method", sorted(BRUTE_FORCE))
+    def test_depth_beyond_n_minus_1_reaches_what_n_minus_1_reaches(self, method):
+        # the decay table held depth + 1 Python floats per out-edge call:
+        # 38.6 MiB traced and 2-7 s for this 20-image corpus
+        spec = SynthSpec(n_groups=5, group_size=4, dims=4, n_spaces=2, agreement=0.7, seed=3)
+        tables = [build_rank_table(m) for m in synth_generate(spec)[0]]
+        n = tables[0].n
+        for target in (None, 3):
+            want = rerank_batch(tables, range(n), GraphParams(k=3, depth=n - 1), method, target)
+            tracemalloc.start()
+            try:
+                got = rerank_batch(tables, range(n), GraphParams(k=3, depth=10**6), method, target)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak <= 2 * 2**20
 
 
 class TestInt32Storage:
