@@ -83,8 +83,11 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns"):
     if metric not in ("ns", "map"):
         raise ValueError("metric must be 'ns' or 'map'")
     tables = list(tables)
+    if not tables:
+        raise ValueError("need at least one rank table")
     queries = ground_truth.queries
-    length = min(NS_DEPTH, tables[0].n - 1) if metric == "ns" else None
+    n = tables[0].n
+    length = min(NS_DEPTH, n - 1) if metric == "ns" else None
 
     def value(ranked):
         rel = ground_truth.relevant[ranked.query]
@@ -95,7 +98,7 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns"):
     rr_vals, base_vals = [], []
     for chunk, ranked in _ranked_chunks(tables, queries, params, method, length):
         rr_vals += map(value, ranked)
-        base_vals += map(value, RankedList._batch(chunk, tables[0].lists[chunk, :length]))
+        base_vals += map(value, RankedList._batch(chunk, tables[0].lists[chunk, :length], n))
     fused = "-fused" if len(tables) > 1 else ""
     common = dict(metric=metric, k=params.k, alpha0=params.alpha0, depth=params.depth)
     baseline = MetricReport(method="baseline", per_query=dict(zip(queries, base_vals)), **common)
@@ -108,6 +111,8 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns"):
 def sweep_k(tables, ground_truth, params, k_values, method="directed", metric="ns"):
     """One reranked MetricReport per k, for plot-ready TSV emission."""
     tables, k_values = list(tables), list(k_values)
+    if not tables:
+        raise ValueError("need at least one rank table")
     for k in k_values:
         tables[0].truncated(k)  # a bad k fails before any evaluation
     reports = []

@@ -49,6 +49,14 @@ lockstep. A 3-id prefix in 64-query chunks: 142 -> 39 directed, 102 -> 55
 undirected. Whole lists in 64-query chunks: 346 -> 461 directed (1.33x),
 211 -> 322 undirected (1.53x). One whole list: 645 -> 4 942 directed.
 
+A list ranked from rank tables holds shared ints: `_id_objects(n)` is the
+ids 0 .. n - 1 as one read-only array of Python ints, built once for the
+corpus in use, and `RankedList._batch` picks each list's ids from it. So
+a list costs its n - 1 tuple slots (16 KB at n = 2 000), not a new int
+object per id above 256 (≈ 80 KB in all), whatever number of lists a
+caller keeps. `greedy_rank` takes any non-negative ids, so its one list
+converts its own; no array is sized by an id beyond n.
+
 Queries, method, `target_len` and k are checked once, where they enter
 (`_ranked_chunks`, before its first chunk is ranked, and `build_graph`),
 `RankedList`'s rules once per batch, and the graphs a batch builds are
@@ -58,6 +66,7 @@ path's layout, expansion and completion (`_rank_graphs`).
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -72,6 +81,14 @@ __all__ = ["CHUNK", "RankedList", "build_graph", "greedy_rank", "rerank", "reran
 CHUNK = 64  # queries ranked as one batch; bounds the batch's (CHUNK * n) key index
 
 
+@functools.lru_cache(maxsize=1)
+def _id_objects(n):
+    """The ids 0 .. n - 1 as a read-only object array, one shared Python int per id."""
+    ids = np.arange(n).astype(object)
+    ids.flags.writeable = False
+    return ids
+
+
 def _check_orders(queries, orders):
     """`RankedList`'s checks, for every row of the 2-d `orders` against its query."""
     if np.count_nonzero(orders == queries[:, None]):
@@ -83,7 +100,12 @@ def _check_orders(queries, orders):
 
 @dataclass(frozen=True)
 class RankedList:
-    """Output ordering for one query over integer ids; the query never appears in it."""
+    """Output ordering for one query over integer ids; the query never appears in it.
+
+    `order` is a tuple of Python ints. The lists ranked from rank tables
+    share one int object per id (see `_id_objects`); a list built here or
+    by `greedy_rank` holds its own.
+    """
 
     query: int
     order: tuple
@@ -97,9 +119,15 @@ class RankedList:
         object.__setattr__(self, "order", tuple(order.tolist()))
 
     @classmethod
-    def _batch(cls, queries, orders):
-        """One RankedList per row of the integer (B, L) `orders`, checked once for all rows."""
+    def _batch(cls, queries, orders, n=None):
+        """One RankedList per row of the integer (B, L) `orders`, checked once for all rows.
+
+        With the corpus size `n`, every id is `_id_objects(n)`'s shared int.
+        """
         _check_orders(queries, orders)
+        if n is not None:
+            ids = _id_objects(n)
+            queries, orders = ids[queries], ids[orders]
         ranked = []
         for query, order in zip(queries.tolist(), orders.tolist()):
             r = object.__new__(cls)
@@ -169,7 +197,7 @@ def _complete(initial, skip, need):
     return head[keep][:need]
 
 
-def _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, target_len):
+def _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, target_len, n=None):
     """Greedy-rank a batch of graphs, completing each list from its initial list.
 
     Node a is image `ids[a]` of graph s = `slot[a]`, whose query
@@ -177,7 +205,7 @@ def _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, 
     for the query, 1 + its position for a listed node and a distinct
     larger value for any other node, so one sort by (slot, tie) lays each
     graph out in tie order, and completion skips a picked node's position
-    `tie - 1` (none, for an unlisted node).
+    `tie - 1` (none, for an unlisted node). `n` is as in `RankedList._batch`.
     """
     layout = np.lexsort((tie, slot))
     sizes = np.bincount(slot, minlength=len(queries)).tolist()
@@ -187,7 +215,7 @@ def _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, 
         order[: len(picked)] = ids[picked]
         if len(picked) < target_len:
             order[len(picked):] = _complete(initial, tie[picked] - 1, target_len - len(picked))
-    return RankedList._batch(queries, orders)
+    return RankedList._batch(queries, orders, n)
 
 
 def greedy_rank(graph, initial, target_len=None):
@@ -261,8 +289,8 @@ def _rank_chunk(tables, queries, params, directed):
     # tie order: query (its own position is 0), then position in tables[0]'s list
     tie = tables[0].positions[queries[slot], ids]
     initials = [tables[0].lists[q] for q in queries.tolist()]
-    length = tables[0].n - 1
-    return _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, length)
+    n = tables[0].n
+    return _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, n - 1, n)
 
 
 def _lazy_chunk(tables, queries, params, directed, target_len):
@@ -302,7 +330,7 @@ def _lazy_chunk(tables, queries, params, directed, target_len):
     for b in np.flatnonzero(count < target_len).tolist():
         skip = picks[b, : count[b]] - 1
         orders[b, count[b]:] = _complete(lists0[queries[b]], skip, target_len - count[b])
-    return RankedList._batch(queries, orders)
+    return RankedList._batch(queries, orders, n)
 
 
 def _ranked_chunks(tables, queries, params, method, target_len):

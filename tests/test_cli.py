@@ -163,9 +163,9 @@ class TestRerankCommand:
 
 
     def test_holds_one_chunk_of_ranked_lists(self, tmp_path):
-        # all 800 whole lists at once, 800 * 799 ids as Python ints in
-        # tuples, traced 23.7 MiB; one 64-query chunk of them is 1.8 MiB,
-        # beside the two tables' lists and positions (4.9 MiB): 8.9 MiB
+        # all 800 whole lists at once, 800 * 799 references to shared ints
+        # in tuples, trace 6.2 MiB; one 64-query chunk of them is 0.4 MiB,
+        # beside the two tables' lists and positions (4.9 MiB): 8.5 MiB
         corpus = tmp_path / "corpus"
         assert run(
             "synth", "--out-dir", corpus, "--groups", 200, "--dims", 4,

@@ -151,6 +151,12 @@ class TestEvaluate:
             evaluate(tables, gt, GraphParams(k=6), method=method)
 
     @pytest.mark.parametrize("metric", ["ns", "map"])
+    def test_no_tables_rejected(self, metric):
+        # tables[0] was read first: a bare IndexError
+        with pytest.raises(ValueError, match="need at least one rank table"):
+            evaluate([], GroundTruth({0: {1}}), GraphParams(k=1), metric=metric)
+
+    @pytest.mark.parametrize("metric", ["ns", "map"])
     def test_query_outside_corpus_rejected(self, metric):
         # the builders' query check, not a bare IndexError from the baseline row
         tables = [random_rank_table(np.random.default_rng(4), 20)]
@@ -294,6 +300,10 @@ class TestSweepK:
         tables, gt = synth_tables(spec)
         with pytest.raises(ValueError):
             sweep_k(tables, gt, GraphParams(k=2), [2, 50])
+
+    def test_no_tables_rejected(self):
+        with pytest.raises(ValueError, match="need at least one rank table"):
+            sweep_k(iter([]), GroundTruth({0: {1}}), GraphParams(k=1), [1])
 
     def test_directed_flatter_than_undirected_across_k(self):
         # qualitative robustness gap between the two weighting schemes: on a

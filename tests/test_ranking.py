@@ -9,6 +9,7 @@ from graphrerank import corpus_io
 from graphrerank.corpus_io import (
     FeatureMatrix, SynthSpec, load_rank_table, save_rank_table, synth_generate,
 )
+from graphrerank import evaluation
 from graphrerank.evaluation import ns_score
 from graphrerank.features import build_rank_table
 from graphrerank.fusion import fuse
@@ -584,6 +585,80 @@ class TestRerankBatch:
                 tracemalloc.stop()
             assert got == want
             assert peak <= 2 * 2**20
+
+
+def assert_one_int_per_id(lists):
+    """Each id above 256 (the ints Python does not cache) is one object in all of `lists`."""
+    seen = {}
+    for ranked in lists:
+        for x in (ranked.query, *ranked.order):
+            if x > 256:
+                assert seen.setdefault(x, x) is x, f"id {x} is held as two int objects"
+    assert seen
+
+
+class TestSharedIds:
+    """Lists ranked from rank tables share one Python int per id."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        """The two tables and ground truth of `synth --groups 200 --dims 4 --agreement 0.8 --seed 7`."""
+        spaces, gt = synth_generate(SynthSpec(n_groups=200, dims=4, agreement=0.8, seed=7))
+        return [build_rank_table(m) for m in spaces], gt
+
+    def test_whole_lists_cost_their_references(self, corpus):
+        # 800 whole lists of 799 ids: 800 * 799 references in tuples, traced
+        # 6.2 MiB; with a new int per id above 256 they traced 18.8 MiB
+        tables, _ = corpus
+        tracemalloc.start()
+        try:
+            ranked = rerank_batch(tables, range(800), GraphParams(k=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ranked) == 800
+        assert peak <= 8 * 2**20
+
+    def test_separate_calls_and_chunks_share_ints(self, corpus):
+        tables, _ = corpus
+        params = GraphParams(k=5)
+        one, other = rerank(tables, 300, params), rerank(tables, 700, params)
+        # 0 .. 63 and 640 .. 703 are ranked in separate chunks
+        batch = rerank_batch(tables, [*range(300, 304), *range(640, 644)], params)
+        prefixes = rerank_batch(tables, range(0, 800, 50), params, target_len=3)
+        assert_one_int_per_id([one, other, *batch, *prefixes])
+
+    @pytest.mark.parametrize("metric", ["ns", "map"])
+    def test_evaluate_prefixes_and_baseline_share_ints(self, corpus, metric):
+        tables, gt = corpus
+        queries = [300, 301, 500, 799]
+        scored = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("ns_score", "average_precision"):
+                score = getattr(evaluation, name)
+                mp.setattr(evaluation, name,
+                           lambda ranked, *rest, score=score: scored.append(ranked) or score(ranked, *rest))
+            truth = corpus_io.GroundTruth({q: gt.relevant[q] for q in queries})
+            evaluation.evaluate(tables, truth, GraphParams(k=5), metric=metric)
+        # one chunk: the reranked lists, then the baseline's
+        assert len(scored) == 2 * len(queries)
+        assert [r.order for r in scored[len(queries):]] == [
+            tuple(tables[0].lists[q, :len(scored[0].order)].tolist()) for q in queries
+        ]
+        assert_one_int_per_id([*scored, rerank(tables, 300, GraphParams(k=5))])
+
+    def test_cache_holds_the_corpus_in_use(self, corpus):
+        tables, _ = corpus
+        rerank(tables, 0, GraphParams(k=5))
+        small = [random_rank_table(np.random.default_rng(3), 8)]
+        rerank(small, 0, GraphParams(k=3))
+        assert ranking._id_objects.cache_info().currsize == 1
+        assert ranking._id_objects(8).tolist() == list(range(8))
+        # greedy_rank's ids may be any size; none of them reaches the cache
+        misses = ranking._id_objects.cache_info().misses
+        g = graph_of(0, frozenset({0, 1, 10**12}), {(0, 1): 0.5, (0, 10**12): 0.5}, True)
+        assert greedy_rank(g, [10**12, 1]).order == (10**12, 1)
+        assert ranking._id_objects.cache_info().misses == misses
 
 
 class TestInt32Storage:
