@@ -5,17 +5,28 @@ prints, per seed and averaged, the mean N-S score of: each space's no-rerank
 baseline, each space's single-feature rerank, and the fused rerank.
 
 Usage:
-    python3 scripts/run_fusion_experiment.py [--seeds 5] [--k 10]
+    python3 scripts/run_fusion_experiment.py [--seeds 5] [--k 10] [--groups 50]
+
+`--groups` sets the corpus size: groups of 4 images, n = 4 * groups. It
+follows the input files' integer rule and must be >= 1; a bad value is an
+argparse error (exit code 2).
 """
 
 import argparse
 
 import numpy as np
 
-from graphrerank.corpus_io import SynthSpec, synth_generate
+from graphrerank.corpus_io import SynthSpec, _parse_int, synth_generate
 from graphrerank.evaluation import evaluate
 from graphrerank.features import build_rank_table
 from graphrerank.graph import GraphParams
+
+
+def groups(token):
+    """A `--groups` value: a decimal integer >= 1 (`1_0` is an error, not 10)."""
+    if _parse_int(token) < 1:
+        raise ValueError(f"{token} < 1")
+    return int(token)
 
 
 def main():
@@ -23,13 +34,14 @@ def main():
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--alpha0", type=float, default=0.8)
+    parser.add_argument("--groups", type=groups, default=50, help="groups of 4 images")
     args = parser.parse_args()
 
     params = GraphParams(k=args.k, alpha0=args.alpha0)
     rows = []
     for seed in range(args.seeds):
         spec = SynthSpec(
-            n_groups=50, group_size=4, dims=8, n_spaces=2,
+            n_groups=args.groups, group_size=4, dims=8, n_spaces=2,
             intra_spread=0.25, inter_spread=1.0, agreement=0.7, seed=seed,
         )
         spaces, gt = synth_generate(spec)

@@ -6,7 +6,11 @@ reciprocal-rank weights should stay nearly flat while the Jaccard weights
 degrade as k grows past the group size.
 
 Usage:
-    python3 scripts/run_k_sweep.py [--seed 0] [--ks 10,20,30,40,50,60]
+    python3 scripts/run_k_sweep.py [--seed 0] [--ks 10,20,30,40,50,60] [--groups 50]
+
+`--groups` sets the corpus size: groups of 4 images, n = 4 * groups. It
+follows the input files' integer rule and must be >= 1; a bad value is an
+argparse error (exit code 2).
 
 Each `--ks` value follows the integer rule of `graphrerank sweep --k`:
 `1_0` is an error rather than 10, and empty tokens are skipped. A bad
@@ -23,6 +27,13 @@ from graphrerank.features import build_rank_table
 from graphrerank.graph import GraphParams
 
 
+def groups(token):
+    """A `--groups` value: a decimal integer >= 1 (`1_0` is an error, not 10)."""
+    if _parse_int(token) < 1:
+        raise ValueError(f"{token} < 1")
+    return int(token)
+
+
 def sweep(args):
     """The sweep's TSV; a bad `--ks` value raises ValueError before any ranking."""
     ks = [_parse_int(tok, f"--ks: not a decimal integer {tok!r}")
@@ -31,7 +42,7 @@ def sweep(args):
         raise ValueError("--ks must list at least one value")
     params = GraphParams(k=ks[0], alpha0=args.alpha0)
     spec = SynthSpec(
-        n_groups=50, group_size=4, dims=8, n_spaces=2,
+        n_groups=args.groups, group_size=4, dims=8, n_spaces=2,
         intra_spread=0.25, inter_spread=1.0, agreement=0.7, seed=args.seed,
     )
     spaces, gt = synth_generate(spec)
@@ -48,6 +59,7 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--ks", type=str, default="10,20,30,40,50,60")
     parser.add_argument("--alpha0", type=float, default=0.8)
+    parser.add_argument("--groups", type=groups, default=50, help="groups of 4 images")
     args = parser.parse_args()
     try:
         print(sweep(args))

@@ -304,10 +304,14 @@ def _decoded_lists(data):
     `-0`, `0000000001`), and '-' stands only before 0. Runs of '\t', '\x1f'
     or ' ' separate the ids and may stand around the owner and the ':'.
 
-    The workers (`_on_cores`) decode blocks of whole lines, about
-    `_SCATTER // _WORKERS` bytes each, with numpy alone: each classes its
-    non-digit bytes, counts the tokens around each ':', reads them by Horner's
-    rule, checks owners and ids (not permutations) and writes its rows.
+    n is read from line 0 alone, as its id count plus one, so nothing is
+    counted before the pool. The workers (`_on_cores`) decode blocks of
+    whole lines, about `_SCATTER // _WORKERS` bytes each, with numpy alone:
+    each classes its non-digit bytes, counts its lines and the tokens
+    around each ':', reads them by Horner's rule, checks ids (not
+    permutations) and that its owners count up from its first one, and
+    writes its rows, the first one's row first, if they fit in [0, n).
+    The blocks must then follow one another, from line 0 to line n - 1.
     """
     if data and not data.endswith(b"\n"):
         data += b"\n"
@@ -316,16 +320,17 @@ def _decoded_lists(data):
     cuts = [0]
     while cuts[-1] < len(data):
         cuts.append(data.find(b"\n", cuts[-1] + budget - 1) + 1 or len(data))
-    blocks = list(zip(cuts, cuts[1:]))
-    # counted here: on the pool, blocks this small cost more to hand out than to count
-    counts = [int(np.count_nonzero(buf[start:stop] == 10)) for start, stop in blocks]
-    n = sum(counts)
+    # n is line 0's id count plus one; the blocks must then hold exactly
+    # the lines 0 .. n - 1, which is checked once they are decoded
+    head = data[:data.find(b"\n") + 1].partition(b":")[2]
+    n = len(head.replace(b"\x1f", b" ").split()) + 1 if data else 0
     if len(data) < 2 * n * n:  # too short for n lines of n tokens: allocate nothing
         return None
     lists = np.empty((n, max(n - 1, 0)), dtype=_id_dtype(n))
 
-    def decode(job):
-        (start, stop), first, m = job
+    def decode(block):
+        """(first line index, line count) of a block whose rows it wrote, or None."""
+        start, stop = block
         # the bytes less 48 (only ASCII digits read 0-9) after "00\n": two
         # zero digits, and a '\n' before the first line
         digit = np.empty(stop - start + 3, dtype=np.uint8)
@@ -335,8 +340,9 @@ def _decoded_lists(data):
         sep = np.flatnonzero(other)  # the non-digit bytes, the lead's '\n' first
         byte = digit[2:][sep] + 48
         colon, newline = np.flatnonzero(byte == 58), np.flatnonzero(byte == 10)
+        m = newline.size - 1  # the block's lines
         if colon.size != m or (colon <= newline[:-1]).any() or (colon >= newline[1:]).any():
-            return False
+            return None
         end, prev = sep[1:], sep[:-1]  # each non-digit byte, and the one before it
         at = end - prev
         width = int(at.max()) - 1
@@ -344,14 +350,14 @@ def _decoded_lists(data):
         # tokens from each line's start to its ':', and from the ':' to the '\n'
         n_tokens = np.add.reduceat(token, np.stack((newline[:-1], colon), axis=1).ravel(), dtype=np.intp)
         if (n_tokens[0::2] != 1).any() or (n_tokens[1::2] != n - 1).any():
-            return False
+            return None
         minus = np.empty(0, dtype=np.intp)
         if np.count_nonzero(byte == 32) != byte.size - 2 * m - 1:  # not only ' ', ':', '\n'
             sign, cr = np.flatnonzero((byte == 43) | (byte == 45)), np.flatnonzero(byte == 13)
             # '\r' stands right before '\n', a sign after a non-digit and before a token's digits
             if (not np.isin(byte, list(b"\t\n\r\x1f +-:")).all() or (byte[cr + 1] != 10).any()
                     or token[cr].any() or not token[sign].all() or token[sign - 1].any()):
-                return False
+                return None
             minus = sign[byte[sign] == 45]
         np.multiply(digit[2:], np.logical_not(other, out=other), out=digit[2:])  # non-digits read 0
         # Horner's rule over each token's last (at most 9) digits: the one k
@@ -366,17 +372,23 @@ def _decoded_lists(data):
                 value += digit[2 - k:][end]
         for k in range(width, 9, -1):  # digits before a token's last 9 must be zeros
             if digit[2:][np.maximum(np.subtract(end, k, out=at), prev, out=at)].any():
-                return False
+                return None
         if value[minus].any():
-            return False
+            return None
         value = value[token].reshape(m, n)
-        if (value[:, 0] != np.arange(first, first + m)).any() or value[:, 1:].max(initial=0) >= n:
-            return False
+        first = int(value[0, 0])  # its owner, the block's first line if the blocks tile
+        if (first + m > n or (value[:, 0] != np.arange(first, first + m)).any()
+                or value[:, 1:].max(initial=0) >= n):
+            return None
         lists[first:first + m] = value[:, 1:]
-        return True
+        return first, m
 
-    firsts = np.cumsum([0, *counts[:-1]]).tolist()
-    return lists if all(_on_cores(decode, zip(blocks, firsts, counts))) else None
+    line = 0
+    for span in _on_cores(decode, list(zip(cuts, cuts[1:]))):
+        if span is None or span[0] != line:
+            return None
+        line += span[1]
+    return lists if line == n else None
 
 
 def _checked_lines(lines):

@@ -70,8 +70,9 @@ def average_precision(ranked, relevant):
 
 def ns_score(ranked, query, relevant):
     """Relevant count among the query plus its top three results; in [0, 4]."""
-    groupmates = set(int(r) for r in relevant) - {int(query)}
-    return 1.0 + len(set(ranked.order[:NS_DEPTH]) & groupmates)
+    groupmates = set(map(int, relevant))
+    groupmates.discard(int(query))
+    return 1.0 + len(groupmates.intersection(ranked.order[:NS_DEPTH]))
 
 
 def evaluate(tables, ground_truth, params, method="directed", metric="ns"):

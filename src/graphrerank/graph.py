@@ -29,20 +29,27 @@ of keys holds every query's nodes, and an edge joins two nodes of one
 query. `ranking` has range-checked the queries. A batch is built in two
 steps:
 
-- `_depths` gives each key's BFS depth from its query as one flat (B * n)
-  array, -1 for a key more than `depth` hops out, and the reached keys in
-  BFS order. It walks the levels one
-  whole level per step for every query of the batch: the next level is
-  the keys in the level's top-k rows (for the undirected graph only the
-  mutual entries) that no earlier level holds. A level is deduplicated by
-  a sort and one comparison pass, not by `np.unique`, which on numpy 2.4
+- `_depths` gives each key's BFS depth from its query as one flat
+  (B * n) array, -1 for a key more than `depth` hops out, and each level
+  as an array of keys. The depths are stored as the tables' ids are,
+  `corpus_io._id_dtype(n)` (int16 up to n = 32 768, int32 beyond), since
+  none exceeds n - 1. It walks the levels one whole level per step for
+  every query of the batch: the next level is the keys in the level's
+  top-k rows (for the undirected graph only the mutual entries) that no
+  earlier level holds. A level that is expanded is deduplicated by a
+  sort and one comparison pass, not by `np.unique`, which on numpy 2.4
   takes a hash path that is slower at these sizes (2.5x at 100 keys, 14x
-  at 5 000 on one 2-core machine). It reads only the rows of levels 0 ..
-  depth - 1, 1 + k rows at depth 2 rather than 1 + k + k^2: a node
-  `depth` hops out is found from the rows of the level before it, and its
-  own row gives only edges. Whether an edge exists, and its decay, depend
-  only on the depths of its ends, so the depths are all that a node's
-  out-edges need.
+  at 5 000 on one 2-core machine). The last level, the largest (≈ 2 200
+  keys a table in a 64-query chunk at n = 2 000, k = 10, found as
+  ≈ 4 000 with repeats), is neither sorted nor deduplicated there: its keys
+  are written into the depth array as found, a repeat writing the same
+  depth. `ranking`'s lockstep reads only the depths; `_graph_arrays`,
+  which lists the nodes, sorts and deduplicates that level itself. It
+  reads only the rows of levels 0 .. depth - 1, 1 + k rows at depth 2
+  rather than 1 + k + k^2: a node `depth` hops out is found from the
+  rows of the level before it, and its own row gives only edges. Whether
+  an edge exists, and its decay, depend only on the depths of its ends,
+  so the depths are all that a node's out-edges need.
 - `_out_edges` gives the weighted out-edges of any reached keys: each
   one's top-k row is gathered, its entries that are reached (for the
   undirected graph, mutual) are its edges, in list order, and every edge
@@ -78,7 +85,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus_io import _int_ids
+from .corpus_io import _id_dtype, _int_ids
 
 __all__ = ["GraphParams", "ImageGraph", "graph_to_text"]
 
@@ -174,32 +181,35 @@ def _sorted_unique(a):
 
 
 def _depths(table, queries, params, directed):
-    """Each key's BFS depth from its query as a flat (B * n) array, and the reached keys.
+    """Each key's BFS depth from its query as a flat (B * n) array, and the levels.
 
     Query b of the batch owns the keys `b * n + id`; a key more than
-    `params.depth` hops out has depth -1. The reached keys come level by
-    level, each level in key order. Only the rows of levels 0 .. depth - 1
-    are read: the last level is found, not expanded.
+    `params.depth` hops out has depth -1. The depths are `_id_dtype(n)`:
+    none exceeds n - 1. The levels are arrays of keys, level 0 first, each
+    in key order but the last: level `params.depth` comes as found, with
+    repeats. Only the rows of levels 0 .. depth - 1 are read: the last
+    level is found, not expanded.
     """
     n, k, pos, top = table.n, params.k, table.positions, table.truncated(params.k)
-    depth = np.full(len(queries) * n, -1, dtype=np.int64)
+    depth = np.full(len(queries) * n, -1, dtype=_id_dtype(n))
     level = np.arange(0, len(queries) * n, n) + queries
-    levels = []
-    for d in range(params.depth + 1):
-        depth[level] = d
-        levels.append(level)
-        if d == params.depth:
-            break
+    depth[level] = 0
+    levels = [level]
+    for d in range(1, params.depth + 1):
         ids = level % n
         nbrs = top[ids]
         cell = nbrs + (level - ids)[:, None]
         if not directed:
             # only mutual top-k entries extend the BFS
             cell = cell[pos[nbrs, ids[:, None]] <= k]
-        level = _sorted_unique(cell[depth[cell] < 0])
+        level = cell[depth[cell] < 0]
         if not level.size:
             break
-    return depth, np.concatenate(levels)
+        if d < params.depth:  # a level that is expanded is expanded once per key
+            level = _sorted_unique(level)
+        depth[level] = d
+        levels.append(level)
+    return depth, levels
 
 
 def _out_edges(table, depth, sources, params, directed, once=False):
@@ -252,9 +262,12 @@ def _graph_arrays(table, queries, params, directed):
     index it. Directed: every out-edge of every node. Undirected: each
     mutual top-k pair once, from its smaller id.
     """
-    depth, keys = _depths(table, queries, params, directed)
+    depth, levels = _depths(table, queries, params, directed)
+    if len(levels) > params.depth:  # the last level, with its repeats
+        levels[-1] = _sorted_unique(levels[-1])
+    keys = np.concatenate(levels)
     src, dst, weight = _out_edges(table, depth, keys, params, directed, once=True)
-    index = depth  # reused as the key -> node map
+    index = np.empty(len(depth), dtype=np.intp)
     index[keys] = np.arange(len(keys))
     return keys, src, index[dst], weight
 

@@ -36,18 +36,23 @@ a time. The shape of the request picks the path; both give the same lists:
   only on the BFS depths of its ends (`graph._depths`). So each of
   `target_len` steps gathers, in every table, the out-edges of each
   query's newest node (`graph._out_edges`), sums them per (query, node)
-  in table order with `fusion._sum_by_key`, so a sum equals the fused
-  edge's bit for bit, and `np.maximum`s them into a dense (batch, n) score
-  array. Its columns are positions in the query's tables[0] list, column
-  0 the query, so a row's `argmax` is the tie-break. A query whose row
-  holds no candidate is done; its list is completed from its initial
-  list, as from a full graph.
+  and `np.maximum`s the sums into a dense (batch, n) score array. The
+  sums need no sort: one table's step edges end at distinct keys, so each
+  table in turn adds its weights into a per-chunk buffer over the chunk's
+  keys with one `+=`; the sums are read from it, and its cells set back to
+  0.0. A sum is thus 0.0 + w1 + w2 + ... in table order, equal bit for
+  bit to the fused edge's (see `fusion`). The score array's columns are
+  positions in the query's tables[0] list, column 0 the query, so a row's
+  `argmax` is the tie-break. A query whose row holds no candidate is done;
+  its list is completed from its initial list, as from a full graph.
 
 Why the rule: medians of 6 alternating in-process runs, 2 CPUs, synthetic
 n = 2 000, k = 10, two tables, microseconds per query, full graphs ->
-lockstep. A 3-id prefix in 64-query chunks: 142 -> 39 directed, 102 -> 55
-undirected. Whole lists in 64-query chunks: 346 -> 461 directed (1.33x),
-211 -> 322 undirected (1.53x). One whole list: 645 -> 4 942 directed.
+lockstep. A 3-id prefix in 64-query chunks: 76 -> 15 directed, 52 -> 19
+undirected. Whole lists in 64-query chunks: 353 -> 358 directed (1.01x),
+197 -> 295 undirected (1.50x). One whole list: 524 -> 5 988 directed.
+Directed whole lists in chunks read about even between the two paths;
+the undirected and single-query cases keep whole lists on the full graphs.
 
 A list ranked from rank tables holds shared ints: `_id_objects(n)` is the
 ids 0 .. n - 1 as one read-only array of Python ints, built once for the
@@ -73,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus_io import _int_ids
-from .fusion import _fuse_arrays, _sum_by_key
+from .fusion import _fuse_arrays
 from .graph import ImageGraph, _depths, _graph_arrays, _out_edges
 
 __all__ = ["CHUNK", "RankedList", "build_graph", "greedy_rank", "rerank", "rerank_batch"]
@@ -302,15 +307,24 @@ def _lazy_chunk(tables, queries, params, directed, target_len):
     scores = np.zeros((len(queries), n))
     scores[:, 0] = -np.inf
     picks = np.zeros((len(queries), target_len), dtype=np.int64)
+    # sums[key]: a step's fused weight of the edge into key, 0.0 between steps
+    sums = np.zeros(len(queries) * n) if len(tables) > 1 else None
     rows = np.arange(len(queries))
     newest = rows * n + queries
     for step in range(target_len):
         # a node outside one table's graph has no out-edges there
         parts = [_out_edges(t, depth, newest[depth[newest] >= 0], params, directed)[1:]
                  for t, depth in zip(tables, depths)]
-        if len(parts) > 1:
-            parts = [_sum_by_key(*map(np.concatenate, zip(*parts)))]
-        dst, weight = parts[0]
+        if sums is None:
+            dst, weight = parts[0]
+        else:
+            # one table's step edges end at distinct keys, so each += adds
+            # that table's weight once, in table order: 0.0 + w1 + w2 + ...
+            for dst, weight in parts:
+                sums[dst] += weight
+            dst = np.concatenate([dst for dst, _ in parts])
+            weight = sums[dst]  # a key two tables reach is read twice, the same sum
+            sums[dst] = 0.0
         slot, ids = np.divmod(dst, n)
         cell = (slot, pos0[queries[slot], ids])
         best = scores[cell]

@@ -108,6 +108,23 @@ class TestNsScore:
             naive = 1 + sum(1 for x in perm[:3] if x in relevant and x != 0)
             assert ns_score(RankedList(0, perm), 0, relevant) == naive
 
+    @pytest.mark.parametrize("with_query", [False, True])
+    @pytest.mark.parametrize("kind", ["set", "list", "generator", "numpy"])
+    def test_relevant_of_any_iterable_gives_naive_value(self, kind, with_query):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            order = tuple(int(x) for x in rng.permutation(np.arange(1, 12))[:6])
+            ids = rng.choice(12, size=int(rng.integers(0, 6)), replace=False)
+            ids = [int(i) for i in ids if with_query or i != 0] + ([0] if with_query else [])
+            naive = 1 + sum(1 for x in order[:3] if x in ids and x != 0)
+            relevant = {
+                "set": lambda: set(ids),
+                "list": lambda: list(ids) + list(ids),  # repeats count once
+                "generator": lambda: (i for i in ids),
+                "numpy": lambda: np.array(ids, dtype=np.int64),
+            }[kind]()
+            assert ns_score(RankedList(0, order), 0, relevant) == naive
+
 
 class TestMetricReport:
     def test_aggregate_is_exact_mean(self):

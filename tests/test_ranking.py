@@ -516,6 +516,28 @@ class TestRerankBatch:
             full = rerank_batch(tables, queries, params, method)
         assert [r.order for r in lazy] == [r.order[:target] for r in full]
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        method=st.sampled_from(sorted(BRUTE_FORCE)),
+        depth=st.integers(1, 3),
+    )
+    def test_lazy_expansion_equals_full_graphs_three_tables(self, seed, method, depth):
+        # the lockstep sums a step's edges in one buffer, table by table: a
+        # sum taken in any other table order can differ in its last bit from
+        # the fused edge's, and then break a tie the other way
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 16))
+        tables = [random_rank_table(rng, n) for _ in range(3)]
+        params = GraphParams(
+            k=int(rng.integers(1, n)), alpha0=float(rng.choice([0.5, 0.8, 1.0])), depth=depth
+        )
+        target = int(rng.integers(0, n - 1))  # a prefix: t < n - 1
+        queries = list(range(n))
+        lazy = rerank_batch(tables, queries, params, method, target)
+        full = rerank_batch(tables, queries, params, method)
+        assert [r.order for r in lazy] == [r.order[:target] for r in full]
+
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("method", sorted(BRUTE_FORCE))
     @pytest.mark.parametrize("n_tables", [1, 2])
