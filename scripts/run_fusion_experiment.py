@@ -7,12 +7,15 @@ baseline, each space's single-feature rerank, and the fused rerank.
 Usage:
     python3 scripts/run_fusion_experiment.py [--seeds 5] [--k 10] [--groups 50]
 
-`--groups` sets the corpus size: groups of 4 images, n = 4 * groups. It
-follows the input files' integer rule and must be >= 1; a bad value is an
-argparse error (exit code 2).
+`--groups` sets the corpus size: groups of 4 images, n = 4 * groups.
+`--groups`, `--seeds` and `--k` follow the input files' integer rule (`1_0`
+is an error, not 10) and must be >= 1; a bad value is an argparse error
+(exit code 2). A k beyond n - 1 is one `error: ...` line on stderr and
+exit code 1.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -22,21 +25,30 @@ from graphrerank.features import build_rank_table
 from graphrerank.graph import GraphParams
 
 
-def groups(token):
-    """A `--groups` value: a decimal integer >= 1 (`1_0` is an error, not 10)."""
-    if _parse_int(token) < 1:
-        raise ValueError(f"{token} < 1")
-    return int(token)
+def at_least(low):
+    """An argparse type: a decimal integer >= `low` (`1_0` is an error, not 10)."""
+    def integer(token):
+        if _parse_int(token) < low:
+            raise ValueError(f"{token} < {low}")
+        return int(token)
+    return integer
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--k", type=int, default=10)
+    parser.add_argument("--seeds", type=at_least(1), default=5)
+    parser.add_argument("--k", type=at_least(1), default=10)
     parser.add_argument("--alpha0", type=float, default=0.8)
-    parser.add_argument("--groups", type=groups, default=50, help="groups of 4 images")
+    parser.add_argument("--groups", type=at_least(1), default=50, help="groups of 4 images")
     args = parser.parse_args()
+    try:
+        experiment(args)
+    except ValueError as exc:  # a k beyond the corpus: one line, as the CLI gives
+        sys.exit(f"error: {exc}")
 
+
+def experiment(args):
+    """Print each seed's row and the mean; a k beyond n - 1 raises ValueError first."""
     params = GraphParams(k=args.k, alpha0=args.alpha0)
     rows = []
     for seed in range(args.seeds):

@@ -9,8 +9,9 @@ Usage:
     python3 scripts/run_k_sweep.py [--seed 0] [--ks 10,20,30,40,50,60] [--groups 50]
 
 `--groups` sets the corpus size: groups of 4 images, n = 4 * groups. It
-follows the input files' integer rule and must be >= 1; a bad value is an
-argparse error (exit code 2).
+and `--seed` follow the input files' integer rule (`1_0` is an error, not
+10); `--groups` must be >= 1 and `--seed` >= 0. A bad value is an argparse
+error (exit code 2).
 
 Each `--ks` value follows the integer rule of `graphrerank sweep --k`:
 `1_0` is an error rather than 10, and empty tokens are skipped. A bad
@@ -27,11 +28,13 @@ from graphrerank.features import build_rank_table
 from graphrerank.graph import GraphParams
 
 
-def groups(token):
-    """A `--groups` value: a decimal integer >= 1 (`1_0` is an error, not 10)."""
-    if _parse_int(token) < 1:
-        raise ValueError(f"{token} < 1")
-    return int(token)
+def at_least(low):
+    """An argparse type: a decimal integer >= `low` (`1_0` is an error, not 10)."""
+    def integer(token):
+        if _parse_int(token) < low:
+            raise ValueError(f"{token} < {low}")
+        return int(token)
+    return integer
 
 
 def sweep(args):
@@ -56,10 +59,10 @@ def sweep(args):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=at_least(0), default=0)
     parser.add_argument("--ks", type=str, default="10,20,30,40,50,60")
     parser.add_argument("--alpha0", type=float, default=0.8)
-    parser.add_argument("--groups", type=groups, default=50, help="groups of 4 images")
+    parser.add_argument("--groups", type=at_least(1), default=50, help="groups of 4 images")
     args = parser.parse_args()
     try:
         print(sweep(args))

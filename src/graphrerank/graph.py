@@ -16,8 +16,15 @@ what n - 1 reaches, and the decay table stops there.
 Neighborhood sets used by the Jaccard weight include the owner image itself
 (the image is rank 1 of its own retrieval), i.e. {i} plus the top k-1
 entries of its stored list. List positions, `Rank(i, i')` and those the
-reciprocal test compares, are 1-based over the stored owner-excluded lists:
-`RankTable.positions`, whose diagonal is 0.
+reciprocal test compares, are 1-based over the stored owner-excluded lists.
+
+Apart from its decay, whether an edge i -> i' exists and its weight are
+properties of the pair, the same for every query, so the builders read
+only the depth array and the n x k `RankTable.neighbour_rows(k)`, built
+once per table for the k in use: each entry's id (`top`), its rank sum Rank(i, i') +
+Rank(i', i) (`rank_sum`), whether the pair is mutual top-k (`mutual`) and,
+for the undirected graph, the size of the two neighborhoods' intersection
+(`inter`). They read no `RankTable.positions`, only rows of these arrays.
 
 A graph is stored as arrays over a local node index: its one constructor,
 `ImageGraph(query, ids, src, dst, weight, directed)`, checks them once.
@@ -35,7 +42,7 @@ steps:
   `corpus_io._id_dtype(n)` (int16 up to n = 32 768, int32 beyond), since
   none exceeds n - 1. It walks the levels one whole level per step for
   every query of the batch: the next level is the keys in the level's
-  top-k rows (for the undirected graph only the mutual entries) that no
+  `top` rows (for the undirected graph only the `mutual` entries) that no
   earlier level holds. A level that is expanded is deduplicated by a
   sort and one comparison pass, not by `np.unique`, which on numpy 2.4
   takes a hash path that is slower at these sizes (2.5x at 100 keys, 14x
@@ -51,10 +58,10 @@ steps:
   an edge exists, and its decay, depend only on the depths of its ends,
   so the depths are all that a node's out-edges need.
 - `_out_edges` gives the weighted out-edges of any reached keys: each
-  one's top-k row is gathered, its entries that are reached (for the
+  one's `top` row is gathered, its entries that are reached (for the
   undirected graph, mutual) are its edges, in list order, and every edge
-  is weighted in one vectorised step. It is the only place the weights
-  are computed. The full build, `_graph_arrays`, asks it for every node's
+  is weighted in one vectorised step from the same entries of `rank_sum`
+  or `inter`. It is the only place the weights are computed. The full build, `_graph_arrays`, asks it for every node's
   out-edges in BFS order (each undirected pair once, from its smaller id)
   and returns `(keys, src, dst, weight)` for the batch, with `src`/`dst`
   indexing `keys`: each BFS level in turn, in key order, so a batch of
@@ -69,12 +76,15 @@ with the same floating-point operations in the same order:
 
 - the decay comes from a table of Python `alpha0 ** depth` values (numpy's
   array power rounds some of them differently in the last bit);
-- the directed weight is `decay / float(Rank(i, i') + Rank(i', i))`;
+- the directed weight is `decay / float(Rank(i, i') + Rank(i', i))`, the
+  integer sum read from `rank_sum`;
 - the undirected weight is `(decay * inter) / union`, with integer
-  intersection and union sizes.
+  intersection and union sizes: `inter` as stored, `union` = 2k - inter
+  in a dtype that holds 2k (see `corpus_io.NeighbourRows`).
 
-The builders read list prefixes only through `RankTable.truncated(k)`,
-which is the one check of the bound 1 <= k <= n - 1.
+The builders read list prefixes only through `RankTable.neighbour_rows(k)`,
+whose rows are cut by `RankTable.truncated(k)`, the one check of the bound
+1 <= k <= n - 1.
 """
 
 from __future__ import annotations
@@ -190,18 +200,17 @@ def _depths(table, queries, params, directed):
     repeats. Only the rows of levels 0 .. depth - 1 are read: the last
     level is found, not expanded.
     """
-    n, k, pos, top = table.n, params.k, table.positions, table.truncated(params.k)
+    n, rows = table.n, table.neighbour_rows(params.k)
     depth = np.full(len(queries) * n, -1, dtype=_id_dtype(n))
     level = np.arange(0, len(queries) * n, n) + queries
     depth[level] = 0
     levels = [level]
     for d in range(1, params.depth + 1):
         ids = level % n
-        nbrs = top[ids]
-        cell = nbrs + (level - ids)[:, None]
+        cell = rows.top[ids] + (level - ids)[:, None]
         if not directed:
             # only mutual top-k entries extend the BFS
-            cell = cell[pos[nbrs, ids[:, None]] <= k]
+            cell = cell[rows.mutual[ids]]
         level = cell[depth[cell] < 0]
         if not level.size:
             break
@@ -222,32 +231,29 @@ def _out_edges(table, depth, sources, params, directed, once=False):
     Jaccard consistency weight, so each pair appears from both ends, or
     with `once` only from its smaller id.
     """
-    n, k, pos, top = table.n, params.k, table.positions, table.truncated(params.k)
+    n, k = table.n, params.k
+    rows = table.neighbour_rows(k, jaccard=not directed)
     ids = sources % n
-    rows = top[ids]
-    cell = rows + (sources - ids)[:, None]
+    nbrs = rows.top[ids]
+    cell = nbrs + (sources - ids)[:, None]
     ends = depth[cell]
     edges = ends >= 0
     if not directed:
-        edges &= pos[rows, ids[:, None]] <= k
+        edges &= rows.mutual[ids]
         if once:
-            edges &= rows > ids[:, None]
-    # each edge's row and column, in row order; np.nonzero is several
-    # times slower on a 2-d mask
+            edges &= nbrs > ids[:, None]
+    # each edge's (source, column) entry, in row order; np.nonzero is
+    # several times slower on a 2-d mask
     flat = np.flatnonzero(edges)
-    src, col = np.divmod(flat, k)
-    dst, dst_id = cell.ravel()[flat], rows.ravel()[flat]
+    src, dst = flat // k, cell.ravel()[flat]
     # alpha0 ** (larger endpoint depth), from Python `**` values; no depth exceeds n - 1
     decays = np.array([params.alpha0 ** d for d in range(min(params.depth, n - 1) + 1)])
     decay = decays[np.maximum(depth[sources][src], ends.ravel()[flat])]
     if directed:
-        # Rank(i, i') of i' in i's top-k is its column + 1
-        weight = decay / (col + 1 + pos[dst_id, ids[src]]).astype(np.float64)
+        weight = decay / rows.rank_sum[ids].ravel()[flat]
     else:
-        # y is in j's inclusive neighborhood iff pos[j, y] < k (pos[j, j] is
-        # 0); each neighborhood holds k distinct ids, so union = 2k - inter
-        hoods = np.concatenate([ids[:, None], rows[:, : k - 1]], axis=1)
-        inter = (pos[dst_id[:, None], hoods[src]] < k).sum(axis=1)
+        # each neighborhood holds k distinct ids, so union = 2k - inter
+        inter = rows.inter[ids].ravel()[flat]
         weight = (decay * inter) / (2 * k - inter)
     keep = weight > 0
     if np.count_nonzero(keep) < len(keep):

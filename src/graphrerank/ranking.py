@@ -47,12 +47,13 @@ a time. The shape of the request picks the path; both give the same lists:
   its list is completed from its initial list, as from a full graph.
 
 Why the rule: medians of 6 alternating in-process runs, 2 CPUs, synthetic
-n = 2 000, k = 10, two tables, microseconds per query, full graphs ->
-lockstep. A 3-id prefix in 64-query chunks: 76 -> 15 directed, 52 -> 19
-undirected. Whole lists in 64-query chunks: 353 -> 358 directed (1.01x),
-197 -> 295 undirected (1.50x). One whole list: 524 -> 5 988 directed.
-Directed whole lists in chunks read about even between the two paths;
-the undirected and single-query cases keep whole lists on the full graphs.
+n = 2 000, k = 10, two tables, graphs built from the tables' cached
+neighbour rows, microseconds per query, full graphs -> lockstep. A 3-id
+prefix in 64-query chunks: 63 -> 13 directed, 36 -> 13 undirected. Whole
+lists in 64-query chunks: 311 -> 295 directed (0.95x), 181 -> 223
+undirected (1.23x). One whole list: 475 -> 5 551 directed. Directed whole
+lists in chunks read about even between the two paths; the undirected and
+single-query cases keep whole lists on the full graphs.
 
 A list ranked from rank tables holds shared ints: `_id_objects(n)` is the
 ids 0 .. n - 1 as one read-only array of Python ints, built once for the

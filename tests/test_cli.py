@@ -346,7 +346,8 @@ class TestErrorPaths:
 
 
 class TestKSweepScript:
-    """`scripts/run_k_sweep.py --ks` follows the CLI's integer rule for `sweep --k`."""
+    """`scripts/run_k_sweep.py --ks` follows the CLI's integer rule for `sweep --k`, and
+    its other integer flags the input files' integer rule."""
 
     SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_k_sweep.py"
 
@@ -375,6 +376,46 @@ class TestKSweepScript:
         with pytest.raises(SystemExit) as exc:
             self.run_script(monkeypatch, ks)
         assert exc.value.code == f"error: {message}"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "1_0"), ("--seed", "-1"), ("--groups", "1_0"), ("--groups", "0"),
+    ])
+    def test_integer_flag_follows_input_integer_rule(self, monkeypatch, capsys, flag, value):
+        monkeypatch.setattr(sys, "argv", [self.SCRIPT.name, flag, value, "--ks", "5"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
+
+
+class TestFusionScript:
+    """`scripts/run_fusion_experiment.py` reads its integers and k bound as `run_k_sweep.py` does."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_fusion_experiment.py"
+
+    def run_script(self, monkeypatch, *args):
+        monkeypatch.setattr(sys, "argv", [self.SCRIPT.name, *args])
+        runpy.run_path(str(self.SCRIPT), run_name="__main__")
+
+    def test_k_beyond_corpus_is_one_line_error(self, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run_script(monkeypatch, "--groups", "5", "--k", "30")
+        assert exc.value.code == "error: k=30 exceeds corpus bound 19"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", "1_0"), ("--seeds", "0"), ("--k", "1_0"), ("--k", "0"), ("--groups", "1_0"),
+    ])
+    def test_integer_flag_follows_input_integer_rule(self, monkeypatch, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            self.run_script(monkeypatch, flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
+
+    def test_one_seed_one_row_and_the_mean(self, monkeypatch, capsys):
+        self.run_script(monkeypatch, "--seeds", "1", "--groups", "5", "--k", "19")
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["seed", "mean:"]
 
 
 class TestBenchPairsScript:

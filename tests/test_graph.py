@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphrerank.corpus_io import FeatureMatrix, RankTable
+from graphrerank.corpus_io import FeatureMatrix, RankTable, _id_dtype
 from graphrerank.features import build_rank_table
 from graphrerank.graph import GraphParams, ImageGraph, graph_to_text
 from graphrerank.ranking import build_graph
@@ -143,6 +143,50 @@ class TestRankWeight:
                 wi = rank_weight(table, i, j, 7, 1.0)
                 wj = rank_weight(table, j, i, 7, 1.0)
                 assert wi == wj  # both in each other's top-(n-1)
+
+
+class TestNeighbourRows:
+    """A table's cached k-column rows, pinned entry by entry to the scalar oracles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**9), k_at=st.sampled_from(["1", "n - 1", "any"]))
+    def test_rows_equal_scalar_oracles(self, seed, k_at):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        table = random_rank_table(rng, n)
+        k = {"1": 1, "n - 1": n - 1, "any": int(rng.integers(1, n))}[k_at]
+        rows = table.neighbour_rows(k, jaccard=True)
+        assert rows.k == k
+        assert np.array_equal(rows.top, table.lists[:, :k])
+        for i in range(n):
+            for c, j in enumerate(rows.top[i].tolist()):
+                assert rows.rev[i, c] == rank_of(table, j, i)
+                assert rows.rank_sum[i, c] == rank_of(table, i, j) + rank_of(table, j, i)
+                assert rows.mutual[i, c] == reciprocal(table, i, j, k)
+                a, b = _inclusive_neighborhood(table, i, k), _inclusive_neighborhood(table, j, k)
+                assert rows.inter[i, c] == len(a & b)
+
+    def test_stored_read_only_in_their_dtypes(self):
+        table = random_rank_table(np.random.default_rng(4), 9)
+        rows = table.neighbour_rows(4, jaccard=True)
+        arrays = (rows.top, rows.rev, rows.rank_sum, rows.mutual, rows.inter)
+        assert (rows.top.dtype, rows.rev.dtype) == (_id_dtype(9),) * 2
+        assert (rows.rank_sum.dtype, rows.inter.dtype) == (_id_dtype(2 * 9),) * 2
+        assert rows.mutual.dtype == bool
+        assert all(a.shape == (9, 4) and not a.flags.writeable for a in arrays)
+        assert rows.top.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [16_384, 16_385])
+    def test_union_and_rank_sum_fit_their_dtype(self, n):
+        # a table this large is not built here: the largest k is n - 1, and
+        # the weights' 2k - inter and the largest rank sum, k + n - 1, must
+        # not wrap in `_id_dtype(2 * n)`, whichever promotion rule numpy
+        # follows (NEP 50, or value-based casting before numpy 2)
+        k, dtype = n - 1, _id_dtype(2 * n)
+        inter = np.array([0, 1, k], dtype=dtype)
+        assert (2 * k - inter).tolist() == [2 * k, 2 * k - 1, k]
+        rev = np.array([[n - 1]], dtype=_id_dtype(n))
+        assert np.add(rev, np.array([k], dtype=dtype), dtype=dtype).tolist() == [[k + n - 1]]
 
 
 def brute_force_directed(table, query, params):

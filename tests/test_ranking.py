@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -721,3 +722,83 @@ class TestInt32Storage:
                 wide, got = self.outcome(seed, method, n_tables, tmp_path)
             assert (narrow, wide) == ({np.dtype(np.int16)}, {np.dtype(np.int32)})
             assert got == want
+
+
+class TestNeighbourRowsReuse:
+    """One table reused across k and method ranks as fresh tables do, and
+    keeps only the rows of the last k it was asked for."""
+
+    SPEC = SynthSpec(n_groups=8, group_size=4, dims=8, n_spaces=2,
+                     intra_spread=0.25, inter_spread=1.0, agreement=0.7, seed=3)
+
+    @staticmethod
+    def outcome(tables, k, method):
+        """Whole lists, 3-id prefixes and each query's graph arrays, weights as bytes."""
+        params, queries = GraphParams(k=k), list(range(tables[0].n))
+        whole = rerank_batch(tables, queries, params, method)
+        prefix = rerank_batch(tables, queries, params, method, target_len=3)
+        graphs = [build_graph(tables, q, params, method) for q in queries]
+        arrays = [(g.ids.tolist(), g.src.tolist(), g.dst.tolist(), g.weight.tobytes())
+                  for g in graphs]
+        return whole, prefix, arrays
+
+    @pytest.mark.parametrize("n_tables", [1, 2])
+    def test_reused_tables_equal_fresh_tables(self, n_tables):
+        spaces, _ = synth_generate(self.SPEC)
+        lists = [build_rank_table(m).lists for m in spaces[:n_tables]]
+        reused = [corpus_io.RankTable(a) for a in lists]
+        steps = [(5, "directed"), (10, "directed"), (5, "directed"), (5, "undirected"),
+                 (10, "undirected"), (5, "undirected"), (5, "directed"), (10, "undirected"),
+                 (10, "directed")]
+        for k, method in steps:
+            fresh = [corpus_io.RankTable(a) for a in lists]
+            assert self.outcome(reused, k, method) == self.outcome(fresh, k, method)
+
+    def test_sweep_keeps_one_k(self):
+        spaces, truth = synth_generate(self.SPEC)
+        tables = [build_rank_table(m) for m in spaces]
+        n = tables[0].n
+        for method in ("undirected", "directed"):
+            evaluation.sweep_k(tables, truth, GraphParams(k=5), [5, 20, 31, 7], method=method)
+        for table in tables:
+            rows = table._rows
+            assert rows.k == 7
+            # the last sweep was directed, so no counts: int16 ids and rank
+            # sums and one bool, 7 bytes an entry
+            assert rows.inter is None
+            arrays = (rows.top, rows.rev, rows.rank_sum, rows.mutual)
+            assert sum(a.nbytes for a in arrays) == 7 * n * 7
+
+    def test_rejected_k_leaves_rows(self):
+        table = build_rank_table(synth_generate(self.SPEC)[0][0])
+        kept = table.neighbour_rows(4, jaccard=True)
+        for k in (0, table.n):
+            with pytest.raises(ValueError):
+                table.neighbour_rows(k)
+        with pytest.raises(ValueError, match="exceeds corpus bound"):
+            rerank_batch([table], [0], GraphParams(k=table.n), "undirected")
+        assert table._rows is kept
+        assert table.neighbour_rows(4) is kept
+
+    def test_builders_read_no_positions(self):
+        table = build_rank_table(synth_generate(self.SPEC)[0][0])
+        want = self.outcome([table], 6, "undirected")[2], self.outcome([table], 6, "directed")[2]
+        table.neighbour_rows(6, jaccard=True)
+        object.__setattr__(table, "positions", None)
+        queries = list(range(table.n))
+        for method, edges in zip(("undirected", "directed"), want):
+            graphs = [build_graph([table], q, GraphParams(k=6), method) for q in queries]
+            assert [(g.ids.tolist(), g.src.tolist(), g.dst.tolist(), g.weight.tobytes())
+                    for g in graphs] == edges
+
+    def test_equality_compares_lists_only(self):
+        spaces, _ = synth_generate(self.SPEC)
+        lists = build_rank_table(spaces[0]).lists
+        a, b = corpus_io.RankTable(lists), corpus_io.RankTable(lists.copy())
+        other = build_rank_table(spaces[1])
+        a.neighbour_rows(4, jaccard=True)
+        assert a == b and b == a
+        b.neighbour_rows(9)
+        assert a == b
+        assert a != other
+        assert [f.name for f in dataclasses.fields(corpus_io.RankTable)] == ["lists"]
