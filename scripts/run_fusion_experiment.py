@@ -9,9 +9,10 @@ Usage:
 
 `--groups` sets the corpus size: groups of 4 images, n = 4 * groups.
 `--groups`, `--seeds` and `--k` follow the input files' integer rule (`1_0`
-is an error, not 10) and must be >= 1; a bad value is an argparse error
-(exit code 2). A k beyond n - 1 is one `error: ...` line on stderr and
-exit code 1.
+is an error, not 10) and must be >= 1, and `--alpha0` their float rule
+(`0.8_0` is an error, not 0.8); a bad value is an argparse error (exit
+code 2). A k beyond n - 1 is one `error: ...` line on stderr and exit
+code 1.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from graphrerank.corpus_io import SynthSpec, _parse_int, synth_generate
+from graphrerank.corpus_io import SynthSpec, _parse_float, _parse_int, synth_generate
 from graphrerank.evaluation import evaluate
 from graphrerank.features import build_rank_table
 from graphrerank.graph import GraphParams
@@ -34,11 +35,16 @@ def at_least(low):
     return integer
 
 
+def decimal(token):
+    """An argparse type: a decimal number by the input files' rule (`0.8_0` is an error, not 0.8)."""
+    return _parse_float(token)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=at_least(1), default=5)
     parser.add_argument("--k", type=at_least(1), default=10)
-    parser.add_argument("--alpha0", type=float, default=0.8)
+    parser.add_argument("--alpha0", type=decimal, default=0.8)
     parser.add_argument("--groups", type=at_least(1), default=50, help="groups of 4 images")
     args = parser.parse_args()
     try:

@@ -10,7 +10,8 @@ Usage:
 
 `--groups` sets the corpus size: groups of 4 images, n = 4 * groups. It
 and `--seed` follow the input files' integer rule (`1_0` is an error, not
-10); `--groups` must be >= 1 and `--seed` >= 0. A bad value is an argparse
+10); `--groups` must be >= 1 and `--seed` >= 0. `--alpha0` follows their
+float rule (`0.8_0` is an error, not 0.8). A bad value is an argparse
 error (exit code 2).
 
 Each `--ks` value follows the integer rule of `graphrerank sweep --k`:
@@ -22,7 +23,7 @@ exit code 1.
 import argparse
 import sys
 
-from graphrerank.corpus_io import SynthSpec, _parse_int, synth_generate
+from graphrerank.corpus_io import SynthSpec, _parse_float, _parse_int, synth_generate
 from graphrerank.evaluation import reports_to_tsv, sweep_k
 from graphrerank.features import build_rank_table
 from graphrerank.graph import GraphParams
@@ -35,6 +36,11 @@ def at_least(low):
             raise ValueError(f"{token} < {low}")
         return int(token)
     return integer
+
+
+def decimal(token):
+    """An argparse type: a decimal number by the input files' rule (`0.8_0` is an error, not 0.8)."""
+    return _parse_float(token)
 
 
 def sweep(args):
@@ -61,7 +67,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=at_least(0), default=0)
     parser.add_argument("--ks", type=str, default="10,20,30,40,50,60")
-    parser.add_argument("--alpha0", type=float, default=0.8)
+    parser.add_argument("--alpha0", type=decimal, default=0.8)
     parser.add_argument("--groups", type=at_least(1), default=50, help="groups of 4 images")
     args = parser.parse_args()
     try:

@@ -1,12 +1,15 @@
 """Command-line entry point wiring the library into reproducible experiments.
 
 Subcommands: features, ranks, synth, rerank, eval, sweep, graph-dump.
-All outputs are written atomically; inputs are never mutated. Integer flags
-(and each value of `sweep`'s `--k` list) follow the integer rule of the
-input files, `corpus_io._parse_int`: an ASCII decimal integer with an
-optional sign, so `1_0` is an error rather than 10. Every error, a bad
-integer flag among them, is one `error: ...` line on stderr and exit code
-1; argparse's own usage errors (a missing flag, a bad choice) exit with 2.
+All outputs are written atomically; inputs are never mutated. Numeric flags
+follow the rules of the input files: integer flags (and each value of
+`sweep`'s `--k` list) `corpus_io._parse_int`, an ASCII decimal integer
+with an optional sign, and float flags (`--alpha0`, `features --exponent`,
+`synth --intra-spread`, `--inter-spread`, `--agreement`)
+`corpus_io._parse_float`, an ASCII decimal float, so `1_0` and `0.8_0` are
+errors rather than 10 and 0.8. Every error, a bad numeric flag among them,
+is one `error: ...` line on stderr and exit code 1; argparse's own usage
+errors (a missing flag, a bad choice) exit with 2.
 """
 
 from __future__ import annotations
@@ -18,20 +21,28 @@ from pathlib import Path
 from . import corpus_io, evaluation, features, graph, ranking
 
 
-# the flags `_read_int_flags` reads as integers, by their argparse dest
-_INT_FLAGS = ("k", "depth", "query", "bins", "groups", "group_size", "dims", "spaces", "seed")
-
-
-def _int_flag(dest, text):
-    flag = "--" + dest.replace("_", "-")
+def _int_flag(flag, text):
     return corpus_io._parse_int(text, f"{flag}: not a decimal integer {text!r}")
 
 
-def _read_int_flags(args):
-    """Replace each integer flag's text (or default) in `args` by its value."""
-    for dest in _INT_FLAGS:
+def _float_flag(flag, text):
+    return corpus_io._parse_float(text, f"{flag}: not a decimal number {text!r}")
+
+
+# the reader of each numeric flag, by its argparse dest
+_NUMERIC_FLAGS = {
+    **dict.fromkeys(
+        ("k", "depth", "query", "bins", "groups", "group_size", "dims", "spaces", "seed"), _int_flag
+    ),
+    **dict.fromkeys(("alpha0", "exponent", "intra_spread", "inter_spread", "agreement"), _float_flag),
+}
+
+
+def _read_numeric_flags(args):
+    """Replace each numeric flag's text (or default) in `args` by its value."""
+    for dest, read in _NUMERIC_FLAGS.items():
         if dest in vars(args):
-            setattr(args, dest, _int_flag(dest, str(getattr(args, dest))))
+            setattr(args, dest, read("--" + dest.replace("_", "-"), str(getattr(args, dest))))
 
 
 def _add_graph_args(p, k_list=False):
@@ -39,7 +50,7 @@ def _add_graph_args(p, k_list=False):
         p.add_argument("--k", dest="k_values", default="10", help="comma-separated k values")
     else:
         p.add_argument("--k", default=10, help="neighbor count")
-    p.add_argument("--alpha0", type=float, default=graph.GraphParams.alpha0, help="decay base")
+    p.add_argument("--alpha0", default=graph.GraphParams.alpha0, help="decay base")
     p.add_argument("--depth", default=graph.GraphParams.depth, help="BFS expansion depth")
     p.add_argument("--method", choices=["directed", "undirected"], default="directed")
 
@@ -124,7 +135,7 @@ def cmd_eval(args):
 def cmd_sweep(args):
     tables = _load_tables(args.tables)
     gt = corpus_io.load_ground_truth(args.gt, n=tables[0].n)
-    k_values = [_int_flag("k", tok) for tok in args.k_values.split(",") if tok]
+    k_values = [_int_flag("--k", tok) for tok in args.k_values.split(",") if tok]
     if not k_values:
         raise ValueError("--k must list at least one value")
     reports = evaluation.sweep_k(
@@ -150,7 +161,7 @@ def build_parser():
     p.add_argument("--manifest", required=True, help="file listing image paths in id order")
     p.add_argument("--out", required=True)
     p.add_argument("--bins", default=10, help="bins per HSV channel")
-    p.add_argument("--exponent", type=float, default=0.5, help="power scaling exponent")
+    p.add_argument("--exponent", default=0.5, help="power scaling exponent")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("ranks", help="exact-NN rank table from a feature matrix")
@@ -164,9 +175,9 @@ def build_parser():
     p.add_argument("--group-size", default=4)
     p.add_argument("--dims", default=8)
     p.add_argument("--spaces", default=2)
-    p.add_argument("--intra-spread", type=float, default=0.1)
-    p.add_argument("--inter-spread", type=float, default=1.0)
-    p.add_argument("--agreement", type=float, default=1.0)
+    p.add_argument("--intra-spread", default=0.1)
+    p.add_argument("--inter-spread", default=1.0)
+    p.add_argument("--agreement", default=1.0)
     p.add_argument("--seed", default=0)
     p.set_defaults(func=cmd_synth)
 
@@ -207,7 +218,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        _read_int_flags(args)
+        _read_numeric_flags(args)
         args.func(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

@@ -219,23 +219,20 @@ class NeighbourRows:
 
     - `top`: the ids `lists[:, :k]`, contiguous.
     - `rev[i, c]`: Rank(i', i), i's 1-based position in i''s list, which
-      may lie beyond k: `positions[i', i]`.
-    - `rank_sum`: `c + 1 + rev`, Rank(i, i') + Rank(i', i).
-    - `mutual`: `rev <= k`, i and i' in each other's top k.
+      may lie beyond k: `positions[i', i]`. The rank sum Rank(i, i') +
+      Rank(i', i) is `c + 1 + rev`, and i and i' are in each other's top
+      k when `rev <= k`.
     - `inter`: |N(i) & N(i')| over the inclusive neighbourhoods N(j) = {j}
       plus `lists[j, :k - 1]`, for the Jaccard weight; None until asked for.
 
-    `top` and `rev` are `_id_dtype(n)`. `rank_sum` and `inter` are
-    `_id_dtype(2 * n)`, which holds 2k - inter and every rank sum (at most
-    2n - 2) for any k <= n - 1: int16 up to n = 16 384, int32 beyond. All
-    are read-only, and none depends on a query.
+    `top` and `rev` are `_id_dtype(n)`. `inter` is `_id_dtype(2 * n)`,
+    which holds 2k - inter for any k <= n - 1: int16 up to n = 16 384,
+    int32 beyond. All are read-only, and none depends on a query.
     """
 
     k: int
     top: np.ndarray
     rev: np.ndarray
-    rank_sum: np.ndarray
-    mutual: np.ndarray
     inter: np.ndarray | None = None
 
 
@@ -290,38 +287,40 @@ class RankTable:
     the ids in the dtype they come in, so an id beyond the stored dtype
     cannot wrap into range, and both are stored read-only as `_id_dtype(n)`
     (int16 up to n = 32 768, int32 beyond). Immutable: the input, a
-    caller's array of the stored dtype too, is copied once. Two tables are
-    equal when their lists are.
+    caller's array of the stored dtype too, is copied once; a table made
+    by a loader (`_adopt`) keeps the array it decoded. Two tables are equal
+    when their lists are.
 
     `neighbour_rows(k)` gives the `NeighbourRows` of the top k, which the
     graph builders read instead of `positions`. They are built on first
     use, from `truncated(k)` and `positions`, and the table keeps those of
-    the last k asked only: at n = 2 000 and k = 10 they take 140 KB
-    (`top`, `rev`, `rank_sum` 40 KB each, `mutual` 20 KB), and `inter`,
-    built only when an undirected caller asks for it, 40 KB more; at
-    n = 10 200 and k = 60, 5.5 MB in all. A new k replaces them.
+    the last k asked only: at n = 2 000 and k = 10 they take 80 KB
+    (`top` and `rev` 40 KB each), and `inter`, built only when an
+    undirected caller asks for it, 40 KB more; at n = 10 200 and k = 60,
+    2.4 MB, or 3.7 MB with `inter`. A new k replaces them.
     """
 
     lists: np.ndarray
 
     def __post_init__(self):
-        arr = _int_array(self.lists)
-        object.__setattr__(self, "positions", _positions(arr))
-        lists = arr.astype(_id_dtype(len(arr)))
-        lists.setflags(write=False)
-        object.__setattr__(self, "lists", lists)
-        object.__setattr__(self, "_rows", None)
+        self._set_up(_int_array(self.lists), copy=True)
 
     @classmethod
     def _adopt(cls, lists):
         """`RankTable(lists)` for an `_id_dtype(n)` array (int16 up to n = 32 768,
         int32 beyond) that only its maker holds: checked, not copied."""
         table = object.__new__(cls)
-        object.__setattr__(table, "positions", _positions(lists))
-        lists.setflags(write=False)
-        object.__setattr__(table, "lists", lists)
-        object.__setattr__(table, "_rows", None)
+        table._set_up(lists, copy=False)
         return table
+
+    def _set_up(self, arr, copy):
+        """Check the lists `arr` in their own dtype (`_positions`), then keep
+        them read-only as `_id_dtype(n)`, a copy when `copy`, with no rows."""
+        object.__setattr__(self, "positions", _positions(arr))
+        lists = arr.astype(_id_dtype(len(arr)), copy=copy)
+        lists.setflags(write=False)
+        object.__setattr__(self, "lists", lists)
+        object.__setattr__(self, "_rows", None)
 
     def __eq__(self, other):
         if not isinstance(other, RankTable):
@@ -354,12 +353,9 @@ class RankTable:
         rows = self._rows
         if rows is None or rows.k != k:
             top = _read_only(np.ascontiguousarray(self.truncated(k)))
-            rev = _rev(top, self.positions)
-            sums = _id_dtype(2 * self.n)
-            rank_sum = np.add(rev, np.arange(1, k + 1, dtype=sums), dtype=sums)
-            rows = NeighbourRows(k, top, rev, _read_only(rank_sum), _read_only(rev <= k))
+            rows = NeighbourRows(k, top, _rev(top, self.positions))
         if jaccard and rows.inter is None:
-            inter = _jaccard_counts(rows.top, self.positions, rows.rank_sum.dtype)
+            inter = _jaccard_counts(rows.top, self.positions, _id_dtype(2 * self.n))
             rows = replace(rows, inter=inter)
         if rows is not self._rows:
             object.__setattr__(self, "_rows", rows)
@@ -382,6 +378,13 @@ def _parse_int(token, fault="not a decimal integer"):
     if not _INT_TOKEN.fullmatch(token):
         raise FormatError(fault)
     return int(token)
+
+
+def _parse_float(token, fault="not a decimal number"):
+    """`float(token)` for a `_FLOAT_TOKEN` token only; any other raises `FormatError(fault)`."""
+    if not _FLOAT_TOKEN.fullmatch(token):
+        raise FormatError(fault)
+    return float(token)
 
 
 def _id_line(line, lineno):
@@ -619,9 +622,7 @@ def load_feature_matrix(path):
         vals = line.split()
         if len(vals) != dims:
             raise FormatError(f"line {i + 2}: expected {dims} values, got {len(vals)}")
-        if not all(map(_FLOAT_TOKEN.fullmatch, vals)):
-            raise FormatError(f"line {i + 2}: non-numeric value")
-        rows[i] = [float(v) for v in vals]
+        rows[i] = [_parse_float(v, f"line {i + 2}: non-numeric value") for v in vals]
         if not np.isfinite(rows[i]).all():
             raise FormatError(f"line {i + 2}: non-finite value")
     return FeatureMatrix(rows)

@@ -21,10 +21,12 @@ reciprocal test compares, are 1-based over the stored owner-excluded lists.
 Apart from its decay, whether an edge i -> i' exists and its weight are
 properties of the pair, the same for every query, so the builders read
 only the depth array and the n x k `RankTable.neighbour_rows(k)`, built
-once per table for the k in use: each entry's id (`top`), its rank sum Rank(i, i') +
-Rank(i', i) (`rank_sum`), whether the pair is mutual top-k (`mutual`) and,
-for the undirected graph, the size of the two neighborhoods' intersection
-(`inter`). They read no `RankTable.positions`, only rows of these arrays.
+once per table for the k in use: each entry's id i' = `top[i, c]`, its
+reverse rank Rank(i', i) (`rev`) and, for the undirected graph, the size
+of the two neighborhoods' intersection (`inter`). The rank sum
+Rank(i, i') + Rank(i', i) is c + 1 + `rev`, and the pair is mutual top-k
+when `rev` <= k. They read no `RankTable.positions`, only rows of these
+arrays.
 
 A graph is stored as arrays over a local node index: its one constructor,
 `ImageGraph(query, ids, src, dst, weight, directed)`, checks them once.
@@ -37,38 +39,36 @@ query. `ranking` has range-checked the queries. A batch is built in two
 steps:
 
 - `_depths` gives each key's BFS depth from its query as one flat
-  (B * n) array, -1 for a key more than `depth` hops out, and each level
-  as an array of keys. The depths are stored as the tables' ids are,
+  (B * n) array, -1 for a key more than `depth` hops out, its one
+  output. The depths are stored as the tables' ids are,
   `corpus_io._id_dtype(n)` (int16 up to n = 32 768, int32 beyond), since
   none exceeds n - 1. It walks the levels one whole level per step for
   every query of the batch: the next level is the keys in the level's
-  `top` rows (for the undirected graph only the `mutual` entries) that no
+  `top` rows (for the undirected graph only the mutual entries) that no
   earlier level holds. A level that is expanded is deduplicated by a
   sort and one comparison pass, not by `np.unique`, which on numpy 2.4
   takes a hash path that is slower at these sizes (2.5x at 100 keys, 14x
-  at 5 000 on one 2-core machine). The last level, the largest (≈ 2 200
-  keys a table in a 64-query chunk at n = 2 000, k = 10, found as
-  ≈ 4 000 with repeats), is neither sorted nor deduplicated there: its keys
-  are written into the depth array as found, a repeat writing the same
-  depth. `ranking`'s lockstep reads only the depths; `_graph_arrays`,
-  which lists the nodes, sorts and deduplicates that level itself. It
-  reads only the rows of levels 0 .. depth - 1, 1 + k rows at depth 2
-  rather than 1 + k + k^2: a node `depth` hops out is found from the
-  rows of the level before it, and its own row gives only edges. Whether
-  an edge exists, and its decay, depend only on the depths of its ends,
-  so the depths are all that a node's out-edges need.
+  at 5 000 on one 2-core machine). The last level, the largest, is only
+  written into the depth array, a repeat writing the same depth. It reads
+  only the rows of levels 0 .. depth - 1, 1 + k rows at depth 2 rather
+  than 1 + k + k^2: a node `depth` hops out is found from the rows of the
+  level before it, and its own row gives only edges. Whether an edge
+  exists, and its decay, depend only on the depths of its ends, so the
+  depths are all that a node's out-edges need.
 - `_out_edges` gives the weighted out-edges of any reached keys: each
   one's `top` row is gathered, its entries that are reached (for the
   undirected graph, mutual) are its edges, in list order, and every edge
-  is weighted in one vectorised step from the same entries of `rank_sum`
-  or `inter`. It is the only place the weights are computed. The full build, `_graph_arrays`, asks it for every node's
-  out-edges in BFS order (each undirected pair once, from its smaller id)
-  and returns `(keys, src, dst, weight)` for the batch, with `src`/`dst`
-  indexing `keys`: each BFS level in turn, in key order, so a batch of
-  one's `ids` (its keys are the ids themselves) are ordered by hop
-  distance from the query, then by id, and its edges by source, then list
-  order. `ranking`'s lockstep expansion, which ranks prefixes (see
-  `ranking`), asks it for each query's newest pick only.
+  is weighted in one vectorised step from the same entries of `rev` or
+  `inter`. It is the only place the weights are computed. The full
+  build, `_graph_arrays`, lists the reached keys (depth >= 0) by depth,
+  then key, asks `_out_edges` for every one's out-edges in that order
+  (each undirected pair once, from its smaller id) and returns
+  `(keys, src, dst, weight)` for the batch, with `src`/`dst` indexing
+  `keys`. So a batch of one's `ids` (its keys are the ids themselves) are
+  ordered by hop distance from the query, then by id, and its edges by
+  source, then list order. `ranking`'s lockstep expansion, which ranks
+  prefixes (see `ranking`), asks `_out_edges` for each query's newest pick
+  only.
 
 The weights equal bit for bit those of the scalar oracles `rank_weight`
 and `jaccard_weight` in `tests/conftest.py`, because each one is computed
@@ -77,7 +77,7 @@ with the same floating-point operations in the same order:
 - the decay comes from a table of Python `alpha0 ** depth` values (numpy's
   array power rounds some of them differently in the last bit);
 - the directed weight is `decay / float(Rank(i, i') + Rank(i', i))`, the
-  integer sum read from `rank_sum`;
+  integer sum c + 1 + `rev` taken in intp;
 - the undirected weight is `(decay * inter) / union`, with integer
   intersection and union sizes: `inter` as stored, `union` = 2k - inter
   in a dtype that holds 2k (see `corpus_io.NeighbourRows`).
@@ -191,34 +191,30 @@ def _sorted_unique(a):
 
 
 def _depths(table, queries, params, directed):
-    """Each key's BFS depth from its query as a flat (B * n) array, and the levels.
+    """Each key's BFS depth from its query as a flat (B * n) array.
 
     Query b of the batch owns the keys `b * n + id`; a key more than
     `params.depth` hops out has depth -1. The depths are `_id_dtype(n)`:
-    none exceeds n - 1. The levels are arrays of keys, level 0 first, each
-    in key order but the last: level `params.depth` comes as found, with
-    repeats. Only the rows of levels 0 .. depth - 1 are read: the last
-    level is found, not expanded.
+    none exceeds n - 1. Only the rows of levels 0 .. depth - 1 are read:
+    the last level is found, not expanded.
     """
     n, rows = table.n, table.neighbour_rows(params.k)
     depth = np.full(len(queries) * n, -1, dtype=_id_dtype(n))
     level = np.arange(0, len(queries) * n, n) + queries
     depth[level] = 0
-    levels = [level]
     for d in range(1, params.depth + 1):
         ids = level % n
         cell = rows.top[ids] + (level - ids)[:, None]
         if not directed:
             # only mutual top-k entries extend the BFS
-            cell = cell[rows.mutual[ids]]
+            cell = cell[rows.rev[ids] <= params.k]
         level = cell[depth[cell] < 0]
         if not level.size:
             break
         if d < params.depth:  # a level that is expanded is expanded once per key
             level = _sorted_unique(level)
         depth[level] = d
-        levels.append(level)
-    return depth, levels
+    return depth
 
 
 def _out_edges(table, depth, sources, params, directed, once=False):
@@ -239,7 +235,7 @@ def _out_edges(table, depth, sources, params, directed, once=False):
     ends = depth[cell]
     edges = ends >= 0
     if not directed:
-        edges &= rows.mutual[ids]
+        edges &= rows.rev[ids] <= k
         if once:
             edges &= nbrs > ids[:, None]
     # each edge's (source, column) entry, in row order; np.nonzero is
@@ -250,7 +246,9 @@ def _out_edges(table, depth, sources, params, directed, once=False):
     decays = np.array([params.alpha0 ** d for d in range(min(params.depth, n - 1) + 1)])
     decay = decays[np.maximum(depth[sources][src], ends.ravel()[flat])]
     if directed:
-        weight = decay / rows.rank_sum[ids].ravel()[flat]
+        # Rank(i, i') + Rank(i', i) = c + 1 + rev, summed in intp over the
+        # gathered rows: `flat % k` would cost several times `flat // k`
+        weight = decay / (np.arange(1, k + 1) + rows.rev[ids]).ravel()[flat]
     else:
         # each neighborhood holds k distinct ids, so union = 2k - inter
         inter = rows.inter[ids].ravel()[flat]
@@ -264,14 +262,13 @@ def _out_edges(table, depth, sources, params, directed, once=False):
 def _graph_arrays(table, queries, params, directed):
     """One table's graph for each of `queries`, as flat (keys, src, dst, weight).
 
-    `keys` holds the BFS levels in turn, each in key order; `src`/`dst`
-    index it. Directed: every out-edge of every node. Undirected: each
-    mutual top-k pair once, from its smaller id.
+    `keys` holds the reached keys by depth, then key; `src`/`dst` index
+    it. Directed: every out-edge of every node. Undirected: each mutual
+    top-k pair once, from its smaller id.
     """
-    depth, levels = _depths(table, queries, params, directed)
-    if len(levels) > params.depth:  # the last level, with its repeats
-        levels[-1] = _sorted_unique(levels[-1])
-    keys = np.concatenate(levels)
+    depth = _depths(table, queries, params, directed)
+    keys = np.flatnonzero(depth >= 0)
+    keys = keys[np.argsort(depth[keys], kind="stable")]
     src, dst, weight = _out_edges(table, depth, keys, params, directed, once=True)
     index = np.empty(len(depth), dtype=np.intp)
     index[keys] = np.arange(len(keys))

@@ -302,7 +302,7 @@ def _rank_chunk(tables, queries, params, directed):
 def _lazy_chunk(tables, queries, params, directed, target_len):
     """The first `target_len` ids of `_rank_chunk`'s lists, by lockstep expansion."""
     n, pos0, lists0 = tables[0].n, tables[0].positions, tables[0].lists
-    depths = [_depths(t, queries, params, directed)[0] for t in tables]
+    depths = [_depths(t, queries, params, directed) for t in tables]
     # scores[b, c]: the best edge from query b's set into the id at position
     # c of its tables[0] list, -inf once inserted (column 0 is the query)
     scores = np.zeros((len(queries), n))

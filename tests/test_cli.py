@@ -301,6 +301,25 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: line 3: non-integer id\n"
 
+    @staticmethod
+    def run_with_flag(synth_dir, tmp_path, command, flag, value):
+        """`command`'s exit code with its required flags and `flag value`; no output is written."""
+        tables = ["--tables", synth_dir / "space0_ranks.txt"]
+        gt = ["--gt", synth_dir / "ground_truth.txt"]
+        required = {
+            "rerank": tables,
+            "eval": tables + gt,
+            "sweep": tables + gt,
+            "graph-dump": tables + ["--query", 0],
+            "synth": ["--groups", 6],
+            "features": ["--manifest", synth_dir / "ground_truth.txt"],
+        }[command]
+        out = tmp_path / "out"
+        args = ["--out-dir" if command == "synth" else "--out", out]
+        code = run(command, *required, *args, flag, value)
+        assert not out.exists()
+        return code
+
     @pytest.mark.parametrize("command, flag, value", [
         ("rerank", "--k", "1_0"),
         ("rerank", "--depth", "\u0662"),
@@ -314,22 +333,35 @@ class TestErrorPaths:
         self, synth_dir, tmp_path, capsys, command, flag, value
     ):
         # argparse's `type=int` read `1_0` as 10 and non-ASCII digits as numbers
-        tables = ["--tables", synth_dir / "space0_ranks.txt"]
-        gt = ["--gt", synth_dir / "ground_truth.txt"]
-        required = {
-            "rerank": tables,
-            "sweep": tables + gt,
-            "graph-dump": tables + ["--query", 0],
-            "synth": ["--groups", 6],
-            "features": ["--manifest", synth_dir / "ground_truth.txt"],
-        }[command]
-        out = tmp_path / "out"
-        args = ["--out-dir" if command == "synth" else "--out", out]
-        code = run(command, *required, *args, flag, value)
-        assert code == 1
+        assert self.run_with_flag(synth_dir, tmp_path, command, flag, value) == 1
         token = value.split(",")[-1]
         assert capsys.readouterr().err == f"error: {flag}: not a decimal integer {token!r}\n"
-        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("rerank", "--alpha0", "0.8_0"),
+        ("eval", "--alpha0", "0.\u0668"),
+        ("sweep", "--alpha0", " 0.8"),
+        ("graph-dump", "--alpha0", "0x1p-1"),
+        ("features", "--exponent", "0.5_0"),
+        ("synth", "--intra-spread", "0.1_0"),
+        ("synth", "--inter-spread", "\u0661"),
+        ("synth", "--agreement", "1_0"),
+    ])
+    def test_float_flag_follows_input_float_rule(
+        self, synth_dir, tmp_path, capsys, command, flag, value
+    ):
+        # argparse's `type=float` read `0.8_0` as 0.8 and non-ASCII digits as numbers
+        assert self.run_with_flag(synth_dir, tmp_path, command, flag, value) == 1
+        assert capsys.readouterr().err == f"error: {flag}: not a decimal number {value!r}\n"
+
+    def test_float_flags_take_decimal_and_exponent_forms(self, synth_dir, tmp_path):
+        tables = ["--tables", synth_dir / "space0_ranks.txt", "--k", 5]
+        outs = []
+        for alpha0 in ("0.5", "+5e-1", ".5", "5E-1"):
+            outs.append(tmp_path / f"rerank-{len(outs)}.txt")
+            assert run("rerank", *tables, "--alpha0", alpha0, "--out", outs[-1]) == 0
+        assert len({p.read_bytes() for p in outs}) == 1
+        assert outs[0].read_text().startswith("# method=directed k=5 alpha0=0.5 ")
 
     def test_missing_table_file(self, tmp_path, capsys):
         code = run("rerank", "--tables", tmp_path / "none.txt", "--out", tmp_path / "o")
@@ -387,6 +419,14 @@ class TestKSweepScript:
         assert exc.value.code == 2
         assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0.8_0", "0.\u0668"])
+    def test_alpha0_follows_input_float_rule(self, monkeypatch, capsys, value):
+        monkeypatch.setattr(sys, "argv", [self.SCRIPT.name, "--alpha0", value, "--ks", "5"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        assert exc.value.code == 2
+        assert f"argument --alpha0: invalid decimal value: {value!r}" in capsys.readouterr().err
+
 
 class TestFusionScript:
     """`scripts/run_fusion_experiment.py` reads its integers and k bound as `run_k_sweep.py` does."""
@@ -411,6 +451,13 @@ class TestFusionScript:
             self.run_script(monkeypatch, flag, value)
         assert exc.value.code == 2
         assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0.8_0", "0.\u0668"])
+    def test_alpha0_follows_input_float_rule(self, monkeypatch, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            self.run_script(monkeypatch, "--alpha0", value)
+        assert exc.value.code == 2
+        assert f"argument --alpha0: invalid decimal value: {value!r}" in capsys.readouterr().err
 
     def test_one_seed_one_row_and_the_mean(self, monkeypatch, capsys):
         self.run_script(monkeypatch, "--seeds", "1", "--groups", "5", "--k", "19")

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphrerank.corpus_io import FeatureMatrix, RankTable, _id_dtype
 from graphrerank.features import build_rank_table
-from graphrerank.graph import GraphParams, ImageGraph, graph_to_text
+from graphrerank.graph import GraphParams, ImageGraph, _depths, graph_to_text
 from graphrerank.ranking import build_graph
 
 from conftest import (
@@ -161,32 +162,35 @@ class TestNeighbourRows:
         for i in range(n):
             for c, j in enumerate(rows.top[i].tolist()):
                 assert rows.rev[i, c] == rank_of(table, j, i)
-                assert rows.rank_sum[i, c] == rank_of(table, i, j) + rank_of(table, j, i)
-                assert rows.mutual[i, c] == reciprocal(table, i, j, k)
+                # the builders' rank sum and mutual test, read from `rev`
+                assert c + 1 + rows.rev[i, c] == rank_of(table, i, j) + rank_of(table, j, i)
+                assert (rows.rev[i, c] <= k) == reciprocal(table, i, j, k)
                 a, b = _inclusive_neighborhood(table, i, k), _inclusive_neighborhood(table, j, k)
                 assert rows.inter[i, c] == len(a & b)
 
     def test_stored_read_only_in_their_dtypes(self):
         table = random_rank_table(np.random.default_rng(4), 9)
         rows = table.neighbour_rows(4, jaccard=True)
-        arrays = (rows.top, rows.rev, rows.rank_sum, rows.mutual, rows.inter)
+        arrays = (rows.top, rows.rev, rows.inter)
         assert (rows.top.dtype, rows.rev.dtype) == (_id_dtype(9),) * 2
-        assert (rows.rank_sum.dtype, rows.inter.dtype) == (_id_dtype(2 * 9),) * 2
-        assert rows.mutual.dtype == bool
+        assert rows.inter.dtype == _id_dtype(2 * 9)
         assert all(a.shape == (9, 4) and not a.flags.writeable for a in arrays)
+        assert [f.name for f in dataclasses.fields(rows)] == ["k", "top", "rev", "inter"]
         assert rows.top.flags.c_contiguous
 
     @pytest.mark.parametrize("n", [16_384, 16_385])
     def test_union_and_rank_sum_fit_their_dtype(self, n):
         # a table this large is not built here: the largest k is n - 1, and
-        # the weights' 2k - inter and the largest rank sum, k + n - 1, must
-        # not wrap in `_id_dtype(2 * n)`, whichever promotion rule numpy
-        # follows (NEP 50, or value-based casting before numpy 2)
+        # the weights' 2k - inter in `_id_dtype(2 * n)` and the largest rank
+        # sum, k + n - 1 (`rev` = n - 1 in `_id_dtype(n)` plus the intp
+        # position c + 1 = k of the last column), must not wrap, whichever
+        # promotion rule numpy follows (NEP 50, or value-based casting
+        # before numpy 2); `_out_edges` sums them as here
         k, dtype = n - 1, _id_dtype(2 * n)
         inter = np.array([0, 1, k], dtype=dtype)
         assert (2 * k - inter).tolist() == [2 * k, 2 * k - 1, k]
-        rev = np.array([[n - 1]], dtype=_id_dtype(n))
-        assert np.add(rev, np.array([k], dtype=dtype), dtype=dtype).tolist() == [[k + n - 1]]
+        rev = np.full((1, k), n - 1, dtype=_id_dtype(n))
+        assert (np.arange(1, k + 1) + rev)[0, -1] == k + n - 1
 
 
 def brute_force_directed(table, query, params):
@@ -247,6 +251,33 @@ def brute_force_undirected(table, query, params):
                 if w > 0:
                     edges[(i, j)] = w
     return depths, edges
+
+
+class TestDepths:
+    """`_depths`, the BFS's one output, pinned query by query to the brute-force builders."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        method=st.sampled_from(["directed", "undirected"]),
+        depth=st.integers(1, 3),
+    )
+    def test_batch_equals_brute_force(self, seed, method, depth):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        table = random_rank_table(rng, n)
+        params = GraphParams(k=int(rng.integers(1, min(n, 6))), depth=depth)
+        # a batch of several queries, some repeated
+        queries = rng.integers(n, size=int(rng.integers(2, 9)))
+        queries[-1] = queries[0]
+        got = _depths(table, queries, params, method == "directed")
+        assert got.shape == (len(queries) * n,) and got.dtype == _id_dtype(n)
+        brute = brute_force_directed if method == "directed" else brute_force_undirected
+        want = np.full(len(queries) * n, -1)
+        for b, query in enumerate(queries.tolist()):
+            for i, d in brute(table, query, params)[0].items():
+                want[b * n + i] = d
+        assert got.tolist() == want.tolist()
 
 
 class TestBuildDirectedGraph:

@@ -763,11 +763,10 @@ class TestNeighbourRowsReuse:
         for table in tables:
             rows = table._rows
             assert rows.k == 7
-            # the last sweep was directed, so no counts: int16 ids and rank
-            # sums and one bool, 7 bytes an entry
+            # the last sweep was directed, so no counts: int16 ids and
+            # reverse ranks, 4 bytes an entry
             assert rows.inter is None
-            arrays = (rows.top, rows.rev, rows.rank_sum, rows.mutual)
-            assert sum(a.nbytes for a in arrays) == 7 * n * 7
+            assert rows.top.nbytes + rows.rev.nbytes == 4 * n * 7
 
     def test_rejected_k_leaves_rows(self):
         table = build_rank_table(synth_generate(self.SPEC)[0][0])
