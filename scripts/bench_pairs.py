@@ -6,7 +6,9 @@
 Each `WORKLOAD=FIRST-LAST` (or `WORKLOAD=SEED`) gives one pair per seed. The
 seeds follow the input files' integer rule (`1_0` is an error, not 10), so
 the script imports `graphrerank`, as the other scripts do; a missing, bad or
-empty range is one `error: ...` line before any run. A pair runs
+empty range is one `error: ...` line before any run. `--seconds` follows
+their float rule and must be finite and above 0: `4_5`, `0` or `inf` is an
+argparse error (exit code 2). A pair runs
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0` in
 both checkouts, one after the other: the parent first on even pairs, the
 change first on odd ones, so slow spells of the machine fall on both sides.
@@ -24,12 +26,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-from graphrerank.corpus_io import _parse_int
+from graphrerank.corpus_io import _parse_float, _parse_int
 
 SIDES = ("parent", "change")
 
@@ -76,6 +79,14 @@ def summary(runs, metrics):
     return out
 
 
+def seconds(token):
+    """An argparse type: a finite decimal number > 0 by the input files' rule (`4_5` is an error, not 45)."""
+    value = _parse_float(token)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{token} is not a positive finite number")
+    return value
+
+
 def parse_pairs(items):
     """(workload, seeds) for each `WORKLOAD=FIRST-LAST` item; a bad one raises ValueError."""
     pairs = []
@@ -96,7 +107,7 @@ def main(argv=None):
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("pairs", nargs="+", metavar="WORKLOAD=FIRST-LAST",
                     help="a workload and the seeds of its pairs")
-    ap.add_argument("--seconds", type=float, default=45.0)
+    ap.add_argument("--seconds", type=seconds, default=45.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     try:

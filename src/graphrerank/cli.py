@@ -117,7 +117,7 @@ def cmd_rerank(args):
     )
     queries = _queries(args, tables)
     chunks = ranking._ranked_chunks(tables, queries, params, args.method, None)
-    rows = ((r.query, r.order) for _, ranked in chunks for r in ranked)
+    rows = (row for chunk, orders in chunks for row in zip(chunk.tolist(), orders.tolist()))
     corpus_io.atomic_write_text(args.out, corpus_io.id_lines(rows, header))
 
 

@@ -14,15 +14,25 @@ precision reads the whole list, and `metric="map"` ranks it in full.
 
 `evaluate` and `sweep_k` rerank by greedy max-weight expansion through
 `ranking`'s one chunk loop; `GraphParams` and `method` are the only ranking
-settings they take. `evaluate` scores each chunk of ranked lists the loop
-yields, and holds only one chunk's lists at a time.
+settings they take. `evaluate` scores the checked id array of each chunk
+the loop yields, and the baseline from the same rows of tables[0]'s lists,
+without making a `RankedList`; it holds only one chunk's ids at a time.
+N-S is `1.0 + len(relevant & row)`, the query never being in a row. AP
+gathers the chunk's relevance flags as one boolean array and adds each
+row's `hits / rank` terms in rank order, one Python float at a time, so
+the values equal those of the one-list functions bit for bit. A relevant
+id outside the corpus counts in the relevant total and is never hit.
+`ns_score` and `average_precision` score one `RankedList`; they are the
+oracles the array scoring is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .ranking import RankedList, _ranked_chunks
+import numpy as np
+
+from .ranking import _ranked_chunks
 
 NS_DEPTH = 3  # results after the query that the N-S score reads
 
@@ -75,6 +85,40 @@ def ns_score(ranked, query, relevant):
     return 1.0 + len(groupmates.intersection(ranked.order[:NS_DEPTH]))
 
 
+def _ns_values(queries, orders, relevant):
+    """`ns_score` of each row of `orders` against its query's relevant set."""
+    rows = orders[:, :NS_DEPTH].tolist()
+    return [1.0 + len(relevant[q].intersection(row)) for q, row in zip(queries, rows)]
+
+
+def _ap_values(orders, hit, sizes):
+    """`average_precision` of each row of `orders` from its (B, n) relevance flags `hit`."""
+    found = hit[np.arange(len(orders))[:, None], orders]
+    ranks = (np.nonzero(found)[1] + 1).tolist()  # row by row, each row's in rank order
+    ends = np.cumsum(np.count_nonzero(found, axis=1)).tolist()
+    values, start = [], 0
+    for end, size in zip(ends, sizes):
+        total = 0.0
+        for hits, p in enumerate(ranks[start:end], start=1):
+            total += hits / p
+        values.append(total / size)
+        start = end
+    return values
+
+
+def _relevance(queries, relevant, n):
+    """Each query's relevant ids but itself: (B, n) flags of those in [0, n), and their counts."""
+    hit = np.zeros((len(queries), n), dtype=bool)
+    sizes = []
+    for row, q in zip(hit, queries):
+        rel = relevant[q] - {q}
+        if not rel:
+            raise ValueError("no relevant images besides the query itself")
+        row[[i for i in rel if i < n]] = True
+        sizes.append(len(rel))
+    return hit, sizes
+
+
 def evaluate(tables, ground_truth, params, method="directed", metric="ns"):
     """Score every ground-truth query; returns (baseline, reranked) reports.
 
@@ -87,19 +131,21 @@ def evaluate(tables, ground_truth, params, method="directed", metric="ns"):
     if not tables:
         raise ValueError("need at least one rank table")
     queries = ground_truth.queries
+    relevant = ground_truth.relevant
     n = tables[0].n
     length = min(NS_DEPTH, n - 1) if metric == "ns" else None
 
-    def value(ranked):
-        rel = ground_truth.relevant[ranked.query]
-        if metric == "ns":
-            return ns_score(ranked, ranked.query, rel)
-        return average_precision(ranked, rel)
-
     rr_vals, base_vals = [], []
-    for chunk, ranked in _ranked_chunks(tables, queries, params, method, length):
-        rr_vals += map(value, ranked)
-        base_vals += map(value, RankedList._batch(chunk, tables[0].lists[chunk, :length], n))
+    for chunk, orders in _ranked_chunks(tables, queries, params, method, length):
+        baseline = tables[0].lists[chunk, :length]
+        chunk = chunk.tolist()
+        if metric == "ns":
+            rr_vals += _ns_values(chunk, orders, relevant)
+            base_vals += _ns_values(chunk, baseline, relevant)
+        else:
+            hit, sizes = _relevance(chunk, relevant, n)
+            rr_vals += _ap_values(orders, hit, sizes)
+            base_vals += _ap_values(baseline, hit, sizes)
     fused = "-fused" if len(tables) > 1 else ""
     common = dict(metric=metric, k=params.k, alpha0=params.alpha0, depth=params.depth)
     baseline = MetricReport(method="baseline", per_query=dict(zip(queries, base_vals)), **common)

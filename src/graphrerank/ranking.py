@@ -19,9 +19,13 @@ documented tie-break. Scores are a running `np.maximum`, compared exactly.
 
 One chunk loop, `_ranked_chunks`, ranks `CHUNK` queries at a time as one
 array program over the flat node keys `b * n + id` (see `graph`) and yields
-each chunk's lists. `rerank_batch` collects them (`rerank` is a batch of
-one); `evaluation.evaluate` and the CLI `rerank` command hold one chunk at
-a time. The shape of the request picks the path; both give the same lists:
+each chunk's queries with their lists as one (B, L) int64 id array, which
+`_check_orders` checks once in the loop. `RankedList`s are made only by
+callers that return lists, from rows already checked: `rerank_batch`
+wraps every chunk's rows (`rerank` is a batch of one) and `greedy_rank`
+its one row. `evaluation.evaluate` scores the arrays and the CLI `rerank`
+command writes them, one chunk at a time. The shape of the request picks
+the path; both give the same lists:
 
 - A whole list (`target_len` = n - 1, the default; `rerank`, the CLI
   `rerank` command and `metric="map"`) is ranked from the full graphs
@@ -65,9 +69,10 @@ converts its own; no array is sized by an id beyond n.
 
 Queries, method, `target_len` and k are checked once, where they enter
 (`_ranked_chunks`, before its first chunk is ranked, and `build_graph`),
-`RankedList`'s rules once per batch, and the graphs a batch builds are
-not re-checked. `greedy_rank` ranks one `ImageGraph` through the full
-path's layout, expansion and completion (`_rank_graphs`).
+`RankedList`'s rules once per chunk (`_check_orders`, not again when the
+rows are wrapped), and the graphs a batch builds are not re-checked.
+`greedy_rank` ranks one `ImageGraph` through the full path's layout,
+expansion and completion (`_rank_graphs`).
 """
 
 from __future__ import annotations
@@ -99,8 +104,8 @@ def _check_orders(queries, orders):
     """`RankedList`'s checks, for every row of the 2-d `orders` against its query."""
     if np.count_nonzero(orders == queries[:, None]):
         raise ValueError("ranked list must not contain its own query")
-    ids = np.sort(orders, axis=1)
-    if np.count_nonzero(ids[:, 1:] == ids[:, :-1]):
+    ids = np.sort(orders, axis=-1)
+    if np.count_nonzero(ids[..., 1:] == ids[..., :-1]):
         raise ValueError("ranked list contains duplicates")
 
 
@@ -126,11 +131,10 @@ class RankedList:
 
     @classmethod
     def _batch(cls, queries, orders, n=None):
-        """One RankedList per row of the integer (B, L) `orders`, checked once for all rows.
+        """One RankedList per row of the integer (B, L) `orders`, which `_check_orders` passed.
 
         With the corpus size `n`, every id is `_id_objects(n)`'s shared int.
         """
-        _check_orders(queries, orders)
         if n is not None:
             ids = _id_objects(n)
             queries, orders = ids[queries], ids[orders]
@@ -203,7 +207,7 @@ def _complete(initial, skip, need):
     return head[keep][:need]
 
 
-def _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, target_len, n=None):
+def _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, target_len):
     """Greedy-rank a batch of graphs, completing each list from its initial list.
 
     Node a is image `ids[a]` of graph s = `slot[a]`, whose query
@@ -211,7 +215,8 @@ def _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, 
     for the query, 1 + its position for a listed node and a distinct
     larger value for any other node, so one sort by (slot, tie) lays each
     graph out in tie order, and completion skips a picked node's position
-    `tie - 1` (none, for an unlisted node). `n` is as in `RankedList._batch`.
+    `tie - 1` (none, for an unlisted node). Returns the (B, `target_len`)
+    int64 id array, one row per graph.
     """
     layout = np.lexsort((tie, slot))
     sizes = np.bincount(slot, minlength=len(queries)).tolist()
@@ -221,7 +226,7 @@ def _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, 
         order[: len(picked)] = ids[picked]
         if len(picked) < target_len:
             order[len(picked):] = _complete(initial, tie[picked] - 1, target_len - len(picked))
-    return RankedList._batch(queries, orders, n)
+    return orders
 
 
 def greedy_rank(graph, initial, target_len=None):
@@ -251,10 +256,13 @@ def greedy_rank(graph, initial, target_len=None):
     found = np.append(listed, -1)[at] == ids
     tie = np.where(found, np.append(by_id, 0)[at] + 1, len(initial) + 1 + ids)
     tie[ids == q] = 0
-    return _rank_graphs(
-        np.array([q]), [initial], np.zeros(len(ids), dtype=np.int64), ids, tie,
+    queries = np.array([q])
+    orders = _rank_graphs(
+        queries, [initial], np.zeros(len(ids), dtype=np.int64), ids, tie,
         graph.src, graph.dst, graph.weight, graph.directed, target_len,
-    )[0]
+    )
+    _check_orders(queries, orders)
+    return RankedList._batch(queries, orders)[0]
 
 
 def _checked(tables, queries, method):
@@ -289,14 +297,13 @@ def build_graph(tables, query, params, method="directed"):
 
 
 def _rank_chunk(tables, queries, params, directed):
-    """`rerank` for every query of one batch: whole lists, from the full graphs."""
+    """Every query's whole list as a row of ids, ranked from the full graphs."""
     keys, src, dst, weight = _graphs(tables, queries, params, directed)
     slot, ids = np.divmod(keys, tables[0].n)
     # tie order: query (its own position is 0), then position in tables[0]'s list
     tie = tables[0].positions[queries[slot], ids]
     initials = [tables[0].lists[q] for q in queries.tolist()]
-    n = tables[0].n
-    return _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, n - 1, n)
+    return _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, tables[0].n - 1)
 
 
 def _lazy_chunk(tables, queries, params, directed, target_len):
@@ -345,21 +352,33 @@ def _lazy_chunk(tables, queries, params, directed, target_len):
     for b in np.flatnonzero(count < target_len).tolist():
         skip = picks[b, : count[b]] - 1
         orders[b, count[b]:] = _complete(lists0[queries[b]], skip, target_len - count[b])
-    return RankedList._batch(queries, orders, n)
+    return orders
 
 
 def _ranked_chunks(tables, queries, params, method, target_len):
-    """Each `CHUNK` of `queries` with its RankedLists; every input is checked before one is ranked."""
+    """Each `CHUNK` of `queries` with its checked (B, `target_len`) int64 id array.
+
+    Row b is query `chunk[b]`'s list. Every input is checked before the
+    first chunk is ranked, and each chunk's lists by `_check_orders`.
+    """
     tables, queries, directed = _checked(tables, queries, method)
     length = tables[0].n - 1
     target_len = length if target_len is None else operator.index(target_len)
     if not 0 <= target_len <= length:
         raise ValueError(f"target_len {target_len} out of range [0, {length}]")
     tables[0].truncated(params.k)  # every table covers the same n
-    chunks = (queries[start:start + CHUNK] for start in range(0, len(queries), CHUNK))
-    if target_len < length:
-        return ((c, _lazy_chunk(tables, c, params, directed, target_len)) for c in chunks)
-    return ((c, _rank_chunk(tables, c, params, directed)) for c in chunks)
+
+    def chunks():
+        for start in range(0, len(queries), CHUNK):
+            chunk = queries[start:start + CHUNK]
+            if target_len < length:
+                orders = _lazy_chunk(tables, chunk, params, directed, target_len)
+            else:
+                orders = _rank_chunk(tables, chunk, params, directed)
+            _check_orders(chunk, orders)
+            yield chunk, orders
+
+    return chunks()
 
 
 def rerank_batch(tables, queries, params, method="directed", target_len=None):
@@ -369,8 +388,10 @@ def rerank_batch(tables, queries, params, method="directed", target_len=None):
     prefix is ranked by lockstep expansion, a whole list from the full
     graphs. A query may repeat; each result depends only on its own query.
     """
-    chunks = _ranked_chunks(tables, queries, params, method, target_len)
-    return [r for _, ranked in chunks for r in ranked]
+    tables = list(tables)
+    chunks = _ranked_chunks(tables, queries, params, method, target_len)  # checks the tables
+    n = tables[0].n
+    return [r for chunk, orders in chunks for r in RankedList._batch(chunk, orders, n)]
 
 
 def rerank(tables, query, params, method="directed"):

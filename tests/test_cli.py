@@ -486,6 +486,23 @@ class TestBenchPairsScript:
         assert exc.value.code == f"error: {pair!r}: {message}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["4_5", "0", "-1", "inf", "nan", "\u0664\u0665"])
+    def test_seconds_follow_input_float_rule(self, monkeypatch, capsys, tmp_path, value):
+        # float("4_5") is 45.0: a typo ran 45 s pairs
+        out = tmp_path / "pairs.json"
+        monkeypatch.setattr(sys, "argv", [self.SCRIPT.name, str(tmp_path / "parent"),
+                                          str(tmp_path / "change"), "fused-k10-n2000=1",
+                                          "--seconds", value, "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        assert exc.value.code == 2
+        assert f"argument --seconds: invalid seconds value: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seconds_take_decimal_forms(self):
+        script = runpy.run_path(str(self.SCRIPT))
+        assert [script["seconds"](t) for t in ("45", "2.5", "+1e1", ".5")] == [45.0, 2.5, 10.0, 0.5]
+
     def test_seed_ranges(self):
         script = runpy.run_path(str(self.SCRIPT))
         assert script["parse_pairs"](["a=3", "b=+4-6"]) == [("a", range(3, 4)), ("b", range(4, 7))]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphrerank import ranking
+from graphrerank import evaluation, ranking
 from graphrerank.corpus_io import GroundTruth, SynthSpec, synth_generate
 from graphrerank.evaluation import (
     MetricReport,
@@ -17,7 +17,7 @@ from graphrerank.evaluation import (
 )
 from graphrerank.features import build_rank_table
 from graphrerank.graph import GraphParams
-from graphrerank.ranking import RankedList, rerank
+from graphrerank.ranking import RankedList, rerank, rerank_batch
 
 from conftest import random_rank_table
 
@@ -271,6 +271,84 @@ class TestEvaluate:
             full = rerank(tables, q, params, method)
             assert reranked.per_query[q] == value(full, q)
             assert baseline.per_query[q] == value(RankedList(q, tables[0].lists[q]), q)
+
+
+def random_relevance(rng, n, q):
+    """1-5 distinct ids of [0, n + 4), beyond the corpus at times; the query itself in about a third."""
+    ids = set(rng.choice(n + 4, size=int(rng.integers(1, 6)), replace=False).tolist())
+    return ids | {q} if rng.random() < 0.3 else ids
+
+
+class TestArrayScoring:
+    """`evaluate` scores id arrays, pinned to the one-list oracles `ns_score` and `average_precision`."""
+
+    @staticmethod
+    def oracle(metric, ranked, relevant):
+        if metric == "ns":
+            return ns_score(ranked, ranked.query, relevant)
+        return average_precision(ranked, relevant)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**9), metric=st.sampled_from(["ns", "map"]))
+    def test_scorers_equal_oracles_on_prefixes_and_whole_lists(self, seed, metric):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        queries = rng.integers(0, n, size=int(rng.integers(1, 8))).tolist()
+        length = int(rng.integers(0, n))  # n - 1 is the whole list
+        orders = np.array([[i for i in rng.permutation(n).tolist() if i != q][:length]
+                           for q in queries], dtype=np.int64).reshape(len(queries), length)
+        relevant = {q: frozenset(random_relevance(rng, n, q)) for q in set(queries)}
+        if metric == "ns":
+            got = evaluation._ns_values(queries, orders, relevant)
+        elif any(not relevant[q] - {q} for q in queries):
+            with pytest.raises(ValueError, match="no relevant images besides the query itself"):
+                evaluation._relevance(queries, relevant, n)
+            return
+        else:
+            got = evaluation._ap_values(orders, *evaluation._relevance(queries, relevant, n))
+        want = [self.oracle(metric, RankedList(q, row), relevant[q])
+                for q, row in zip(queries, orders.tolist())]
+        assert got == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        method=st.sampled_from(["directed", "undirected"]),
+        n_tables=st.integers(1, 3),
+        metric=st.sampled_from(["ns", "map"]),
+        many=st.booleans(),
+        lone=st.booleans(),
+    )
+    def test_evaluate_equals_oracles(self, seed, method, n_tables, metric, many, lone):
+        rng = np.random.default_rng(seed)
+        # `many`: more queries than one chunk holds
+        n = int(rng.integers(ranking.CHUNK + 1, ranking.CHUNK + 30) if many else rng.integers(2, 25))
+        tables = [random_rank_table(rng, n) for _ in range(n_tables)]
+        relevant = {q: random_relevance(rng, n, q) for q in range(n)}
+        for q in range(n):
+            if metric == "map" and not relevant[q] - {q}:
+                relevant[q].add((q + 1) % n)
+        if lone:  # one query relevant only to itself
+            alone = int(rng.integers(0, n))
+            relevant[alone] = {alone}
+        gt = GroundTruth(relevant)
+        params = GraphParams(k=int(rng.integers(1, n)), depth=int(rng.integers(1, 4)))
+        whole = rerank_batch(tables, gt.queries, params, method)
+        if lone and metric == "map":
+            with pytest.raises(ValueError) as want:
+                average_precision(whole[alone], gt.relevant[alone])
+            with pytest.raises(ValueError) as got:
+                evaluate(tables, gt, params, method, metric)
+            assert str(got.value) == str(want.value)
+            return
+        baseline, reranked = evaluate(tables, gt, params, method, metric)
+        assert reranked.per_query == {
+            q: self.oracle(metric, r, gt.relevant[q]) for q, r in zip(gt.queries, whole)
+        }
+        assert baseline.per_query == {
+            q: self.oracle(metric, RankedList(q, tables[0].lists[q]), gt.relevant[q])
+            for q in gt.queries
+        }
 
 
 class TestSweepK:

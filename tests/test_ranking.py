@@ -652,23 +652,32 @@ class TestSharedIds:
         assert_one_int_per_id([one, other, *batch, *prefixes])
 
     @pytest.mark.parametrize("metric", ["ns", "map"])
-    def test_evaluate_prefixes_and_baseline_share_ints(self, corpus, metric):
+    def test_evaluate_scores_ids_without_ranked_lists(self, corpus, metric):
+        # evaluate scores each chunk's id arrays: it holds no list's ints at all
         tables, gt = corpus
+        params = GraphParams(k=5)
         queries = [300, 301, 500, 799]
-        scored = []
+        truth = corpus_io.GroundTruth({q: gt.relevant[q] for q in queries})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate made a RankedList")
+
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("ns_score", "average_precision"):
-                score = getattr(evaluation, name)
-                mp.setattr(evaluation, name,
-                           lambda ranked, *rest, score=score: scored.append(ranked) or score(ranked, *rest))
-            truth = corpus_io.GroundTruth({q: gt.relevant[q] for q in queries})
-            evaluation.evaluate(tables, truth, GraphParams(k=5), metric=metric)
-        # one chunk: the reranked lists, then the baseline's
-        assert len(scored) == 2 * len(queries)
-        assert [r.order for r in scored[len(queries):]] == [
-            tuple(tables[0].lists[q, :len(scored[0].order)].tolist()) for q in queries
-        ]
-        assert_one_int_per_id([*scored, rerank(tables, 300, GraphParams(k=5))])
+            mp.setattr(RankedList, "_batch", refuse)
+            mp.setattr(RankedList, "__post_init__", refuse)
+            baseline, reranked = evaluation.evaluate(tables, truth, params, metric=metric)
+
+        def value(ranked, q):
+            rel = gt.relevant[q]
+            if metric == "ns":
+                return evaluation.ns_score(ranked, q, rel)
+            return evaluation.average_precision(ranked, rel)
+
+        ranked = rerank_batch(tables, queries, params)
+        assert reranked.per_query == {q: value(r, q) for q, r in zip(queries, ranked)}
+        assert baseline.per_query == {
+            q: value(RankedList(q, tables[0].lists[q]), q) for q in queries
+        }
 
     def test_cache_holds_the_corpus_in_use(self, corpus):
         tables, _ = corpus
