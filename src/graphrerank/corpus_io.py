@@ -88,6 +88,13 @@ def _int_array(ids):
     return arr
 
 
+def _int_id(value):
+    """One id as a Python int, read by `operator.index`; a bool raises TypeError, as in `_int_array`."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError("image ids must be integers, not bool")
+    return operator.index(value)
+
+
 def _int_ids(ids):
     """`ids` as int64; a non-empty array of another dtype raises TypeError (no pass over it)."""
     return _int_array(ids).astype(np.int64, copy=False)

@@ -17,10 +17,12 @@ for why not `np.unique`), the edges by `np.unique` with `return_inverse`,
 which sorts, and `np.bincount` then sums each edge's weights in table
 order. `fuse` is a batch of one.
 
-`ranking`'s lockstep expansion, which ranks prefixes (see `ranking`), never
-builds the fused graph: it sums each step's edges in a per-chunk buffer
-over the chunk's keys, adding the tables' weights in table order, so its
-sums are the same running sums, bit for bit.
+`_fuse_arrays` serves `ranking.build_graph` and `fuse`. Neither ranking
+path builds the fused graph; each sums the tables' weights itself, in
+table order, so its sums are the same running sums, bit for bit. Whole
+lists add each table's edges into a dense per-graph weight matrix, and
+the lockstep expansion, which ranks prefixes, adds each step's edges into
+a per-chunk buffer over the chunk's keys (see `ranking`).
 """
 
 from __future__ import annotations

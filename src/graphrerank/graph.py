@@ -66,9 +66,10 @@ steps:
   `(keys, src, dst, weight)` for the batch, with `src`/`dst` indexing
   `keys`. So a batch of one's `ids` (its keys are the ids themselves) are
   ordered by hop distance from the query, then by id, and its edges by
-  source, then list order. `ranking`'s lockstep expansion, which ranks
-  prefixes (see `ranking`), asks `_out_edges` for each query's newest pick
-  only.
+  source, then list order. It serves only `ranking.build_graph`:
+  `ranking`'s whole lists ask `_out_edges` for every reached key of each
+  table, in key order, and its lockstep expansion, which ranks prefixes
+  (see `ranking`), for each query's newest pick only.
 
 The weights equal bit for bit those of the scalar oracles `rank_weight`
 and `jaccard_weight` in `tests/conftest.py`, because each one is computed
@@ -95,7 +96,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus_io import _id_dtype, _int_ids
+from .corpus_io import _id_dtype, _int_id, _int_ids
 
 __all__ = ["GraphParams", "ImageGraph", "graph_to_text"]
 
@@ -128,6 +129,7 @@ class ImageGraph:
     """
 
     def __init__(self, query, ids, src, dst, weight, directed):
+        query = _int_id(query)
         ids = _int_ids(ids)
         if len(_sorted_unique(ids)) < len(ids):
             raise ValueError("graph node ids must be distinct")
@@ -158,7 +160,7 @@ class ImageGraph:
         if np.count_nonzero(twice):
             a, b = divmod(int(pairs[1:][twice.argmax()]), len(ids))
             raise ValueError(f"edge ({ids[a]}, {ids[b]}) appears more than once")
-        self.query = int(query)
+        self.query = query
         self.ids = ids
         self.src = src
         self.dst = dst

@@ -29,11 +29,21 @@ the path; both give the same lists:
 
 - A whole list (`target_len` = n - 1, the default; `rerank`, the CLI
   `rerank` command and `metric="map"`) is ranked from the full graphs
-  (`_rank_chunk`): one BFS, one weighting step and one fusion build every
-  query's whole graph, then one tie-order layout (a sort by query slot,
-  then by position in the slot's tables[0] list, where the query's own
-  position is 0) and one out-edge index. Only the greedy expansion runs
-  per query, over that query's segment of the layout.
+  (`_rank_chunk`), and no fused edge list is built. One BFS per table
+  (`graph._depths`) gives the nodes, every key some table reaches; one
+  `graph._out_edges` call per table gives all their out-edges in key
+  order, so query by query (an undirected pair from both ends); one sort
+  lays the nodes out in tie order (by query slot, then by position in the
+  slot's tables[0] list, where the query's own position is 0). Then each
+  graph in turn fills one V x V float64 matrix W: each table, in table
+  order, adds its edges a -> b into it with one `+=` over their cells
+  a * V + b, so each fused weight is 0.0 + w1 + w2 + ..., equal bit for
+  bit to `fusion`'s sum. `_prim` runs three vector ops per pick over the
+  graph's V nodes: the capped scores' `argmax` (inserted nodes capped at
+  -inf), `cap[best] = -inf` and `np.maximum(scores, W[best])`. Only one
+  graph's matrix is held at a time: 8 V^2 bytes with V <= n, about 80 KB
+  at V = 100 (n = 2 000, k = 10), 9 MB at V = 1 050 (k = 60), 32 MB for a
+  graph of all 2 000 images and 3.2 GB for one of all 20 000.
 - A prefix (`target_len` < n - 1, such as the 3 ids N-S reads) is ranked
   by lockstep expansion (`_lazy_chunk`). Pick t depends only on the
   out-edges of the query and of picks 1 .. t-1, and an edge and its decay
@@ -53,11 +63,10 @@ the path; both give the same lists:
 Why the rule: medians of 6 alternating in-process runs, 2 CPUs, synthetic
 n = 2 000, k = 10, two tables, graphs built from the tables' cached
 neighbour rows, microseconds per query, full graphs -> lockstep. A 3-id
-prefix in 64-query chunks: 63 -> 13 directed, 36 -> 13 undirected. Whole
-lists in 64-query chunks: 311 -> 295 directed (0.95x), 181 -> 223
-undirected (1.23x). One whole list: 475 -> 5 551 directed. Directed whole
-lists in chunks read about even between the two paths; the undirected and
-single-query cases keep whole lists on the full graphs.
+prefix in 64-query chunks: 80 -> 23 directed, 35 -> 14 undirected. Whole
+lists in 64-query chunks: 261 -> 316 directed (1.21x), 127 -> 192
+undirected (1.51x). One whole list: 821 -> 9 037 directed. Whole lists
+stay on the full graphs and prefixes on the lockstep.
 
 A list ranked from rank tables holds shared ints: `_id_objects(n)` is the
 ids 0 .. n - 1 as one read-only array of Python ints, built once for the
@@ -70,9 +79,12 @@ converts its own; no array is sized by an id beyond n.
 Queries, method, `target_len` and k are checked once, where they enter
 (`_ranked_chunks`, before its first chunk is ranked, and `build_graph`),
 `RankedList`'s rules once per chunk (`_check_orders`, not again when the
-rows are wrapped), and the graphs a batch builds are not re-checked.
+rows are wrapped), and the graphs a batch builds are not re-checked. One
+query is read as ids are (`corpus_io._int_id`: by `operator.index`, a
+bool rejected), so `rerank`, `build_graph`, `RankedList` and `ImageGraph`
+take what `rerank_batch` takes and keep the query as a Python int.
 `greedy_rank` ranks one `ImageGraph` through the full path's layout,
-expansion and completion (`_rank_graphs`).
+matrix, expansion and completion (`_rank_graphs`, `_prim`).
 """
 
 from __future__ import annotations
@@ -83,7 +95,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus_io import _int_ids
+from .corpus_io import _int_id, _int_ids
 from .fusion import _fuse_arrays
 from .graph import ImageGraph, _depths, _graph_arrays, _out_edges
 
@@ -122,7 +134,7 @@ class RankedList:
     order: tuple
 
     def __post_init__(self):
-        operator.index(self.query)
+        object.__setattr__(self, "query", _int_id(self.query))
         order = _int_ids(self.order)
         if order.ndim != 1:
             raise ValueError("ranked list must be one-dimensional")
@@ -147,56 +159,29 @@ class RankedList:
         return ranked
 
 
-def _expand(layout, sizes, src, dst, weight, directed, target_len):
-    """Greedy insertion in every graph of a batch; returns each one's picked nodes.
+def _prim(weights, target_len):
+    """Greedy insertion over one graph's dense weight matrix; returns the picked nodes.
 
-    `layout` lists the batch's nodes graph by graph, each graph's in tie
-    order with its query first; graph s holds the next `sizes[s]` of them.
-    Edges index the nodes, undirected ones are stored once. Returns, per
-    graph, the indices of at most `target_len` nodes in insertion order.
+    `weights[a, b]` is the (fused) weight of the edge a -> b, 0.0 where
+    there is none; node 0 is the query and the nodes are in tie order.
+    Returns at most `target_len` nodes, in insertion order.
     """
-    v = len(layout)
-    at = np.empty(v, dtype=np.int64)
-    at[layout] = np.arange(v)
-    if not directed:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        weight = np.concatenate([weight, weight])
-    # out-edges grouped by source, the laid-out node a's in first[a]:last[a];
-    # the stable sort is one pass over edges already grouped by source, as
-    # the builders and fusion leave them
-    by_src = np.argsort(src, kind="stable")
-    dst, weight = at[dst[by_src]], weight[by_src]
-    degree = np.bincount(src, minlength=v)
-    end = np.cumsum(degree)
-    first, last = (end - degree)[layout].tolist(), end[layout].tolist()
-
+    v = len(weights)
     # a candidate's score is > 0 and any other node's 0; capping inserted
     # nodes at -inf (the rest at +inf) keeps them out of the argmax
-    scores = np.zeros(v)
+    scores = weights[0].copy()
     cap = np.full(v, np.inf)
+    cap[0] = -np.inf
     capped = np.empty(v)
-    picks = []
-    lo = 0
-    for size in sizes:
-        hi = lo + size
-        cap[lo] = -np.inf
-        seg_scores, seg_cap, seg_capped = scores[lo:hi], cap[lo:hi], capped[lo:hi]
-        picked = []
-        best = lo
-        while True:
-            nbrs = dst[first[best]:last[best]]
-            scores[nbrs] = np.maximum(scores[nbrs], weight[first[best]:last[best]])
-            if len(picked) >= target_len:
-                break
-            best = int(np.minimum(seg_scores, seg_cap, out=seg_capped).argmax())
-            if seg_capped[best] <= 0:
-                break
-            seg_cap[best] = -np.inf
-            best += lo
-            picked.append(best)
-        picks.append(layout[picked])
-        lo = hi
-    return picks
+    picked = []
+    while len(picked) < target_len:
+        best = int(np.minimum(scores, cap, out=capped).argmax())
+        if capped[best] <= 0:
+            break
+        cap[best] = -np.inf
+        picked.append(best)
+        np.maximum(scores, weights[best], out=scores)
+    return picked
 
 
 def _complete(initial, skip, need):
@@ -207,7 +192,7 @@ def _complete(initial, skip, need):
     return head[keep][:need]
 
 
-def _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, target_len):
+def _rank_graphs(queries, initials, slot, ids, tie, parts, target_len):
     """Greedy-rank a batch of graphs, completing each list from its initial list.
 
     Node a is image `ids[a]` of graph s = `slot[a]`, whose query
@@ -215,17 +200,38 @@ def _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, 
     for the query, 1 + its position for a listed node and a distinct
     larger value for any other node, so one sort by (slot, tie) lays each
     graph out in tie order, and completion skips a picked node's position
-    `tie - 1` (none, for an unlisted node). Returns the (B, `target_len`)
+    `tie - 1` (none, for an unlisted node). `parts` holds each table's
+    out-edges as (src, dst, weight) over the nodes, graph by graph in slot
+    order (an undirected pair from both ends). Returns the (B, `target_len`)
     int64 id array, one row per graph.
     """
     layout = np.lexsort((tie, slot))
-    sizes = np.bincount(slot, minlength=len(queries)).tolist()
-    picks = _expand(layout, sizes, src, dst, weight, directed, target_len)
+    graphs = np.arange(len(queries) + 1)
+    bounds = np.searchsorted(slot[layout], graphs)
+    size = np.diff(bounds)
+    # node a's row and column in its graph's matrix
+    local = np.empty(len(layout), dtype=np.intp)
+    local[layout] = np.arange(len(layout)) - bounds[slot[layout]]
+    cells = []
+    for src, dst, weight in parts:
+        # edge a -> b is cell a * V + b of its graph's flat V x V matrix
+        width = size[slot[src]]
+        cut = np.searchsorted(slot[src], graphs).tolist()
+        cells.append((local[src] * width + local[dst], weight, cut))
+    ids, tie, bounds = ids[layout], tie[layout], bounds.tolist()
     orders = np.empty((len(queries), target_len), dtype=np.int64)
-    for order, initial, picked in zip(orders, initials, picks):
-        order[: len(picked)] = ids[picked]
+    for s, (order, initial) in enumerate(zip(orders, initials)):
+        lo, hi = bounds[s], bounds[s + 1]
+        # each table adds its weights in turn: 0.0 + w1 + w2 + ..., as `fusion` sums;
+        # one table's cells are distinct, so one += adds each weight once
+        weights = np.zeros((hi - lo) ** 2)
+        for cell, weight, cut in cells:
+            weights[cell[cut[s]:cut[s + 1]]] += weight[cut[s]:cut[s + 1]]
+        picked = _prim(weights.reshape(hi - lo, hi - lo), target_len)
+        order[: len(picked)] = ids[lo:hi][picked]
         if len(picked) < target_len:
-            order[len(picked):] = _complete(initial, tie[picked] - 1, target_len - len(picked))
+            skip = tie[lo:hi][picked] - 1
+            order[len(picked):] = _complete(initial, skip, target_len - len(picked))
     return orders
 
 
@@ -256,10 +262,14 @@ def greedy_rank(graph, initial, target_len=None):
     found = np.append(listed, -1)[at] == ids
     tie = np.where(found, np.append(by_id, 0)[at] + 1, len(initial) + 1 + ids)
     tie[ids == q] = 0
+    src, dst, weight = graph.src, graph.dst, graph.weight
+    if not graph.directed:  # each pair is stored once; rank it from both ends
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        weight = np.concatenate([weight, weight])
     queries = np.array([q])
     orders = _rank_graphs(
         queries, [initial], np.zeros(len(ids), dtype=np.int64), ids, tie,
-        graph.src, graph.dst, graph.weight, graph.directed, target_len,
+        [(src, dst, weight)], target_len,
     )
     _check_orders(queries, orders)
     return RankedList._batch(queries, orders)[0]
@@ -284,26 +294,34 @@ def _checked(tables, queries, method):
     return tables, queries, method == "directed"
 
 
-def _graphs(tables, queries, params, directed):
-    """Each query's graph, one per table and fused when several, as flat arrays."""
-    parts = [_graph_arrays(t, queries, params, directed) for t in tables]
-    return parts[0] if len(parts) == 1 else _fuse_arrays(parts)
-
-
 def build_graph(tables, query, params, method="directed"):
     """One graph per rank table, fused by per-edge weight sum when several."""
-    tables, queries, directed = _checked(tables, [operator.index(query)], method)
-    return ImageGraph(queries[0], *_graphs(tables, queries, params, directed), directed)
+    tables, queries, directed = _checked(tables, [_int_id(query)], method)
+    parts = [_graph_arrays(t, queries, params, directed) for t in tables]
+    arrays = parts[0] if len(parts) == 1 else _fuse_arrays(parts)
+    return ImageGraph(queries[0], *arrays, directed)
 
 
 def _rank_chunk(tables, queries, params, directed):
     """Every query's whole list as a row of ids, ranked from the full graphs."""
-    keys, src, dst, weight = _graphs(tables, queries, params, directed)
-    slot, ids = np.divmod(keys, tables[0].n)
+    n = tables[0].n
+    depths = [_depths(t, queries, params, directed) for t in tables]
+    # the nodes: every key some table reaches, in key order, so each table's
+    # out-edges below come query by query
+    reached = np.logical_or.reduce([depth >= 0 for depth in depths])
+    keys = np.flatnonzero(reached)
+    index = np.empty(len(reached), dtype=np.intp)
+    index[keys] = np.arange(len(keys))
+    parts = []
+    for table, depth in zip(tables, depths):
+        sources = keys[depth[keys] >= 0]
+        src, dst, weight = _out_edges(table, depth, sources, params, directed)
+        parts.append((index[sources[src]], index[dst], weight))
+    slot, ids = np.divmod(keys, n)
     # tie order: query (its own position is 0), then position in tables[0]'s list
     tie = tables[0].positions[queries[slot], ids]
     initials = [tables[0].lists[q] for q in queries.tolist()]
-    return _rank_graphs(queries, initials, slot, ids, tie, src, dst, weight, directed, tables[0].n - 1)
+    return _rank_graphs(queries, initials, slot, ids, tie, parts, n - 1)
 
 
 def _lazy_chunk(tables, queries, params, directed, target_len):
@@ -399,4 +417,4 @@ def rerank(tables, query, params, method="directed"):
 
     The completed tail and tie-breaking both come from tables[0]'s list.
     """
-    return rerank_batch(tables, [operator.index(query)], params, method)[0]
+    return rerank_batch(tables, [_int_id(query)], params, method)[0]

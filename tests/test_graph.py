@@ -394,6 +394,16 @@ class TestGraphInvariants:
         with pytest.raises(TypeError, match="image ids must be integers, not float64"):
             ImageGraph(0, np.array([0.0, 1.5]), np.array([0]), np.array([1]), np.array([0.5]), True)
 
+    @pytest.mark.parametrize("query", [2.0, True])
+    def test_rejects_non_integer_query(self, query):
+        # a float query was accepted and stored as int(2.0)
+        with pytest.raises(TypeError):
+            ImageGraph(query, np.array([0, 1, 2]), np.array([0]), np.array([1]), np.array([0.5]), True)
+
+    def test_query_is_a_python_int(self):
+        g = ImageGraph(np.int64(2), np.array([0, 1, 2]), np.array([0]), np.array([1]), np.array([0.5]), True)
+        assert type(g.query) is int and g.query == 2
+
     def test_rejects_repeated_ids(self):
         # was accepted with nodes=3 in its repr and two ids in .nodes
         with pytest.raises(ValueError, match="distinct"):

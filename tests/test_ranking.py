@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -124,6 +125,39 @@ class TestRankedList:
             RankedList(0, np.array([1, 2, 1]))
         with pytest.raises(ValueError, match="own query"):
             RankedList(0, np.array([1, 0, 2]))
+
+
+class TestQueryRule:
+    """A query is read as ids are: by `operator.index`, a bool rejected, kept as a Python int."""
+
+    tables = [random_rank_table(np.random.default_rng(3), 8)]
+
+    @pytest.mark.parametrize("query", [True, np.True_])
+    def test_rerank_rejects_bool_as_rerank_batch_does(self, query):
+        # `rerank` ranked query 1 where `rerank_batch` raised
+        with pytest.raises(TypeError, match="integers, not bool"):
+            rerank(self.tables, query, GraphParams(k=3))
+        with pytest.raises(TypeError, match="integers, not bool"):
+            rerank_batch(self.tables, [query], GraphParams(k=3))
+
+    @pytest.mark.parametrize("method", ["directed", "undirected"])
+    def test_build_graph_rejects_bool(self, method):
+        with pytest.raises(TypeError, match="integers, not bool"):
+            build_graph(self.tables, True, GraphParams(k=3), method)
+
+    def test_ranked_list_rejects_bool(self):
+        with pytest.raises(TypeError, match="integers, not bool"):
+            RankedList(True, (2, 3))
+        with pytest.raises(TypeError):
+            RankedList(1.0, (2, 3))
+
+    def test_ranked_list_query_is_a_python_int(self):
+        # a numpy scalar query stayed one, and `json.dumps` failed on it
+        ranked = RankedList(np.int64(3), (1, 2))
+        assert type(ranked.query) is int and ranked == RankedList(3, (1, 2))
+        assert json.dumps(dataclasses.asdict(ranked)) == '{"query": 3, "order": [1, 2]}'
+        graph = build_graph(self.tables, np.int64(2), GraphParams(k=3))
+        assert type(graph.query) is int and graph.query == 2
 
 
 class TestGreedyRank:
@@ -567,6 +601,34 @@ class TestRerankBatch:
             build_graph(tables, 8, GraphParams(k=3), method)
         with pytest.raises(ValueError, match="query -1 out of range"):
             build_graph(tables[:1], -1, GraphParams(k=3), method)
+
+    @pytest.mark.parametrize("n_tables", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_graphs_holding_only_their_query(self, seed, n_tables):
+        # every list names the loners last, beyond its top k, so no loner has
+        # a mutual top-k neighbour: its undirected graph is the query alone
+        rng = np.random.default_rng(seed)
+        n, loners = 12, {1, 5, 8}
+        tables = [
+            corpus_io.RankTable(np.array(
+                [sorted(row, key=lambda i: i in loners) for row in random_rank_table(rng, n).lists.tolist()]
+            ))
+            for _ in range(n_tables)
+        ]
+        params = GraphParams(k=3, depth=int(rng.integers(1, 4)))
+        queries = [int(q) for q in rng.permutation(n)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ranking, "CHUNK", 5)
+            got = rerank_batch(tables, queries, params, "undirected")
+        for q, ranked in zip(queries, got):
+            initial = [int(x) for x in tables[0].lists[q]]
+            if q in loners:
+                graph = build_graph(tables, q, params, "undirected")
+                assert graph.ids.tolist() == [q] and graph.edges == {}
+                assert list(ranked.order) == initial
+            else:
+                want = TestRerankPinnedToReference.reference_graph(tables, q, params, "undirected")
+                assert list(ranked.order) == reference_greedy(want, initial, n - 1)
 
     def test_empty_batch(self):
         tables = [random_rank_table(np.random.default_rng(3), 8)]
