@@ -14,15 +14,16 @@ and `--seed` follow the input files' integer rule (`1_0` is an error, not
 float rule (`0.8_0` is an error, not 0.8). A bad value is an argparse
 error (exit code 2).
 
-Each `--ks` value follows the integer rule of `graphrerank sweep --k`:
-`1_0` is an error rather than 10, and empty tokens are skipped. A bad
-value, or a k outside [1, n - 1], is one `error: ...` line on stderr and
-exit code 1.
+`--ks` follows the rule of `graphrerank sweep --k`: each comma-separated
+item is a decimal integer, so `1_0` is an error rather than 10, and so is
+an empty item (`5,,23` or `5,`). A bad item, or a k outside [1, n - 1],
+is one `error: ...` line on stderr and exit code 1.
 """
 
 import argparse
 import sys
 
+from graphrerank.cli import _int_list
 from graphrerank.corpus_io import SynthSpec, _parse_float, _parse_int, synth_generate
 from graphrerank.evaluation import reports_to_tsv, sweep_k
 from graphrerank.features import build_rank_table
@@ -45,10 +46,7 @@ def decimal(token):
 
 def sweep(args):
     """The sweep's TSV; a bad `--ks` value raises ValueError before any ranking."""
-    ks = [_parse_int(tok, f"--ks: not a decimal integer {tok!r}")
-          for tok in args.ks.split(",") if tok]
-    if not ks:
-        raise ValueError("--ks must list at least one value")
+    ks = _int_list("--ks", args.ks)
     params = GraphParams(k=ks[0], alpha0=args.alpha0)
     spec = SynthSpec(
         n_groups=args.groups, group_size=4, dims=8, n_spaces=2,

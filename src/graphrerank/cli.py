@@ -2,9 +2,10 @@
 
 Subcommands: features, ranks, synth, rerank, eval, sweep, graph-dump.
 All outputs are written atomically; inputs are never mutated. Numeric flags
-follow the rules of the input files: integer flags (and each value of
-`sweep`'s `--k` list) `corpus_io._parse_int`, an ASCII decimal integer
-with an optional sign, and float flags (`--alpha0`, `features --exponent`,
+follow the rules of the input files: integer flags (and each item of
+`sweep`'s comma-separated `--k` list, none of them empty)
+`corpus_io._parse_int`, an ASCII decimal integer with an optional sign,
+and float flags (`--alpha0`, `features --exponent`,
 `synth --intra-spread`, `--inter-spread`, `--agreement`)
 `corpus_io._parse_float`, an ASCII decimal float, so `1_0` and `0.8_0` are
 errors rather than 10 and 0.8. Every error, a bad numeric flag among them,
@@ -27,6 +28,16 @@ def _int_flag(flag, text):
 
 def _float_flag(flag, text):
     return corpus_io._parse_float(text, f"{flag}: not a decimal number {text!r}")
+
+
+def _int_list(flag, text):
+    """The comma-separated decimal integers of `text`; an empty item is an error."""
+    items = text.split(",")
+    if not any(items):
+        raise ValueError(f"{flag} must list at least one value")
+    if not all(items):
+        raise ValueError(f"{flag}: empty item in {text!r}")
+    return [_int_flag(flag, item) for item in items]
 
 
 # the reader of each numeric flag, by its argparse dest
@@ -135,9 +146,7 @@ def cmd_eval(args):
 def cmd_sweep(args):
     tables = _load_tables(args.tables)
     gt = corpus_io.load_ground_truth(args.gt, n=tables[0].n)
-    k_values = [_int_flag("--k", tok) for tok in args.k_values.split(",") if tok]
-    if not k_values:
-        raise ValueError("--k must list at least one value")
+    k_values = _int_list("--k", args.k_values)
     reports = evaluation.sweep_k(
         tables, gt, _params(args, k_values[0]), k_values, method=args.method, metric=args.metric
     )

@@ -18,11 +18,14 @@ which sorts, and `np.bincount` then sums each edge's weights in table
 order. `fuse` is a batch of one.
 
 `_fuse_arrays` serves `ranking.build_graph` and `fuse`. Neither ranking
-path builds the fused graph; each sums the tables' weights itself, in
-table order, so its sums are the same running sums, bit for bit. Whole
-lists add each table's edges into a dense per-graph weight matrix, and
-the lockstep expansion, which ranks prefixes, adds each step's edges into
-a per-chunk buffer over the chunk's keys (see `ranking`).
+path builds the fused graph. Both gather every table's edges in one call
+over the tables stacked as one corpus (see `graph`), with the edges of
+one pair in table order, and take the sums by one rule: `np.add.at` into
+a zeroed buffer, which adds one weight at a time in that order. So their
+sums are the same running sums, bit for bit. Whole lists add into a dense
+per-graph weight matrix, and the lockstep expansion, which ranks
+prefixes, adds each step's edges into the zeroed cells of its score
+array that they reach (see `ranking`).
 """
 
 from __future__ import annotations

@@ -32,44 +32,52 @@ A graph is stored as arrays over a local node index: its one constructor,
 `ImageGraph(query, ids, src, dst, weight, directed)`, checks them once.
 
 Graphs are built for a batch of queries at once (`ranking` ranks each
-chunk of `ranking.CHUNK` queries this way), as one set of flat arrays. The
-query in slot b of the batch owns the node keys `b * n + id`, so one array
-of keys holds every query's nodes, and an edge joins two nodes of one
-query. `ranking` has range-checked the queries. A batch is built in two
-steps:
+chunk of `ranking.CHUNK` queries this way), as one set of flat arrays,
+and the T tables of one call as one corpus of T * n nodes: `_stack`
+builds the tables' rows once per call, table t's image i as node
+t * n + i (for one table, its own rows, uncopied). The query in slot b of
+the batch owns the keys `b * T * n + t * n + id`, so one array of keys
+holds every query's nodes in every table. An edge joins two keys of one
+query and one table: components never cross tables or queries, so each
+block of n keys is the graph one table alone gives one query alone.
+`ranking` has range-checked the queries. A batch is built in two steps,
+each one call per chunk whatever T is:
 
 - `_depths` gives each key's BFS depth from its query as one flat
-  (B * n) array, -1 for a key more than `depth` hops out, its one
-  output. The depths are stored as the tables' ids are,
-  `corpus_io._id_dtype(n)` (int16 up to n = 32 768, int32 beyond), since
-  none exceeds n - 1. It walks the levels one whole level per step for
-  every query of the batch: the next level is the keys in the level's
-  `top` rows (for the undirected graph only the mutual entries) that no
-  earlier level holds. A level that is expanded is deduplicated by a
-  sort and one comparison pass, not by `np.unique`, which on numpy 2.4
-  takes a hash path that is slower at these sizes (2.5x at 100 keys, 14x
-  at 5 000 on one 2-core machine). The last level, the largest, is only
-  written into the depth array, a repeat writing the same depth. It reads
-  only the rows of levels 0 .. depth - 1, 1 + k rows at depth 2 rather
-  than 1 + k + k^2: a node `depth` hops out is found from the rows of the
-  level before it, and its own row gives only edges. Whether an edge
-  exists, and its decay, depend only on the depths of its ends, so the
-  depths are all that a node's out-edges need.
-- `_out_edges` gives the weighted out-edges of any reached keys: each
-  one's `top` row is gathered, its entries that are reached (for the
-  undirected graph, mutual) are its edges, in list order, and every edge
-  is weighted in one vectorised step from the same entries of `rev` or
-  `inter`. It is the only place the weights are computed. The full
-  build, `_graph_arrays`, lists the reached keys (depth >= 0) by depth,
-  then key, asks `_out_edges` for every one's out-edges in that order
-  (each undirected pair once, from its smaller id) and returns
-  `(keys, src, dst, weight)` for the batch, with `src`/`dst` indexing
-  `keys`. So a batch of one's `ids` (its keys are the ids themselves) are
-  ordered by hop distance from the query, then by id, and its edges by
-  source, then list order. It serves only `ranking.build_graph`:
-  `ranking`'s whole lists ask `_out_edges` for every reached key of each
-  table, in key order, and its lockstep expansion, which ranks prefixes
-  (see `ranking`), for each query's newest pick only.
+  (B * T * n) array, -1 for a key more than `depth` hops out, its one
+  output; each query is seeded in every table. The depths are stored as
+  the tables' ids are, `corpus_io._id_dtype(n)` (int16 up to n = 32 768,
+  int32 beyond), since none exceeds n - 1. It walks the levels one whole
+  level per step for every query of the batch: the next level is the
+  keys in the level's `top` rows (for the undirected graph only the
+  mutual entries) that no earlier level holds. A level that is expanded
+  is deduplicated by a sort and one comparison pass, not by `np.unique`,
+  which takes a hash path on numpy 2.4 that is slower at these sizes. The
+  last level, the largest, is only written into the depth array, a
+  repeat writing the same depth. It reads only the rows of levels
+  0 .. depth - 1, 1 + k rows at depth 2 rather than 1 + k + k^2: a node
+  `depth` hops out is found from the rows of the level before it, and its
+  own row gives only edges. Whether an edge exists, and its decay, depend
+  only on the depths of its ends, so the depths are all that a node's
+  out-edges need.
+- `_out_edges` gives the weighted out-edges of any reached keys, in every
+  table at once: each one's `top` row is gathered, its entries that are
+  reached (for the undirected graph, mutual) are its edges, in list
+  order, and every edge is weighted in one vectorised step from the same
+  entries of `rev` or `inter`, with the decays of `_decays`' table, which
+  a caller builds once. It is the only place the weights are computed.
+  The full build, `_graph_arrays`, builds one table's graphs: it lists
+  the reached keys (depth >= 0) by depth, then key, asks `_out_edges` for
+  every one's out-edges in that order (each undirected pair once, from
+  its smaller id) and returns `(keys, src, dst, weight)` for the batch,
+  with `src`/`dst` indexing `keys`. So a batch of one's `ids` (its keys
+  are the ids themselves) are ordered by hop distance from the query,
+  then by id, and its edges by source, then list order. It serves only
+  `ranking.build_graph`, which fuses the tables' graphs (`fusion`).
+  `ranking`'s whole lists ask `_out_edges` for every reached key of the
+  chunk in one call, and its lockstep expansion, which ranks prefixes
+  (see `ranking`), for each query's newest pick in every table, one call
+  per step.
 
 The weights equal bit for bit those of the scalar oracles `rank_weight`
 and `jaccard_weight` in `tests/conftest.py`, because each one is computed
@@ -96,7 +104,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus_io import _id_dtype, _int_id, _int_ids
+from .corpus_io import NeighbourRows, _id_dtype, _int_id, _int_ids
 
 __all__ = ["GraphParams", "ImageGraph", "graph_to_text"]
 
@@ -192,20 +200,45 @@ def _sorted_unique(a):
     return a[keep]
 
 
-def _depths(table, queries, params, directed):
-    """Each key's BFS depth from its query as a flat (B * n) array.
+def _stack(tables, k, jaccard=False):
+    """The `NeighbourRows` of the top k of all `tables`, as one corpus of T * n nodes.
 
-    Query b of the batch owns the keys `b * n + id`; a key more than
-    `params.depth` hops out has depth -1. The depths are `_id_dtype(n)`:
-    none exceeds n - 1. Only the rows of levels 0 .. depth - 1 are read:
-    the last level is found, not expanded.
+    Table t's image i is node t * n + i: `top` is stacked with the offsets
+    t * n, in `_id_dtype(T * n)`, and `rev` (and, when `jaccard`, `inter`)
+    as they are. One table's own rows are returned, not copied.
     """
-    n, rows = table.n, table.neighbour_rows(params.k)
-    depth = np.full(len(queries) * n, -1, dtype=_id_dtype(n))
-    level = np.arange(0, len(queries) * n, n) + queries
+    rows = [table.neighbour_rows(k, jaccard) for table in tables]
+    if len(rows) == 1:
+        return rows[0]
+    n, dtype = tables[0].n, _id_dtype(len(rows) * tables[0].n)
+    top = np.concatenate([r.top.astype(dtype) + t * n for t, r in enumerate(rows)])
+    rev = np.concatenate([r.rev for r in rows])
+    inter = np.concatenate([r.inter for r in rows]) if jaccard else None
+    return NeighbourRows(k, top, rev, inter)
+
+
+def _decays(params, n):
+    """alpha0 ** d for d = 0 .. min(depth, n - 1), from Python `**` values."""
+    return np.array([params.alpha0 ** d for d in range(min(params.depth, n - 1) + 1)])
+
+
+def _depths(rows, n, queries, params, directed):
+    """Each key's BFS depth from its query as a flat (B * T * n) array.
+
+    `rows` are T tables' stacked rows (`_stack`) over images 0 .. n - 1.
+    Query b of the batch owns the keys `b * T * n + t * n + id` and is
+    seeded in every table; a key more than `params.depth` hops out has
+    depth -1. The depths are `_id_dtype(n)`: none exceeds n - 1. Only the
+    rows of levels 0 .. depth - 1 are read: the last level is found, not
+    expanded.
+    """
+    size = len(rows.top)  # T * n
+    depth = np.full(len(queries) * size, -1, dtype=_id_dtype(n))
+    # query b's seed in table t is key (b * T + t) * n + query
+    level = np.arange(0, len(queries) * size, n) + np.repeat(queries, size // n)
     depth[level] = 0
     for d in range(1, params.depth + 1):
-        ids = level % n
+        ids = level % size
         cell = rows.top[ids] + (level - ids)[:, None]
         if not directed:
             # only mutual top-k entries extend the BFS
@@ -219,19 +252,19 @@ def _depths(table, queries, params, directed):
     return depth
 
 
-def _out_edges(table, depth, sources, params, directed, once=False):
+def _out_edges(rows, depth, decays, sources, directed, once=False):
     """The weighted out-edges of the keys `sources`, all reached: (src, dst, weight).
 
-    `src` indexes `sources` and `dst` is a key of `depth` (`_depths`'
-    array); edges come in `sources` order, then list order. Directed: an
-    edge s -> i' for every reached i' in the top-k list of s. Undirected:
-    an edge s -> i' for every reached mutual top-k entry i' of s, with the
-    Jaccard consistency weight, so each pair appears from both ends, or
-    with `once` only from its smaller id.
+    `rows` and `depth` are those of `_depths`, `decays` is `_decays`'
+    table. `src` indexes `sources` and `dst` is a key of `depth`; edges
+    come in `sources` order, then list order. Directed: an edge s -> i'
+    for every reached i' in the top-k list of s. Undirected: an edge
+    s -> i' for every reached mutual top-k entry i' of s, with the Jaccard
+    consistency weight, so each pair appears from both ends, or with
+    `once` only from its smaller id.
     """
-    n, k = table.n, params.k
-    rows = table.neighbour_rows(k, jaccard=not directed)
-    ids = sources % n
+    size, k = len(rows.top), rows.k
+    ids = sources % size
     nbrs = rows.top[ids]
     cell = nbrs + (sources - ids)[:, None]
     ends = depth[cell]
@@ -244,8 +277,7 @@ def _out_edges(table, depth, sources, params, directed, once=False):
     # several times slower on a 2-d mask
     flat = np.flatnonzero(edges)
     src, dst = flat // k, cell.ravel()[flat]
-    # alpha0 ** (larger endpoint depth), from Python `**` values; no depth exceeds n - 1
-    decays = np.array([params.alpha0 ** d for d in range(min(params.depth, n - 1) + 1)])
+    # alpha0 ** (larger endpoint depth)
     decay = decays[np.maximum(depth[sources][src], ends.ravel()[flat])]
     if directed:
         # Rank(i, i') + Rank(i', i) = c + 1 + rev, summed in intp over the
@@ -268,10 +300,12 @@ def _graph_arrays(table, queries, params, directed):
     it. Directed: every out-edge of every node. Undirected: each mutual
     top-k pair once, from its smaller id.
     """
-    depth = _depths(table, queries, params, directed)
+    rows = table.neighbour_rows(params.k, jaccard=not directed)
+    depth = _depths(rows, table.n, queries, params, directed)
     keys = np.flatnonzero(depth >= 0)
     keys = keys[np.argsort(depth[keys], kind="stable")]
-    src, dst, weight = _out_edges(table, depth, keys, params, directed, once=True)
+    decays = _decays(params, table.n)
+    src, dst, weight = _out_edges(rows, depth, decays, keys, directed, once=True)
     index = np.empty(len(depth), dtype=np.intp)
     index[keys] = np.arange(len(keys))
     return keys, src, index[dst], weight

@@ -18,55 +18,65 @@ so `np.argmax`, which returns the first of equal maxima, picks the
 documented tie-break. Scores are a running `np.maximum`, compared exactly.
 
 One chunk loop, `_ranked_chunks`, ranks `CHUNK` queries at a time as one
-array program over the flat node keys `b * n + id` (see `graph`) and yields
-each chunk's queries with their lists as one (B, L) int64 id array, which
-`_check_orders` checks once in the loop. `RankedList`s are made only by
-callers that return lists, from rows already checked: `rerank_batch`
-wraps every chunk's rows (`rerank` is a batch of one) and `greedy_rank`
-its one row. `evaluation.evaluate` scores the arrays and the CLI `rerank`
-command writes them, one chunk at a time. The shape of the request picks
-the path; both give the same lists:
+array program and yields each chunk's queries with their lists as one
+(B, L) int64 id array, which `_check_orders` checks once in the loop.
+`RankedList`s are made only by callers that return lists, from rows
+already checked: `rerank_batch` wraps every chunk's rows (`rerank` is a
+batch of one) and `greedy_rank` its one row. `evaluation.evaluate` scores
+the arrays and the CLI `rerank` command writes them, one chunk at a time.
+
+The T tables of a call are one stacked corpus of T * n nodes, built once
+per call (`graph._stack`), and a chunk's keys are `b * T * n + t * n + id`
+(see `graph`). So each chunk runs one BFS (`graph._depths`) and gathers
+its edges with one `graph._out_edges` call (one per lockstep step),
+whatever T is. Query b's graph holds image id, as node b * n + id, when
+some table reaches it. A fused weight is the sum of the tables'
+weights of one edge a -> b, and both paths take it by one rule: the
+edges come query by query, and the edges of one pair a -> b table by
+table, and `np.add.at`, which adds one at a time in that order, adds them
+into a zeroed buffer. Each fused weight is thus 0.0 + w1 + w2 + ... in
+table order, equal bit for bit to `fusion`'s sum.
+
+The shape of the request picks the path; both give the same lists:
 
 - A whole list (`target_len` = n - 1, the default; `rerank`, the CLI
   `rerank` command and `metric="map"`) is ranked from the full graphs
-  (`_rank_chunk`), and no fused edge list is built. One BFS per table
-  (`graph._depths`) gives the nodes, every key some table reaches; one
-  `graph._out_edges` call per table gives all their out-edges in key
-  order, so query by query (an undirected pair from both ends); one sort
-  lays the nodes out in tie order (by query slot, then by position in the
-  slot's tables[0] list, where the query's own position is 0). Then each
-  graph in turn fills one V x V float64 matrix W: each table, in table
-  order, adds its edges a -> b into it with one `+=` over their cells
-  a * V + b, so each fused weight is 0.0 + w1 + w2 + ..., equal bit for
-  bit to `fusion`'s sum. `_prim` runs three vector ops per pick over the
-  graph's V nodes: the capped scores' `argmax` (inserted nodes capped at
-  -inf), `cap[best] = -inf` and `np.maximum(scores, W[best])`. Only one
-  graph's matrix is held at a time: 8 V^2 bytes with V <= n, about 80 KB
-  at V = 100 (n = 2 000, k = 10), 9 MB at V = 1 050 (k = 60), 32 MB for a
-  graph of all 2 000 images and 3.2 GB for one of all 20 000.
+  (`_rank_chunk`), and no fused edge list is built. The nodes are every
+  (query, id) some table reaches; every reached key's out-edges come from
+  one call, node by node and each node's tables in order (an undirected
+  pair from both ends); one sort lays the nodes out in tie order (by query
+  slot, then by position in the slot's tables[0] list, where the query's
+  own position is 0). Then each graph in turn fills one V x V float64
+  matrix W with its edges a -> b at cells a * V + b, and `_prim` runs
+  three vector ops per pick over the graph's V nodes: the capped scores'
+  `argmax` (inserted nodes capped at -inf), `cap[best] = -inf` and
+  `np.maximum(scores, W[best])`. Only one graph's matrix is held at a
+  time: 8 V^2 bytes with V <= n, about 80 KB at V = 100 (n = 2 000,
+  k = 10) and 9 MB at V = 1 050 (k = 60).
+- Memory bound: a chunk whose largest graph's matrix would exceed
+  `_MATRIX_BYTES` = 512 MiB (V > 8 192) is ranked by the lockstep below
+  with `target_len` = n - 1 instead, in O(B * T * n) memory. At the
+  default depth 2 a graph of T tables holds at most T (1 + k + k^2)
+  nodes, 7 322 for two tables at k = 60, so no two-table graph at
+  k <= 60 crosses the bound, whatever n is. A graph of all 20 000 images,
+  which would need 3.2 GB, is ranked by the lockstep, which takes a step
+  per pick over (B, n) arrays and is far slower.
 - A prefix (`target_len` < n - 1, such as the 3 ids N-S reads) is ranked
   by lockstep expansion (`_lazy_chunk`). Pick t depends only on the
   out-edges of the query and of picks 1 .. t-1, and an edge and its decay
-  only on the BFS depths of its ends (`graph._depths`). So each of
-  `target_len` steps gathers, in every table, the out-edges of each
-  query's newest node (`graph._out_edges`), sums them per (query, node)
-  and `np.maximum`s the sums into a dense (batch, n) score array. The
-  sums need no sort: one table's step edges end at distinct keys, so each
-  table in turn adds its weights into a per-chunk buffer over the chunk's
-  keys with one `+=`; the sums are read from it, and its cells set back to
-  0.0. A sum is thus 0.0 + w1 + w2 + ... in table order, equal bit for
-  bit to the fused edge's (see `fusion`). The score array's columns are
-  positions in the query's tables[0] list, column 0 the query, so a row's
-  `argmax` is the tie-break. A query whose row holds no candidate is done;
-  its list is completed from its initial list, as from a full graph.
+  only on the BFS depths of its ends. So each of `target_len` steps
+  gathers the out-edges of each query's newest node in every table and
+  keeps the best edge into each node in a dense (batch, n) score array:
+  it saves the scores of the cells the step's edges reach, sets those
+  cells to 0.0, sums the edges into them per (query, node) by the rule
+  above, and takes the `np.maximum` of each sum and the saved score. The
+  score array's columns are positions in the query's tables[0] list,
+  column 0 the query, so a row's `argmax` is the tie-break. A query whose
+  row holds no candidate is done; its list is completed from its initial
+  list, as from a full graph.
 
-Why the rule: medians of 6 alternating in-process runs, 2 CPUs, synthetic
-n = 2 000, k = 10, two tables, graphs built from the tables' cached
-neighbour rows, microseconds per query, full graphs -> lockstep. A 3-id
-prefix in 64-query chunks: 80 -> 23 directed, 35 -> 14 undirected. Whole
-lists in 64-query chunks: 261 -> 316 directed (1.21x), 127 -> 192
-undirected (1.51x). One whole list: 821 -> 9 037 directed. Whole lists
-stay on the full graphs and prefixes on the lockstep.
+Whole lists stay on the full graphs and prefixes on the lockstep: README's
+performance section has the measurements behind this rule.
 
 A list ranked from rank tables holds shared ints: `_id_objects(n)` is the
 ids 0 .. n - 1 as one read-only array of Python ints, built once for the
@@ -97,11 +107,12 @@ import numpy as np
 
 from .corpus_io import _int_id, _int_ids
 from .fusion import _fuse_arrays
-from .graph import ImageGraph, _depths, _graph_arrays, _out_edges
+from .graph import ImageGraph, _decays, _depths, _graph_arrays, _out_edges, _stack
 
 __all__ = ["CHUNK", "RankedList", "build_graph", "greedy_rank", "rerank", "rerank_batch"]
 
 CHUNK = 64  # queries ranked as one batch; bounds the batch's (CHUNK * n) key index
+_MATRIX_BYTES = 512 * 2**20  # a chunk with a larger whole-list weight matrix ranks by lockstep
 
 
 @functools.lru_cache(maxsize=1)
@@ -192,7 +203,7 @@ def _complete(initial, skip, need):
     return head[keep][:need]
 
 
-def _rank_graphs(queries, initials, slot, ids, tie, parts, target_len):
+def _rank_graphs(queries, initials, slot, ids, tie, edges, target_len):
     """Greedy-rank a batch of graphs, completing each list from its initial list.
 
     Node a is image `ids[a]` of graph s = `slot[a]`, whose query
@@ -200,9 +211,9 @@ def _rank_graphs(queries, initials, slot, ids, tie, parts, target_len):
     for the query, 1 + its position for a listed node and a distinct
     larger value for any other node, so one sort by (slot, tie) lays each
     graph out in tie order, and completion skips a picked node's position
-    `tie - 1` (none, for an unlisted node). `parts` holds each table's
-    out-edges as (src, dst, weight) over the nodes, graph by graph in slot
-    order (an undirected pair from both ends). Returns the (B, `target_len`)
+    `tie - 1` (none, for an unlisted node). `edges` is (src, dst, weight)
+    over the nodes, graph by graph in slot order and the edges of one pair
+    a -> b table by table (an undirected pair from both ends). Returns the (B, `target_len`)
     int64 id array, one row per graph.
     """
     layout = np.lexsort((tie, slot))
@@ -212,21 +223,18 @@ def _rank_graphs(queries, initials, slot, ids, tie, parts, target_len):
     # node a's row and column in its graph's matrix
     local = np.empty(len(layout), dtype=np.intp)
     local[layout] = np.arange(len(layout)) - bounds[slot[layout]]
-    cells = []
-    for src, dst, weight in parts:
-        # edge a -> b is cell a * V + b of its graph's flat V x V matrix
-        width = size[slot[src]]
-        cut = np.searchsorted(slot[src], graphs).tolist()
-        cells.append((local[src] * width + local[dst], weight, cut))
+    src, dst, weight = edges
+    # edge a -> b is cell a * V + b of its graph's flat V x V matrix
+    cell = local[src] * size[slot[src]] + local[dst]
+    cut = np.searchsorted(slot[src], graphs).tolist()
     ids, tie, bounds = ids[layout], tie[layout], bounds.tolist()
     orders = np.empty((len(queries), target_len), dtype=np.int64)
     for s, (order, initial) in enumerate(zip(orders, initials)):
         lo, hi = bounds[s], bounds[s + 1]
-        # each table adds its weights in turn: 0.0 + w1 + w2 + ..., as `fusion` sums;
-        # one table's cells are distinct, so one += adds each weight once
+        # np.add.at adds the graph's weights one at a time, table by table:
+        # 0.0 + w1 + w2 + ..., as `fusion` sums
         weights = np.zeros((hi - lo) ** 2)
-        for cell, weight, cut in cells:
-            weights[cell[cut[s]:cut[s + 1]]] += weight[cut[s]:cut[s + 1]]
+        np.add.at(weights, cell[cut[s]:cut[s + 1]], weight[cut[s]:cut[s + 1]])
         picked = _prim(weights.reshape(hi - lo, hi - lo), target_len)
         order[: len(picked)] = ids[lo:hi][picked]
         if len(picked) < target_len:
@@ -269,7 +277,7 @@ def greedy_rank(graph, initial, target_len=None):
     queries = np.array([q])
     orders = _rank_graphs(
         queries, [initial], np.zeros(len(ids), dtype=np.int64), ids, tie,
-        [(src, dst, weight)], target_len,
+        (src, dst, weight), target_len,
     )
     _check_orders(queries, orders)
     return RankedList._batch(queries, orders)[0]
@@ -302,68 +310,78 @@ def build_graph(tables, query, params, method="directed"):
     return ImageGraph(queries[0], *arrays, directed)
 
 
-def _rank_chunk(tables, queries, params, directed):
-    """Every query's whole list as a row of ids, ranked from the full graphs."""
-    n = tables[0].n
-    depths = [_depths(t, queries, params, directed) for t in tables]
-    # the nodes: every key some table reaches, in key order, so each table's
-    # out-edges below come query by query
-    reached = np.logical_or.reduce([depth >= 0 for depth in depths])
-    keys = np.flatnonzero(reached)
-    index = np.empty(len(reached), dtype=np.intp)
-    index[keys] = np.arange(len(keys))
-    parts = []
-    for table, depth in zip(tables, depths):
-        sources = keys[depth[keys] >= 0]
-        src, dst, weight = _out_edges(table, depth, sources, params, directed)
-        parts.append((index[sources[src]], index[dst], weight))
+def _rank_chunk(table, rows, queries, params, directed):
+    """Every query's whole list as a row of ids, ranked from the full graphs.
+
+    `table` is tables[0] and `rows` every table's stacked rows
+    (`graph._stack`). A chunk whose largest graph's matrix would exceed
+    `_MATRIX_BYTES` is ranked by `_lazy_chunk` instead.
+    """
+    n, size = table.n, len(rows.top)
+    depth = _depths(rows, n, queries, params, directed)
+    # the nodes: every id some table reaches, node b * n + id, in node order
+    keys = np.flatnonzero((depth.reshape(len(queries), -1, n) >= 0).any(axis=1))
     slot, ids = np.divmod(keys, n)
+    # a graph's matrix takes 8 V^2 bytes, and no graph holds more than all len(keys) nodes
+    if 8 * len(keys) ** 2 > _MATRIX_BYTES and 8 * int(np.bincount(slot).max()) ** 2 > _MATRIX_BYTES:
+        return _lazy_chunk(table, rows, queries, params, directed, n - 1)
+    # node b * n + id is key b * T * n + t * n + id in table t: every node's
+    # reached keys, node by node and each node's table by table, so each
+    # edge a -> b comes table by table
+    cells = np.add.outer(slot * size + ids, np.arange(0, size, n))
+    sources = cells[depth[cells] >= 0]
+    index = np.empty(len(depth), dtype=np.intp)  # every key's node
+    index[cells] = np.arange(len(keys))[:, None]
+    src, dst, weight = _out_edges(rows, depth, _decays(params, n), sources, directed)
+    src, dst = index[sources[src]], index[dst]
     # tie order: query (its own position is 0), then position in tables[0]'s list
-    tie = tables[0].positions[queries[slot], ids]
-    initials = [tables[0].lists[q] for q in queries.tolist()]
-    return _rank_graphs(queries, initials, slot, ids, tie, parts, n - 1)
+    tie = table.positions[queries[slot], ids]
+    initials = [table.lists[q] for q in queries.tolist()]
+    return _rank_graphs(queries, initials, slot, ids, tie, (src, dst, weight), n - 1)
 
 
-def _lazy_chunk(tables, queries, params, directed, target_len):
-    """The first `target_len` ids of `_rank_chunk`'s lists, by lockstep expansion."""
-    n, pos0, lists0 = tables[0].n, tables[0].positions, tables[0].lists
-    depths = [_depths(t, queries, params, directed) for t in tables]
+def _lazy_chunk(table, rows, queries, params, directed, target_len):
+    """The first `target_len` ids of `_rank_chunk`'s lists, by lockstep expansion.
+
+    `table` is tables[0] and `rows` every table's stacked rows
+    (`graph._stack`).
+    """
+    n, size, pos0, lists0 = table.n, len(rows.top), table.positions, table.lists
+    depth = _depths(rows, n, queries, params, directed)
+    decays = _decays(params, n)
+    offsets = np.arange(0, size, n)  # each table's first key in a query's block
     # scores[b, c]: the best edge from query b's set into the id at position
     # c of its tables[0] list, -inf once inserted (column 0 is the query)
     scores = np.zeros((len(queries), n))
     scores[:, 0] = -np.inf
+    flat = scores.ravel()  # the same cells, b * n + c
     picks = np.zeros((len(queries), target_len), dtype=np.int64)
-    # sums[key]: a step's fused weight of the edge into key, 0.0 between steps
-    sums = np.zeros(len(queries) * n) if len(tables) > 1 else None
-    rows = np.arange(len(queries))
-    newest = rows * n + queries
+    live = np.arange(len(queries))
+    newest = queries
     for step in range(target_len):
-        # a node outside one table's graph has no out-edges there
-        parts = [_out_edges(t, depth, newest[depth[newest] >= 0], params, directed)[1:]
-                 for t, depth in zip(tables, depths)]
-        if sums is None:
-            dst, weight = parts[0]
-        else:
-            # one table's step edges end at distinct keys, so each += adds
-            # that table's weight once, in table order: 0.0 + w1 + w2 + ...
-            for dst, weight in parts:
-                sums[dst] += weight
-            dst = np.concatenate([dst for dst, _ in parts])
-            weight = sums[dst]  # a key two tables reach is read twice, the same sum
-            sums[dst] = 0.0
-        slot, ids = np.divmod(dst, n)
-        cell = (slot, pos0[queries[slot], ids])
-        best = scores[cell]
-        scores[cell] = np.where(best < 0, best, np.maximum(best, weight))
+        # the newest node in every table; outside one table's graph it has no out-edges there
+        sources = ((live * size + newest)[:, None] + offsets).ravel()
+        _, dst, weight = _out_edges(rows, depth, decays, sources[depth[sources] >= 0], directed)
+        slot = dst // size
+        # each edge's flat cell in `scores`: its query's row, its end's column
+        cell = slot * n + pos0[queries[slot], dst % n]
+        # the step's cells, zeroed, hold its fused weights: the edges come
+        # query by query, each query's table by table, and np.add.at adds
+        # them one at a time, 0.0 + w1 + w2 + ..., as `fusion` sums; a cell
+        # two tables reach is read and written twice, the same values
+        best = flat[cell]
+        flat[cell] = 0.0
+        np.add.at(flat, cell, weight)
+        flat[cell] = np.where(best < 0, best, np.maximum(best, flat[cell]))
         col = scores.argmax(axis=1)
         # a query with no candidate left gains no edges, so it stays done
-        rows = rows[scores[rows, col[rows]] > 0]
-        if not rows.size:
+        live = live[scores[live, col[live]] > 0]
+        if not live.size:
             break
-        col = col[rows]
-        scores[rows, col] = -np.inf
-        picks[rows, step] = col
-        newest = rows * n + lists0[queries[rows], col - 1]
+        col = col[live]
+        scores[live, col] = -np.inf
+        picks[live, step] = col
+        newest = lists0[queries[live], col - 1]
     # each row's picks are a prefix, the rest 0; position c is lists0[q, c - 1]
     orders = lists0[queries[:, None], picks - 1]
     count = np.count_nonzero(picks, axis=1)
@@ -384,15 +402,15 @@ def _ranked_chunks(tables, queries, params, method, target_len):
     target_len = length if target_len is None else operator.index(target_len)
     if not 0 <= target_len <= length:
         raise ValueError(f"target_len {target_len} out of range [0, {length}]")
-    tables[0].truncated(params.k)  # every table covers the same n
+    rows = _stack(tables, params.k, jaccard=not directed)  # checks k; every table covers n
 
     def chunks():
         for start in range(0, len(queries), CHUNK):
             chunk = queries[start:start + CHUNK]
             if target_len < length:
-                orders = _lazy_chunk(tables, chunk, params, directed, target_len)
+                orders = _lazy_chunk(tables[0], rows, chunk, params, directed, target_len)
             else:
-                orders = _rank_chunk(tables, chunk, params, directed)
+                orders = _rank_chunk(tables[0], rows, chunk, params, directed)
             _check_orders(chunk, orders)
             yield chunk, orders
 

@@ -235,6 +235,17 @@ class TestSweepCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["5,,23", "5,"])
+    def test_empty_k_item_rejected(self, synth_dir, tmp_path, capsys, k):
+        out = tmp_path / "s.tsv"
+        code = run(
+            "sweep", "--tables", synth_dir / "space0_ranks.txt",
+            "--gt", synth_dir / "ground_truth.txt", "--out", out, "--k", k,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --k: empty item in {k!r}\n"
+        assert not out.exists()
+
 
 class TestGraphDump:
     def test_format_and_weights(self, synth_dir, tmp_path):
@@ -394,10 +405,11 @@ class TestKSweepScript:
             self.run_script(monkeypatch, ks)
         assert exc.value.code == f"error: --ks: not a decimal integer {token!r}"
 
-    def test_empty_tokens_skipped(self, monkeypatch, capsys):
-        self.run_script(monkeypatch, ",5,")
-        rows = capsys.readouterr().out.split("\n")[1:-2]
-        assert [row.split("\t")[2] for row in rows] == ["5", "5"]
+    def test_empty_item_is_one_line_error(self, monkeypatch):
+        for ks in ("5,,23", "5,", ",5"):
+            with pytest.raises(SystemExit) as exc:
+                self.run_script(monkeypatch, ks)
+            assert exc.value.code == f"error: --ks: empty item in {ks!r}"
 
     @pytest.mark.parametrize("ks, message", [
         (",", "--ks must list at least one value"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphrerank.corpus_io import FeatureMatrix, RankTable, _id_dtype
 from graphrerank.features import build_rank_table
-from graphrerank.graph import GraphParams, ImageGraph, _depths, graph_to_text
+from graphrerank.graph import GraphParams, ImageGraph, _depths, _stack, graph_to_text
 from graphrerank.ranking import build_graph
 
 from conftest import (
@@ -254,30 +254,59 @@ def brute_force_undirected(table, query, params):
 
 
 class TestDepths:
-    """`_depths`, the BFS's one output, pinned query by query to the brute-force builders."""
+    """`_depths`, the BFS's one output, pinned query by query and table by
+    table to the brute-force builders."""
 
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 10**9),
         method=st.sampled_from(["directed", "undirected"]),
         depth=st.integers(1, 3),
+        n_tables=st.integers(1, 3),
     )
-    def test_batch_equals_brute_force(self, seed, method, depth):
+    def test_batch_equals_brute_force(self, seed, method, depth, n_tables):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 30))
-        table = random_rank_table(rng, n)
+        tables = [random_rank_table(rng, n) for _ in range(n_tables)]
         params = GraphParams(k=int(rng.integers(1, min(n, 6))), depth=depth)
         # a batch of several queries, some repeated
         queries = rng.integers(n, size=int(rng.integers(2, 9)))
         queries[-1] = queries[0]
-        got = _depths(table, queries, params, method == "directed")
-        assert got.shape == (len(queries) * n,) and got.dtype == _id_dtype(n)
+        rows = _stack(tables, params.k, jaccard=method == "undirected")
+        got = _depths(rows, n, queries, params, method == "directed")
+        assert got.shape == (len(queries) * n_tables * n,) and got.dtype == _id_dtype(n)
         brute = brute_force_directed if method == "directed" else brute_force_undirected
-        want = np.full(len(queries) * n, -1)
+        # query b's block in table t: keys (b * T + t) * n + id
+        want = np.full((len(queries), n_tables, n), -1)
         for b, query in enumerate(queries.tolist()):
-            for i, d in brute(table, query, params)[0].items():
-                want[b * n + i] = d
-        assert got.tolist() == want.tolist()
+            for t, table in enumerate(tables):
+                for i, d in brute(table, query, params)[0].items():
+                    want[b, t, i] = d
+        assert got.tolist() == want.ravel().tolist()
+
+
+class TestStack:
+    """`_stack` lays T tables' neighbour rows out as one corpus of T * n nodes."""
+
+    def test_one_table_is_its_own_rows(self):
+        table = random_rank_table(np.random.default_rng(3), 12)
+        assert _stack([table], 4) is table.neighbour_rows(4)
+        assert _stack([table], 4, jaccard=True) is table.neighbour_rows(4, jaccard=True)
+
+    @pytest.mark.parametrize("jaccard", [False, True])
+    def test_rows_offset_by_table(self, jaccard):
+        rng = np.random.default_rng(5)
+        tables = [random_rank_table(rng, 12) for _ in range(3)]
+        rows = _stack(tables, 4, jaccard)
+        parts = [t.neighbour_rows(4, jaccard) for t in tables]
+        assert rows.k == 4 and rows.top.dtype == _id_dtype(36)
+        assert rows.top.tolist() == [[x + 12 * t for x in row]
+                                     for t, p in enumerate(parts) for row in p.top.tolist()]
+        assert rows.rev.tolist() == [row for p in parts for row in p.rev.tolist()]
+        if jaccard:
+            assert rows.inter.tolist() == [row for p in parts for row in p.inter.tolist()]
+        else:
+            assert rows.inter is None
 
 
 class TestBuildDirectedGraph:

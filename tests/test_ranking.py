@@ -311,7 +311,7 @@ class TestGreedyRank:
 
 class TestBuildGraph:
     @pytest.mark.parametrize("method", ["directed", "undirected"])
-    @pytest.mark.parametrize("n_tables", [1, 2])
+    @pytest.mark.parametrize("n_tables", [1, 2, 3])
     def test_equals_hand_written_build_and_fuse(self, method, n_tables):
         tables = [random_rank_table(np.random.default_rng(s), 14) for s in range(n_tables)]
         params = GraphParams(k=4)
@@ -324,13 +324,33 @@ class TestBuildGraph:
             )
 
     @pytest.mark.parametrize("method", ["directed", "undirected"])
-    @pytest.mark.parametrize("n_tables", [1, 2])
+    @pytest.mark.parametrize("n_tables", [1, 2, 3])
     def test_rerank_is_greedy_rank_of_build_graph(self, method, n_tables):
         tables = [random_rank_table(np.random.default_rng(9 + s), 14) for s in range(n_tables)]
         params = GraphParams(k=4)
         for q in range(14):
             want = greedy_rank(build_graph(tables, q, params, method), tables[0].lists[q])
             assert rerank(tables, q, params, method).order == want.order
+
+    def test_three_tables_sum_in_table_order(self):
+        # the query's edges to 1 and 2 have rank sums (2, 3, 6) and (6, 3, 2)
+        # in tables 0, 1 and 2: equal sums of 1 / rank sum, but summed in
+        # table order 1's is 1 / 2 + 1 / 3 + 1 / 6 = 0.9999999999999999 and
+        # 2's 1.0, so 2 is picked first; summed in any other order the two
+        # can swap, and 1 wins the tie by its position
+        rest = [[0, 1, 2, 4, 5], [0, 1, 2, 3, 5], [0, 1, 2, 3, 4]]
+        tables = [corpus_io.RankTable(np.array(lists)) for lists in (
+            [[1, 2, 3, 4, 5], [0, 2, 3, 4, 5], [1, 3, 4, 0, 5], *rest],
+            [[1, 2, 3, 4, 5], [2, 0, 3, 4, 5], [0, 1, 3, 4, 5], *rest],
+            [[2, 1, 3, 4, 5], [2, 3, 4, 0, 5], [0, 1, 3, 4, 5], *rest],
+        )]
+        params = GraphParams(k=2, alpha0=1.0, depth=1)
+        graph = build_graph(tables, 0, params)
+        assert (graph.edges[(0, 1)], graph.edges[(0, 2)]) == (0.9999999999999999, 1.0)
+        want = greedy_rank(graph, tables[0].lists[0]).order
+        assert want[0] == 2
+        assert rerank(tables, 0, params).order == want
+        assert rerank_batch(tables, [0], params, target_len=1)[0].order == want[:1]
 
     def test_unknown_method_rejected(self):
         table = random_rank_table(np.random.default_rng(3), 6)
@@ -652,6 +672,34 @@ class TestRerankBatch:
         tables = [random_rank_table(np.random.default_rng(3), 8)]
         with pytest.raises(ValueError, match=r"target_len 8 out of range \[0, 7\]"):
             rerank_batch(tables, [0], GraphParams(k=3), target_len=8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        method=st.sampled_from(sorted(BRUTE_FORCE)),
+        n_tables=st.integers(1, 3),
+    )
+    def test_whole_lists_over_the_matrix_budget_rank_by_lockstep(self, seed, method, n_tables):
+        # with no matrix within the budget, every whole list is ranked by the
+        # lockstep, and must equal the one ranked over the dense matrices;
+        # at k = n - 1 every graph may hold the whole corpus
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 21))
+        tables = [random_rank_table(rng, n) for _ in range(n_tables)]
+        k = n - 1 if rng.integers(2) else int(rng.integers(1, n))
+        params = GraphParams(k=k, alpha0=float(rng.choice([0.5, 0.8, 1.0])),
+                             depth=int(rng.integers(1, 4)))
+        queries = [int(q) for q in rng.integers(0, n, size=int(rng.integers(1, 12)))]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ranking, "CHUNK", int(rng.integers(1, 5)))
+            matrix = rerank_batch(tables, queries, params, method)
+            mp.setattr(ranking, "_MATRIX_BYTES", 0)
+            lazy = ranking._lazy_chunk
+            mp.setattr(ranking, "_lazy_chunk", lambda *args: calls.append(args[5]) or lazy(*args))
+            lockstep = rerank_batch(tables, queries, params, method)
+        assert calls and set(calls) == {n - 1}
+        assert lockstep == matrix
 
     @pytest.mark.parametrize("method", sorted(BRUTE_FORCE))
     def test_depth_beyond_n_minus_1_reaches_what_n_minus_1_reaches(self, method):
